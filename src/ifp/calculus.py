@@ -268,8 +268,8 @@ def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
     key = _key_or(premise, app.hole_path)
     if key.cluster == app.k:
         return premise, key
-    table = clusters(premise)
-    if len(table[key.cluster]) == 1 and app.k not in table:
+    counts = premise.summary.counts
+    if counts[key.cluster] == 1 and app.k not in counts:
         renamed = Or(app.k, key.left, key.right)
         return replace_at(premise, app.hole_path, renamed), renamed
     raise RuleError(
@@ -395,7 +395,7 @@ class _Mint:
     """
 
     def __init__(self, conclusion: Cirquent):
-        self.used = set(clusters(conclusion))
+        self.used = set(conclusion.summary.counts)
         self.singles = singleton_clusters(conclusion)
 
     def fresh(self) -> int:
@@ -542,7 +542,7 @@ def _conclusion_new_disjunct(
 def _candidates(
     premise: Cirquent, conclusion: Cirquent, hint: Optional[RuleHint]
 ) -> Iterator[RuleApp]:
-    table = clusters(premise)
+    counts = premise.summary.counts
     for rule in RULES:
         if hint is not None and hint.rule is not None and hint.rule != rule:
             continue
@@ -551,9 +551,9 @@ def _candidates(
                 continue
             kp = subcirquent_at(premise, hole).cluster
             ks = [kp]
-            if len(table[kp]) == 1:
+            if counts[kp] == 1:
                 kc = _conclusion_key_id(conclusion, rule, hole)
-                if kc is not None and kc != kp and kc not in table:
+                if kc is not None and kc != kp and kc not in counts:
                     ks = sorted({kp, kc})
             for k in ks:
                 if hint is not None and hint.k is not None and hint.k != k:

@@ -9,12 +9,21 @@ they hold the same ID.  Conjunctions and literals carry nothing extra.
 Positions inside a cirquent are addressed by paths: tuples of "L"/"R" steps
 from the root.  A path may end at any node, literals included, but may not
 step through a literal.
+
+Every node has a ``summary``: how many disjunctions of each cluster lie
+beneath it (itself included) and whether it is free of same-cluster
+nesting.  A connective computes its summary on first use and keeps it;
+nodes are immutable and a rewrite shares every subtree it leaves alone,
+so a rebuilt cirquent computes summaries only along the rebuilt spine.
+Summaries are shared between nodes and must never be mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Union
 
 LEFT_STEP = "L"
 RIGHT_STEP = "R"
@@ -27,17 +36,39 @@ class InvalidPathError(Exception):
     """The path does not address a node of the cirquent."""
 
 
+class Summary(NamedTuple):
+    """What a node knows about the disjunctions beneath it, itself included.
+
+    ``counts`` maps each cluster ID present to its number of disjunctions;
+    ``nesting_free`` is False when some disjunction sits inside another of
+    the same cluster.
+    """
+
+    counts: Mapping[int, int]
+    nesting_free: bool
+
+
 @dataclass(frozen=True)
 class Literal:
     atom: str
     positive: bool = True
 
+    summary = Summary(MappingProxyType({}), True)
+
     def __str__(self) -> str:
         return self.atom if self.positive else "~" + self.atom
 
 
+class _Connective:
+    """Base of And and Or: the summary is computed on first use, then kept."""
+
+    @cached_property
+    def summary(self) -> Summary:
+        return _summarize(self)
+
+
 @dataclass(frozen=True)
-class And:
+class And(_Connective):
     left: "Cirquent"
     right: "Cirquent"
 
@@ -46,7 +77,7 @@ class And:
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Connective):
     cluster: int
     left: "Cirquent"
     right: "Cirquent"
@@ -60,6 +91,41 @@ class Or:
 
 
 Cirquent = Union[Literal, And, Or]
+
+
+def _summarize(root: Cirquent) -> Summary:
+    """Store the summary of ``root`` and of every connective beneath it lacking one.
+
+    Children go before their parents, and no call recurses, so a deep
+    tree costs no stack.
+    """
+    order = []
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        order.append(node)
+        for child in (node.left, node.right):
+            if not isinstance(child, Literal) and "summary" not in child.__dict__:
+                pending.append(child)
+    for node in reversed(order):
+        left, right = node.left.summary, node.right.summary
+        small, large = left.counts, right.counts
+        if len(small) > len(large):
+            small, large = large, small
+        free = left.nesting_free and right.nesting_free
+        if isinstance(node, Or):
+            k = node.cluster
+            free = free and k not in small and k not in large
+            counts = dict(large)
+            counts[k] = counts.get(k, 0) + 1
+        elif small:
+            counts = dict(large)
+        else:
+            counts = large
+        for k, n in small.items():
+            counts[k] = counts.get(k, 0) + n
+        node.__dict__["summary"] = Summary(counts, free)
+    return root.__dict__["summary"]
 
 
 def subcirquent_at(c: Cirquent, path: Path) -> Cirquent:
@@ -85,16 +151,14 @@ def replace_at(c: Cirquent, path: Path, replacement: Cirquent) -> Cirquent:
         raise InvalidPathError(f"path {_fmt(path)} steps through the literal {c}")
     step = path[0]
     if step == LEFT_STEP:
-        return type(c)(*_with_children(c, replace_at(c.left, path[1:], replacement), c.right))
-    if step == RIGHT_STEP:
-        return type(c)(*_with_children(c, c.left, replace_at(c.right, path[1:], replacement)))
-    raise InvalidPathError(f"bad path step {step!r}")
-
-
-def _with_children(node: Cirquent, left: Cirquent, right: Cirquent) -> tuple:
-    if isinstance(node, Or):
-        return (node.cluster, left, right)
-    return (left, right)
+        left, right = replace_at(c.left, path[1:], replacement), c.right
+    elif step == RIGHT_STEP:
+        left, right = c.left, replace_at(c.right, path[1:], replacement)
+    else:
+        raise InvalidPathError(f"bad path step {step!r}")
+    if isinstance(c, Or):
+        return Or(c.cluster, left, right)
+    return And(left, right)
 
 
 def walk(c: Cirquent) -> Iterator[tuple[Path, Cirquent]]:
@@ -127,14 +191,32 @@ def clusters(c: Cirquent) -> dict[int, frozenset]:
     return {k: frozenset(v) for k, v in table.items()}
 
 
+def members(c: Cirquent, k: int) -> list[Path]:
+    """Positions of cluster ``k``'s disjunctions, in path order.
+
+    Only subtrees whose summary counts ``k`` are entered.
+    """
+    found = []
+    stack = [(ROOT, c)]
+    while stack:
+        path, node = stack.pop()
+        if k not in node.summary.counts:
+            continue
+        if isinstance(node, Or) and node.cluster == k:
+            found.append(path)
+        stack.append((path + (RIGHT_STEP,), node.right))
+        stack.append((path + (LEFT_STEP,), node.left))
+    return found
+
+
 def singleton_clusters(c: Cirquent) -> set[int]:
     """IDs of the clusters with exactly one member."""
-    return {k for k, members in clusters(c).items() if len(members) == 1}
+    return {k for k, n in c.summary.counts.items() if n == 1}
 
 
 def is_classical(c: Cirquent) -> bool:
     """True when every cluster is a singleton, i.e. the cirquent is an ordinary formula."""
-    return all(len(members) == 1 for members in clusters(c).values())
+    return all(n == 1 for n in c.summary.counts.values())
 
 
 def atoms(c: Cirquent) -> set[str]:

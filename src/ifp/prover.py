@@ -16,7 +16,10 @@ decrease strictly in lexicographic order, and after every step it
 requires the cirquent to be free of same-cluster nesting and the
 resolved cluster's size to account exactly for the step taken (rule II
 leaves it unchanged, rule III shrinks it by one).  Violations raise
-ReductionInvariantError rather than producing a bad proof.
+ReductionInvariantError rather than producing a bad proof.  These checks
+read the cluster counts and nesting flag cached on each node, so a
+step's cost follows the depth of the spine it rebuilt, not the size of
+the residue.
 """
 
 from __future__ import annotations
@@ -35,16 +38,16 @@ from .calculus import (
 from .core import (
     Cirquent,
     LEFT_STEP,
+    Literal,
     Or,
     Path,
     RIGHT_STEP,
+    ROOT,
     atoms,
-    clusters,
     is_classical,
     level,
-    nearest_common_ancestor,
+    members,
     subcirquent_at,
-    walk,
 )
 from .semantics import (
     Interpretation,
@@ -96,17 +99,15 @@ def state_tuple(
     c: Cirquent, k: int, tracked: int, a: Path, b: Optional[Path] = None
 ) -> StateTuple:
     """The progress measure of ``c`` while resolving cluster ``k``."""
-    table = clusters(c)
-    size = len(table.get(k, ()))
+    counts = c.summary.counts
+    size = counts.get(k, 0)
     if tracked == 2:
         if b is None:
             raise ValueError("tracking two members needs both positions")
         depth = level(c, a) + level(c, b)
     else:
         depth = level(c, a) - 1
-    outside = sum(
-        len(members) for kid, members in table.items() if kid != k and len(members) > 1
-    )
+    outside = sum(n for kid, n in counts.items() if kid != k and n > 1)
     return StateTuple(size, size - tracked, depth, outside, tracked)
 
 
@@ -150,17 +151,29 @@ Decision = Union[Valid, Invalid]
 
 
 def nested_pairs(c: Cirquent) -> list[tuple[Path, Path]]:
-    """Same-cluster (ancestor, descendant) disjunction pairs, in path order."""
-    occurrences = [(p, node.cluster) for p, node in walk(c) if isinstance(node, Or)]
+    """Same-cluster (ancestor, descendant) disjunction pairs, in path order.
+
+    One depth-first pass; ``above`` holds the (cluster, path) of every
+    disjunction enclosing the current node, and a None on the work stack
+    marks where the innermost of them is left behind.
+    """
     pairs = []
-    for outer, outer_cluster in occurrences:
-        for inner, inner_cluster in occurrences:
-            if (
-                inner_cluster == outer_cluster
-                and len(inner) > len(outer)
-                and inner[: len(outer)] == outer
-            ):
-                pairs.append((outer, inner))
+    above: list[tuple[int, Path]] = []
+    todo: list = [(ROOT, c)]
+    while todo:
+        item = todo.pop()
+        if item is None:
+            above.pop()
+            continue
+        path, node = item
+        if isinstance(node, Literal):
+            continue
+        if isinstance(node, Or):
+            pairs.extend((outer, path) for k, outer in above if k == node.cluster)
+            above.append((node.cluster, path))
+            todo.append(None)
+        todo.append((path + (RIGHT_STEP,), node.right))
+        todo.append((path + (LEFT_STEP,), node.left))
     pairs.sort()
     return pairs
 
@@ -200,14 +213,14 @@ def resolve_cluster(
     least two members.  Returns the result, the steps, and the recorded
     state-tuple trace.
     """
-    if nested_pairs(c):
+    if not c.summary.nesting_free:
         raise PreconditionError("same-cluster nesting must be eliminated first")
-    if len(clusters(c).get(k, ())) < 2:
+    if c.summary.counts.get(k, 0) < 2:
         raise PreconditionError(f"cluster {k} already has a single member")
     steps: list[ReductionStep] = []
     trace: list[StateTuple] = []
     current = c
-    while len(clusters(current).get(k, ())) > 1:
+    while current.summary.counts.get(k, 0) > 1:
         a, b, meet = _pick_pair(current, k)
         trace.append(state_tuple(current, k, 2, a, b))
         while len(a) > len(meet) + 1:
@@ -216,12 +229,12 @@ def resolve_cluster(
         while len(b) > len(meet) + 1:
             current, b = _lift_once(current, k, b, steps)
             trace.append(state_tuple(current, k, 2, a, b))
-        size_before = len(clusters(current)[k])
+        size_before = current.summary.counts[k]
         current, completed = apply_rule_backward(current, RuleApp("III", meet, k))
         steps.append(ReductionStep(completed, current))
-        if len(clusters(current).get(k, ())) != size_before - 1:
+        if current.summary.counts.get(k, 0) != size_before - 1:
             raise ReductionInvariantError("merging must shrink the cluster by one")
-        if nested_pairs(current):
+        if not current.summary.nesting_free:
             raise ReductionInvariantError("merging re-introduced same-cluster nesting")
         trace.append(state_tuple(current, k, 1, meet))
     _require_decreasing(trace)
@@ -233,18 +246,24 @@ def _pick_pair(c: Cirquent, k: int) -> tuple[Path, Path, Path]:
 
     Ties go to the smallest (meet, a, b) by path order.  The returned
     ``a`` is the member on the left branch below the meet.
+
+    Members come in path order, so two of them share no longer a prefix
+    than any adjacent pair between them, and the meets of equally deep
+    adjacent pairs never decrease along the list.  The first adjacent
+    pair meeting deepest is therefore the answer.
     """
-    members = sorted(clusters(c)[k])
+    found = members(c, k)
     best = None
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            a, b = members[i], members[j]
-            meet = nearest_common_ancestor(c, a, b)
-            rank = (-len(meet), meet, a, b)
-            if best is None or rank < best[0]:
-                best = (rank, a, b, meet)
-    _, a, b, meet = best
-    return a, b, meet
+    for a, b in zip(found, found[1:]):
+        n = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            n += 1
+        if best is None or n > best[0]:
+            best = (n, a, b)
+    n, a, b = best
+    return a, b, a[:n]
 
 
 def _lift_once(
@@ -255,17 +274,17 @@ def _lift_once(
     side = member[-1]
     other = RIGHT_STEP if side == LEFT_STEP else LEFT_STEP
     sibling = subcirquent_at(current, parent + (other,))
-    if k in clusters(sibling):
+    if k in sibling.summary.counts:
         raise ReductionInvariantError(
             "the operand being duplicated holds a member of the cluster"
         )
     rule = "II-left" if side == LEFT_STEP else "II-right"
-    size_before = len(clusters(current)[k])
+    size_before = current.summary.counts[k]
     result, completed = apply_rule_backward(current, RuleApp(rule, parent, k))
     steps.append(ReductionStep(completed, result))
-    if len(clusters(result)[k]) != size_before:
+    if result.summary.counts.get(k, 0) != size_before:
         raise ReductionInvariantError("lifting must leave the cluster size unchanged")
-    if nested_pairs(result):
+    if not result.summary.nesting_free:
         raise ReductionInvariantError("lifting re-introduced same-cluster nesting")
     return result, parent
 
@@ -288,12 +307,10 @@ def reduce_to_classical(c: Cirquent) -> Derivation:
     steps = list(nested_steps)
     traces = []
     while True:
-        multi = sorted(
-            kid for kid, members in clusters(current).items() if len(members) > 1
-        )
-        if not multi:
+        k = min((kid for kid, n in current.summary.counts.items() if n > 1), default=None)
+        if k is None:
             break
-        current, more, trace = resolve_cluster(current, multi[0])
+        current, more, trace = resolve_cluster(current, k)
         steps.extend(more)
         traces.append(trace)
     if not is_classical(current):
@@ -337,7 +354,9 @@ def decide(
     """
     ensure_within_bounds(c, max_atoms, max_clusters)
     derivation = reduce_to_classical(c)
-    model = classical_countermodel(derivation.final)
+    model = classical_countermodel(
+        derivation.final, max_atoms=max_atoms, max_clusters=max_clusters
+    )
     if model is None:
         return Valid(_script(derivation), derivation)
     for name in sorted(atoms(c)):

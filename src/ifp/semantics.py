@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-from .core import And, Cirquent, Literal, Or, atoms, clusters, is_classical
+from .core import And, Cirquent, Literal, Or, atoms, is_classical
 
 LEFT = "left"
 RIGHT = "right"
@@ -55,7 +55,7 @@ def ensure_within_bounds(
     atom_bound = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     cluster_bound = DEFAULT_MAX_CLUSTERS if max_clusters is None else max_clusters
     n_atoms = len(atoms(c))
-    n_clusters = len(clusters(c))
+    n_clusters = len(c.summary.counts)
     if n_atoms > atom_bound:
         raise TooLargeError(f"{n_atoms} atoms exceeds the bound of {atom_bound}")
     if n_clusters > cluster_bound:
@@ -102,12 +102,12 @@ def metaselections(ids) -> Iterator[Metaselection]:
 
 def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
     """True when some metaselection makes the cirquent metatrue."""
-    return any(metatrue(c, interpretation, f) for f in metaselections(clusters(c)))
+    return any(metatrue(c, interpretation, f) for f in metaselections(c.summary.counts))
 
 
 def witness_metaselection(c: Cirquent, interpretation: Mapping[str, bool]) -> Metaselection | None:
     """The lexicographically first metaselection making ``c`` metatrue, if any."""
-    for f in metaselections(clusters(c)):
+    for f in metaselections(c.summary.counts):
         if metatrue(c, interpretation, f):
             return f
     return None

@@ -10,7 +10,19 @@ import itertools
 
 from hypothesis import strategies as st
 
-from ifp import And, Cirquent, Literal, Or, RuleApp, positions, replace_at
+from ifp import (
+    And,
+    Cirquent,
+    Literal,
+    Or,
+    RuleApp,
+    clusters,
+    members,
+    nested_pairs,
+    parse,
+    positions,
+    replace_at,
+)
 
 ATOMS3 = ("p", "q", "r")
 ATOMS4 = ("p", "q", "r", "s")
@@ -223,6 +235,33 @@ def rand_rule_instance(rng, rule: str, kind):
         conclusion, prefix = _wrap(rng, sibling, rng.randint(0, 1))
         hole = prefix + step
     return conclusion, RuleApp(rule, hole, k)
+
+
+def nested_family(d: int, valid: bool) -> Cirquent:
+    """A cluster-1 member at depth ``d`` on both sides of a disjunction.
+
+    Each level conjoins a cluster shared by both sides:
+    ``(y|k z)&(~y|k ~z)``, or ``(y|k ~y)|(~y|k y)`` in the valid form,
+    whose right side mirrors the cluster-1 member so the goal holds.
+    """
+
+    def side(mirror: bool) -> str:
+        text = "~a|1 a" if mirror else "a|1 ~a"
+        for k in range(2, d + 2):
+            level = f"(y|{k} ~y)|(~y|{k} y)" if valid else f"(y|{k} z)&(~y|{k} ~z)"
+            text = f"({text})&({level})"
+        return text
+
+    return parse(f"({side(False)})|({side(valid)})")
+
+
+def assert_summary_matches_walk(c: Cirquent) -> None:
+    """The cached summary and ``members`` agree with a fresh full walk."""
+    table = clusters(c)
+    assert dict(c.summary.counts) == {k: len(v) for k, v in table.items()}
+    assert c.summary.nesting_free == (not nested_pairs(c))
+    for k, positions_of_k in table.items():
+        assert members(c, k) == sorted(positions_of_k)
 
 
 def strictly_decreasing(trace) -> bool:

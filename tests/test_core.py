@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given
 
-from helpers import cirquents
+from helpers import assert_summary_matches_walk, cirquents
 from ifp import (
     And,
     InvalidPathError,
@@ -16,6 +16,7 @@ from ifp import (
     clusters,
     is_classical,
     level,
+    members,
     nearest_common_ancestor,
     node_count,
     or_positions,
@@ -122,6 +123,12 @@ class TestClusters:
         assert is_classical(a0)
         assert is_classical(P)
 
+    def test_members_in_path_order(self, goal):
+        assert members(goal, 1) == [(), ("L", "L"), ("R", "R")]
+        assert members(goal, 2) == [("L", "R"), ("R", "L")]
+        assert members(goal, 3) == []
+        assert members(P, 1) == []
+
     def test_atoms_and_node_count(self, goal):
         assert atoms(goal) == {"p", "q", "r", "s"}
         assert node_count(goal) == 15
@@ -169,3 +176,29 @@ class TestCanonicalize:
     def test_canonical_ids_are_dense_from_one(self, c):
         table = clusters(canonicalize_ids(c))
         assert sorted(table) == list(range(1, len(table) + 1))
+
+
+class TestSummaries:
+    def test_counts_and_nesting_flag(self, goal, c1):
+        assert dict(goal.summary.counts) == {1: 3, 2: 2}
+        assert not goal.summary.nesting_free
+        assert c1.summary.nesting_free
+        assert dict(P.summary.counts) == {}
+        assert P.summary.nesting_free
+
+    def test_parsing_computes_no_summary(self):
+        c = parse("(p|1 q)&(r|1 s)")
+        assert "summary" not in vars(c)
+        assert "summary" not in vars(c.left)
+
+    def test_rebuilt_spine_shares_untouched_summaries(self, goal):
+        goal.summary
+        rebuilt = replace_at(goal, ("L", "L"), P)
+        assert "summary" not in vars(rebuilt)
+        assert rebuilt.right is goal.right
+        assert dict(rebuilt.summary.counts) == {1: 2, 2: 2}
+        assert dict(goal.summary.counts) == {1: 3, 2: 2}
+
+    @given(cirquents(max_leaves=8))
+    def test_summary_matches_a_fresh_walk(self, c):
+        assert_summary_matches_walk(c)

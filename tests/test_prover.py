@@ -3,9 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given
 
-from conftest import C1_TEXT
-from helpers import rand_cirquent, strictly_decreasing
+from conftest import C1_TEXT, GOAL_TEXT
+from helpers import (
+    assert_summary_matches_walk,
+    cirquents,
+    nested_family,
+    rand_cirquent,
+    strictly_decreasing,
+)
 from ifp import (
     Invalid,
     Literal,
@@ -18,15 +25,33 @@ from ifp import (
     eliminate_nested,
     is_classical,
     nested_pairs,
+    or_positions,
     parse,
     print_proof,
     prove,
     reduce_to_classical,
     resolve_cluster,
     state_tuple,
+    subcirquent_at,
     true_under,
     valid,
 )
+
+
+def nested_pairs_reference(c):
+    """Every pair of same-cluster disjunctions, one inside the other, by a double loop."""
+    occurrences = [(p, subcirquent_at(c, p).cluster) for p in or_positions(c)]
+    pairs = []
+    for outer, outer_cluster in occurrences:
+        for inner, inner_cluster in occurrences:
+            if (
+                inner_cluster == outer_cluster
+                and len(inner) > len(outer)
+                and inner[: len(outer)] == outer
+            ):
+                pairs.append((outer, inner))
+    pairs.sort()
+    return pairs
 
 
 class TestNestedPairs:
@@ -36,6 +61,19 @@ class TestNestedPairs:
     def test_unrelated_members_are_not_nested(self, c1, e4):
         assert nested_pairs(c1) == []
         assert nested_pairs(e4) == []
+
+    def test_chains_pair_every_ancestor(self):
+        c = parse("((p|1 q)|1 r)|1(s|2(p|2 q))")
+        assert nested_pairs(c) == nested_pairs_reference(c) == [
+            ((), ("L",)),
+            ((), ("L", "L")),
+            (("L",), ("L", "L")),
+            (("R",), ("R", "R")),
+        ]
+
+    @given(cirquents(max_leaves=10, max_cluster=2))
+    def test_one_pass_matches_the_double_loop(self, c):
+        assert nested_pairs(c) == nested_pairs_reference(c)
 
 
 class TestEliminateNested:
@@ -185,6 +223,29 @@ class TestProve:
         script = prove(parse("p|~p"))
         assert len(script) == 1
         assert check_proof(script) is None
+
+
+class TestSummariesAlongDerivations:
+    @pytest.mark.parametrize(
+        "goal",
+        [parse(GOAL_TEXT)]
+        + [nested_family(d, valid) for d in (1, 2) for valid in (False, True)],
+    )
+    def test_every_intermediate_summary_matches_a_fresh_walk(self, goal):
+        derivation = reduce_to_classical(goal)
+        assert derivation.steps
+        for step in derivation.steps:
+            assert_summary_matches_walk(step.result)
+
+
+class TestDecideBounds:
+    def test_bounds_reach_the_residue_check(self):
+        c = parse("p|~p" + "|q" * 20)
+        with pytest.raises(TooLargeError):
+            decide(c)
+        decision = decide(c, max_clusters=100)
+        assert isinstance(decision, Valid)
+        assert check_proof(decision.proof, max_clusters=100) is None
 
 
 class TestRandomized:
