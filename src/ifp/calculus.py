@@ -26,6 +26,10 @@ merged disjunctions apart.  Duplication and splitting give single-member
 clusters fresh IDs, smallest unused first, in the order the disjunction
 signs appear in the new text; multi-member clusters keep their IDs, so
 the grouping structure is preserved.
+
+The checker reads each step's candidates off its conclusion and checks
+rule I by its inverse, rules II and III forward (``match_step`` says
+why).  Single-member IDs are not printed, so no check compares them.
 """
 
 from __future__ import annotations
@@ -37,19 +41,17 @@ from .core import (
     And,
     Cirquent,
     InvalidPathError,
-    LEFT_STEP,
     Literal,
     Or,
     Path,
-    RIGHT_STEP,
     clusters,
     is_classical,
-    or_positions,
-    positions,
+    members,
     replace_at,
     same_shape,
     singleton_clusters,
     subcirquent_at,
+    walk,
 )
 from .semantics import classical_tautology
 
@@ -166,9 +168,10 @@ def apply_rule_forward(premise: Cirquent, app: RuleApp) -> Cirquent:
     """Apply a rule premise-to-conclusion.
 
     The key's own cluster ID always qualifies as ``app.k``.  When the key
-    is alone in its cluster it may also be addressed by any ID unused in
-    the premise; the key is then renamed first, which changes nothing up
-    to cluster isomorphism.
+    is alone in its cluster it may also be addressed by any ID that no
+    multi-member cluster of the premise holds; the key is then renamed
+    first, after moving a single-member disjunction that holds the ID to
+    an unused one, which changes nothing up to cluster isomorphism.
     """
     return _apply_forward(premise, app)[0]
 
@@ -211,20 +214,38 @@ def match_step(
 ) -> Optional[RuleApp]:
     """The first rule application carrying the premise to the conclusion.
 
-    Candidates are tried in a fixed order: rules as listed in RULES, key
-    positions in path order, cluster IDs ascending, inner positions in
-    path order.  A candidate fits when applying it forward reproduces
-    the conclusion up to renaming of single-member clusters.  A hint
-    restricts the candidates field by field.  Returns None when nothing
-    fits.
+    Candidates are read off the conclusion, which fixes the key's ID k,
+    in a fixed order: rules as listed in RULES, keys in path order, inner
+    positions in path order.  Rule I's key is any disjunction, its inner
+    position any disjunction of the key's cluster in the grown operand;
+    rule II's key is the left (II-left) or right (II-right) operand of a
+    connective, rule III's the two operands, both in one cluster.
+
+    Rule I is checked backward: deleting the new disjunct, read from the
+    conclusion, must leave the premise up to renaming of single-member
+    clusters.  Only this sees a disjunct join a cluster that had one
+    member in the premise.  Rules II and III are checked forward, since
+    their forward form also accepts copies, and connectives, whose two
+    sides share a two-member cluster; backward application gives those
+    fresh IDs and so cannot produce such premises.
+
+    A hint restricts the candidates field by field; its k is compared
+    only when the key's cluster has more than one member in the
+    conclusion, since single-member IDs are not printed.  Returns None
+    when nothing fits.
     """
-    for app in _candidates(premise, conclusion, hint):
+    for app in _candidates_in(conclusion, hint or RuleHint()):
         try:
-            result, kind = _apply_forward(premise, app)
-        except (RuleError, InvalidPathError):
+            if app.rule in ("I-left", "I-right"):
+                restored, completed = _backward_one(conclusion, app)
+                if cluster_struct_match(restored, premise):
+                    return completed
+            else:
+                result, kind = _apply_forward(premise, app)
+                if cluster_struct_match(result, conclusion):
+                    return replace(app, circ=kind)
+        except RuleError:
             continue
-        if cluster_struct_match(result, conclusion):
-            return replace(app, circ=kind)
     return None
 
 
@@ -264,17 +285,22 @@ def _key_or(c: Cirquent, hole_path: Path) -> Or:
 
 
 def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
-    """Rename the key to ``app.k`` when that is allowed, or fail."""
+    """Rename the key to ``app.k`` as ``apply_rule_forward`` allows, or fail."""
     key = _key_or(premise, app.hole_path)
     if key.cluster == app.k:
         return premise, key
     counts = premise.summary.counts
-    if counts[key.cluster] == 1 and app.k not in counts:
-        renamed = Or(app.k, key.left, key.right)
-        return replace_at(premise, app.hole_path, renamed), renamed
-    raise RuleError(
-        f"key at {_show(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
-    )
+    if counts[key.cluster] > 1 or counts.get(app.k, 0) > 1:
+        raise RuleError(
+            f"key at {_show(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
+        )
+    if app.k in counts:
+        (holder,) = members(premise, app.k)
+        moved = subcirquent_at(premise, holder)
+        premise = replace_at(premise, holder, Or(max(counts) + 1, moved.left, moved.right))
+        key = subcirquent_at(premise, app.hole_path)
+    renamed = Or(app.k, key.left, key.right)
+    return replace_at(premise, app.hole_path, renamed), renamed
 
 
 def _apply_forward(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Optional[str]]:
@@ -510,69 +536,31 @@ def _backward_three(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
     return premise, replace(app, circ=kind)
 
 
-def _conclusion_key_id(conclusion: Cirquent, rule: str, hole: Path) -> Optional[int]:
-    """Read the cluster ID the conclusion suggests for the key, if any."""
-    if rule in ("I-left", "I-right"):
-        probe = hole
-    elif rule == "II-right":
-        probe = hole + (RIGHT_STEP,)
-    else:
-        probe = hole + (LEFT_STEP,)
-    try:
-        node = subcirquent_at(conclusion, probe)
-    except InvalidPathError:
-        return None
-    return node.cluster if isinstance(node, Or) else None
-
-
-def _conclusion_new_disjunct(
-    conclusion: Cirquent, rule: str, hole: Path, inner: Path
-) -> Optional[Cirquent]:
-    """Read the disjunct a rule I candidate would have introduced."""
-    side = LEFT_STEP if rule == "I-left" else RIGHT_STEP
-    try:
-        node = subcirquent_at(conclusion, hole + (side,) + inner)
-    except InvalidPathError:
-        return None
-    if not isinstance(node, Or):
-        return None
-    return node.right if rule == "I-left" else node.left
-
-
-def _candidates(
-    premise: Cirquent, conclusion: Cirquent, hint: Optional[RuleHint]
-) -> Iterator[RuleApp]:
-    counts = premise.summary.counts
+def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
+    """The applications ``match_step`` tries, read off the conclusion in its order."""
+    counts = conclusion.summary.counts
+    nodes = [(hole, node) for hole, node in walk(conclusion) if not isinstance(node, Literal)]
     for rule in RULES:
-        if hint is not None and hint.rule is not None and hint.rule != rule:
+        if hint.rule not in (None, rule):
             continue
-        for hole in or_positions(premise):
-            if hint is not None and hint.hole_path is not None and hint.hole_path != hole:
+        for hole, node in nodes:
+            if hint.hole_path not in (None, hole):
                 continue
-            kp = subcirquent_at(premise, hole).cluster
-            ks = [kp]
-            if counts[kp] == 1:
-                kc = _conclusion_key_id(conclusion, rule, hole)
-                if kc is not None and kc != kp and kc not in counts:
-                    ks = sorted({kp, kc})
-            for k in ks:
-                if hint is not None and hint.k is not None and hint.k != k:
+            if rule in ("I-left", "I-right"):
+                if not isinstance(node, Or):
                     continue
-                if rule in ("I-left", "I-right"):
-                    side = LEFT_STEP if rule == "I-left" else RIGHT_STEP
-                    host = subcirquent_at(premise, hole + (side,))
-                    for inner in positions(host):
-                        if (
-                            hint is not None
-                            and hint.inner_path is not None
-                            and hint.inner_path != inner
-                        ):
-                            continue
-                        grown = _conclusion_new_disjunct(conclusion, rule, hole, inner)
-                        if grown is None:
-                            continue
-                        yield RuleApp(
-                            rule, hole, k, inner_path=inner, new_subcirquent=grown
-                        )
-                else:
-                    yield RuleApp(rule, hole, k)
+                k = node.cluster
+                host = node.left if rule == "I-left" else node.right
+                inners = [p for p in members(host, k) if hint.inner_path in (None, p)]
+            else:
+                key = node.right if rule == "II-right" else node.left
+                if not isinstance(key, Or):
+                    continue
+                k = key.cluster
+                if rule == "III" and not (isinstance(node.right, Or) and node.right.cluster == k):
+                    continue
+                inners = [None]
+            if hint.k not in (None, k) and counts[k] > 1:
+                continue
+            for inner in inners:
+                yield RuleApp(rule, hole, k, inner_path=inner)

@@ -8,20 +8,28 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from ifp import (
+    RULES,
     And,
     Cirquent,
+    InvalidPathError,
     Literal,
     Or,
     RuleApp,
+    RuleError,
+    apply_rule_forward,
+    cluster_struct_match,
     clusters,
     members,
     nested_pairs,
+    or_positions,
     parse,
     positions,
     replace_at,
+    subcirquent_at,
+    valid,
 )
 
 ATOMS3 = ("p", "q", "r")
@@ -149,6 +157,31 @@ def cirquents(max_leaves: int = 6, atom_names=ATOMS3, max_cluster: int = 3):
         ),
         max_leaves=max_leaves,
     )
+
+
+@st.composite
+def valid_cirquents(draw, max_leaves: int = 5, max_cluster: int = 4):
+    """A hypothesis strategy producing valid cirquents.
+
+    Each is ``A | ~A`` in either order, where the negation's disjunctions
+    and the top one draw their IDs from the same small pool as A's, so
+    clusters span both sides; the draws that come out invalid, about a
+    quarter, are discarded.
+    """
+    a = draw(cirquents(max_leaves, ("p", "q"), max_cluster))
+    ids = st.integers(1, max_cluster)
+
+    def negate(c: Cirquent) -> Cirquent:
+        if isinstance(c, Literal):
+            return Literal(c.atom, not c.positive)
+        if isinstance(c, Or):
+            return And(negate(c.left), negate(c.right))
+        return Or(draw(ids), negate(c.left), negate(c.right))
+
+    sides = (a, negate(a))
+    goal = Or(draw(ids), *(sides if draw(st.booleans()) else sides[::-1]))
+    assume(valid(goal))
+    return goal
 
 
 # Every (rule, connective-kind) family a rule application can belong to.
@@ -288,3 +321,125 @@ def rand_context_instance(rng):
         replace_at(context, hole, right_side),
         k,
     )
+
+
+def _conclusion_key_id(conclusion: Cirquent, rule: str, hole) -> int | None:
+    if rule in ("I-left", "I-right"):
+        probe = hole
+    elif rule == "II-right":
+        probe = hole + ("R",)
+    else:
+        probe = hole + ("L",)
+    try:
+        node = subcirquent_at(conclusion, probe)
+    except InvalidPathError:
+        return None
+    return node.cluster if isinstance(node, Or) else None
+
+
+def _conclusion_new_disjunct(conclusion: Cirquent, rule: str, hole, inner) -> Cirquent | None:
+    side = "L" if rule == "I-left" else "R"
+    try:
+        node = subcirquent_at(conclusion, hole + (side,) + inner)
+    except InvalidPathError:
+        return None
+    if not isinstance(node, Or):
+        return None
+    return node.right if rule == "I-left" else node.left
+
+
+def match_step_reference(premise: Cirquent, conclusion: Cirquent, hint=None):
+    """The premise-driven matcher that ``match_step`` replaced, kept as its reference.
+
+    Keys are the premise's disjunctions in path order, each under its
+    own ID and, when it is alone in its cluster, under the ID the
+    conclusion shows there if the premise does not use it.  Rule I tries
+    every position of the grown operand, reading the new disjunct off
+    the conclusion.  A candidate fits when replaying it forward gives the
+    conclusion up to renaming of single-member clusters.  Returns the
+    candidate without its connective classification, or None.
+    """
+    counts = premise.summary.counts
+    for rule in RULES:
+        if hint is not None and hint.rule is not None and hint.rule != rule:
+            continue
+        for hole in or_positions(premise):
+            if hint is not None and hint.hole_path is not None and hint.hole_path != hole:
+                continue
+            kp = subcirquent_at(premise, hole).cluster
+            ks = [kp]
+            if counts[kp] == 1:
+                kc = _conclusion_key_id(conclusion, rule, hole)
+                if kc is not None and kc != kp and kc not in counts:
+                    ks = sorted({kp, kc})
+            for k in ks:
+                if hint is not None and hint.k is not None and hint.k != k:
+                    continue
+                if rule in ("I-left", "I-right"):
+                    host = subcirquent_at(premise, hole + ("L" if rule == "I-left" else "R",))
+                    apps = []
+                    for inner in positions(host):
+                        if hint is not None and hint.inner_path not in (None, inner):
+                            continue
+                        grown = _conclusion_new_disjunct(conclusion, rule, hole, inner)
+                        if grown is not None:
+                            apps.append(RuleApp(rule, hole, k, inner, grown))
+                else:
+                    apps = [RuleApp(rule, hole, k)]
+                for app in apps:
+                    try:
+                        result = apply_rule_forward(premise, app)
+                    except (RuleError, InvalidPathError):
+                        continue
+                    if cluster_struct_match(result, conclusion):
+                        return app
+    return None
+
+
+def rand_step_premise(rng) -> Cirquent:
+    """A random premise for forward rule applications.
+
+    Half are arbitrary.  The others display a key ``(A o C) | (B o C')``
+    whose copies C and C' are mostly equal, so each cluster in C has a
+    member in both copies, and whose connective o is a conjunction, a
+    disjunction in one two-member cluster, or two single-member
+    disjunctions.
+    """
+    if rng.random() < 0.5:
+        return rand_cirquent(rng, rng.randint(1, 5), ATOMS3, max_cluster=_PIECE_IDS)
+    shared = _piece(rng)
+    ids = rng.choice(((None, None), (7, 7), (8, 9)))
+    shared_left = rng.random() < 0.5
+
+    def operand(cluster):
+        copy = shared if rng.random() < 0.8 else _piece(rng)
+        pair = (copy, _piece(rng)) if shared_left else (_piece(rng), copy)
+        return And(*pair) if cluster is None else Or(cluster, *pair)
+
+    key = Or(rng.randint(1, 6), operand(ids[0]), operand(ids[1]))
+    return _wrap(rng, key, rng.randint(0, 2))[0]
+
+
+def forward_steps(rng, premise: Cirquent):
+    """Yield ``(conclusion, app)`` for every rule application forward-applicable to ``premise``.
+
+    Every key is tried under every ID the premise uses and one it does
+    not; rule I tries every inner position, each with a random new
+    disjunct whose IDs may coincide with the premise's.
+    """
+    ids = sorted(premise.summary.counts)
+    ids.append(max(ids, default=0) + 1)
+    for hole in or_positions(premise):
+        key = subcirquent_at(premise, hole)
+        for rule in RULES:
+            host = key.left if rule == "I-left" else key.right
+            inners = positions(host) if rule in ("I-left", "I-right") else [None]
+            for k in ids:
+                for inner in inners:
+                    new = None if inner is None else _piece(rng)
+                    app = RuleApp(rule, hole, k, inner, new)
+                    try:
+                        conclusion = apply_rule_forward(premise, app)
+                    except RuleError:
+                        continue
+                    yield conclusion, app

@@ -3,14 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import RULE_FAMILIES, rand_rule_instance
+from helpers import (
+    RULE_FAMILIES,
+    forward_steps,
+    match_step_reference,
+    rand_rule_instance,
+    rand_step_premise,
+    valid_cirquents,
+)
 from ifp import (
     AXIOM,
     CheckFailure,
     ConnectiveConstraintError,
     CopyMismatchError,
     Literal,
+    Or,
     ProofEntry,
     ProofScript,
     RuleApp,
@@ -25,8 +34,13 @@ from ifp import (
     interpretations,
     is_axiom,
     match_step,
+    or_positions,
     parse,
     parse_proof,
+    print_proof,
+    prove,
+    replace_at,
+    subcirquent_at,
     true_under,
 )
 
@@ -84,6 +98,11 @@ class TestRuleOneForward:
         app = RuleApp("I-right", (), 2, inner_path=("R",), new_subcirquent=Literal("s"))
         with pytest.raises(RuleError):
             apply_rule_forward(parse(L4), app)
+
+    def test_relabeling_to_a_single_member_id_moves_its_holder(self):
+        app = RuleApp("I-left", (), 1, inner_path=(), new_subcirquent=Literal("p"))
+        conclusion = apply_rule_forward(parse("(q|1 ~q)|2 r"), app)
+        assert conclusion == parse("((q|3 ~q)|1 p)|1 r")
 
     def test_relabeling_a_multi_member_key_is_refused(self, goal):
         app = RuleApp("I-left", (), 9, inner_path=("L",), new_subcirquent=Literal("r"))
@@ -313,19 +332,44 @@ class TestMatchStep:
         assert match_step(parse(L1), parse(L3)) is None
         assert match_step(parse("p"), parse("q")) is None
 
+    def test_a_hint_k_on_a_single_member_key_is_not_compared(self):
+        # Single-member IDs are not printed, so re-parsing renumbers them.
+        hint = RuleHint("II-left", (), 5)
+        app = match_step(parse("(p&r)|(q&r)"), parse("(p|q)&r"), hint)
+        assert app is not None and app.rule == "II-left"
+
+    def test_accepts_every_step_the_premise_driven_matcher_accepts(self):
+        rng = random.Random(31)
+        steps = accepted = 0
+        for _ in range(20):
+            premise = rand_step_premise(rng)
+            for conclusion, app in forward_steps(rng, premise):
+                hint = RuleHint(app.rule, app.hole_path, app.k, app.inner_path)
+                assert match_step(premise, conclusion, hint) is not None
+                # A copy with one disjunction moved to another cluster may
+                # or may not still be a step.
+                where = rng.choice(or_positions(conclusion))
+                node = subcirquent_at(conclusion, where)
+                moved = replace_at(conclusion, where, Or(rng.randint(1, 9), node.left, node.right))
+                for candidate in (conclusion, moved):
+                    steps += 1
+                    found = match_step(premise, candidate)
+                    if match_step_reference(premise, candidate) is not None:
+                        assert found is not None
+                    if found is not None:
+                        accepted += 1
+                        names = atoms(premise) | atoms(candidate)
+                        for i in interpretations(names):
+                            assert true_under(premise, i) == true_under(candidate, i)
+        assert steps > 2000 and accepted > steps // 2
+
 
 class TestCheckProof:
     def test_the_worked_proof_checks_out(self, worked_proof_text):
         assert check_proof(parse_proof(worked_proof_text)) is None
 
     def test_hints_are_optional(self, worked_proof_text):
-        bare = ProofScript(
-            tuple(
-                ProofEntry(entry.cirquent, None)
-                for entry in parse_proof(worked_proof_text)
-            )
-        )
-        assert check_proof(bare) is None
+        assert check_proof(_stripped(parse_proof(worked_proof_text))) is None
 
     def test_a_single_axiom_is_a_proof(self):
         assert check_proof(ProofScript((ProofEntry(parse("p|~p"), None),))) is None
@@ -346,6 +390,36 @@ class TestCheckProof:
         entries[2] = ProofEntry(entries[2].cirquent, RuleHint(rule="III"))
         assert check_proof(ProofScript(tuple(entries))) == CheckFailure(3, "no-rule-matches")
 
+    @pytest.mark.parametrize(
+        "goal",
+        [
+            "(((q|2 ~q)|1 p)|1 r)",
+            "((((~q&q)|3 ((p&p)&(p|3 ~p)))&((~q&q)&(q&q)))|2 (p|1 (~p&~p)))",
+        ],
+    )
+    def test_a_printed_proof_checks_after_re_parsing(self, goal):
+        script = parse_proof(print_proof(prove(parse(goal))))
+        assert check_proof(script) is None
+        assert check_proof(_stripped(script)) is None
+
+    def test_rule_one_may_absorb_a_single_member_cluster(self):
+        script = parse_proof(
+            "1. (p|~p)|q axiom\n"
+            "2. ((p|3 ~p)|2(r|3 s))|2 q rule=I-left path=. k=2 inner=.\n"
+        )
+        assert check_proof(script) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_cirquents())
+    def test_printed_proofs_of_valid_cirquents_check(self, goal):
+        script = parse_proof(print_proof(prove(goal)))
+        assert check_proof(script) is None
+        assert check_proof(_stripped(script)) is None
+
     def test_empty_scripts_cannot_exist(self):
         with pytest.raises(ValueError):
             ProofScript(())
+
+
+def _stripped(script: ProofScript) -> ProofScript:
+    return ProofScript(tuple(ProofEntry(entry.cirquent, None) for entry in script))

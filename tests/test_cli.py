@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ifp
 from conftest import GOAL_TEXT, X_TEXT
 from ifp.cli import main
 
@@ -152,6 +157,34 @@ class TestCheckCommand:
         code, _, err = run(["check"], capsys, monkeypatch, stdin="7. p\n")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("goal", ["(((q|2 ~q)|1 p)|1 r)", GOAL_TEXT])
+    def test_accepts_what_prove_writes(self, capsys, monkeypatch, tmp_path, goal):
+        proof_file = str(tmp_path / "proof.ifp")
+        for argv in (
+            ["prove", "-o", proof_file],
+            ["check", proof_file],
+            ["check", "--infer", proof_file],
+        ):
+            code, _, err = run(argv, capsys, monkeypatch, stdin=goal)
+            assert (code, err) == (0, "")
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("command", ["parse", "valid", "decide"])
+    @pytest.mark.parametrize(
+        "text", ["(" * 3000 + "p" + ")" * 3000, "&".join(["p"] * 2000)], ids=["parens", "conjuncts"]
+    )
+    def test_exits_two_without_a_traceback(self, command, text):
+        src = str(pathlib.Path(ifp.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "ifp.cli", command],
+            input=text, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr
 
 
 class TestCompileCommand:
