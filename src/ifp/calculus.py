@@ -53,7 +53,7 @@ from .core import (
     subcirquent_at,
     walk,
 )
-from .semantics import classical_tautology
+from .semantics import valid
 
 RULES = ("I-left", "I-right", "II-left", "II-right", "III")
 AXIOM = "axiom"
@@ -159,9 +159,7 @@ def is_axiom(
     c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
 ) -> bool:
     """True for a classical cirquent that holds under every interpretation."""
-    return is_classical(c) and classical_tautology(
-        c, max_atoms=max_atoms, max_clusters=max_clusters
-    )
+    return is_classical(c) and valid(c, max_atoms=max_atoms, max_clusters=max_clusters)
 
 
 def apply_rule_forward(premise: Cirquent, app: RuleApp) -> Cirquent:

@@ -19,7 +19,6 @@ from .prover import Invalid, Valid, decide
 from .semantics import (
     MissingAtomError,
     MissingClusterError,
-    NotClassicalError,
     TooLargeError,
     compile_classical,
     ensure_within_bounds,
@@ -56,7 +55,6 @@ def main(argv=None) -> int:
         InvalidPathError,
         MissingAtomError,
         MissingClusterError,
-        NotClassicalError,
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -221,12 +221,21 @@ def is_classical(c: Cirquent) -> bool:
 
 def atoms(c: Cirquent) -> set[str]:
     """The set of atom names occurring in the cirquent."""
-    return {node.atom for _, node in walk(c) if isinstance(node, Literal)}
+    return {node.atom for node in _nodes(c) if isinstance(node, Literal)}
 
 
 def node_count(c: Cirquent) -> int:
     """Total number of nodes, literals and connectives alike."""
-    return sum(1 for _ in walk(c))
+    return len(_nodes(c))
+
+
+def _nodes(c: Cirquent) -> list[Cirquent]:
+    """Every node, parents before children, without building paths."""
+    nodes = [c]
+    for node in nodes:  # also visits the children appended below
+        if not isinstance(node, Literal):
+            nodes += (node.left, node.right)
+    return nodes
 
 
 def level(c: Cirquent, path: Path) -> int:

@@ -43,7 +43,6 @@ from .core import (
     Path,
     RIGHT_STEP,
     ROOT,
-    atoms,
     is_classical,
     level,
     members,
@@ -51,7 +50,7 @@ from .core import (
 )
 from .semantics import (
     Interpretation,
-    classical_countermodel,
+    countermodel,
     ensure_within_bounds,
     true_under,
 )
@@ -352,15 +351,12 @@ def decide(
     with False on any atom the reduction deleted, and re-verified
     against the goal before being returned.
     """
-    ensure_within_bounds(c, max_atoms, max_clusters)
+    names = ensure_within_bounds(c, max_atoms, max_clusters)
     derivation = reduce_to_classical(c)
-    model = classical_countermodel(
-        derivation.final, max_atoms=max_atoms, max_clusters=max_clusters
-    )
+    model = countermodel(derivation.final, max_atoms=max_atoms, max_clusters=max_clusters)
     if model is None:
         return Valid(_script(derivation), derivation)
-    for name in sorted(atoms(c)):
-        model.setdefault(name, False)
+    model = dict.fromkeys(names, False) | model
     if true_under(c, model):
         raise ReductionInvariantError(
             "the residue's countermodel does not falsify the goal"

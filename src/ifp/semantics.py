@@ -7,24 +7,28 @@ disjunction different from the ordinary connective.  A cirquent is true
 under an interpretation when some metaselection makes it metatrue, and
 valid when it is true under every interpretation.
 
-Enumeration order is fixed everywhere: atoms sorted by name, cluster IDs
-ascending, false before true, "left" before "right".  Functions that
-report a first witness or countermodel are therefore deterministic.
+One evaluator computes all truth as a Python int with a bit for each
+interpretation and metaselection of the multi-member clusters; truth is
+monotone, so a single-member cluster's choice is just ``|``.  Order is
+fixed: atoms sorted by name (the first is the most significant bit),
+cluster IDs ascending, false before true, "left" before "right", so
+first witnesses and countermodels are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
 
-from .core import And, Cirquent, Literal, Or, atoms, is_classical
+from .core import And, Cirquent, Literal, Or, atoms
 
 LEFT = "left"
 RIGHT = "right"
 
 DEFAULT_MAX_ATOMS = 20
 DEFAULT_MAX_CLUSTERS = 20
+_VECTOR_BITS = 20  # a vector holds at most 2**20 bits, or 2**atoms past a raised atom bound
 
 Interpretation = dict[str, bool]
 Metaselection = dict[int, str]
@@ -38,10 +42,6 @@ class MissingClusterError(Exception):
     """The metaselection gives no side for a cluster of the cirquent."""
 
 
-class NotClassicalError(Exception):
-    """A classical-only operation was handed a cirquent with a non-singleton cluster."""
-
-
 class TooLargeError(Exception):
     """The cirquent exceeds the configured brute-force size bound."""
 
@@ -50,84 +50,61 @@ def ensure_within_bounds(
     c: Cirquent,
     max_atoms: int | None = None,
     max_clusters: int | None = None,
-) -> None:
-    """Raise TooLargeError when ``c`` exceeds the enumeration bounds."""
+) -> list[str]:
+    """The sorted atoms of ``c``; TooLargeError for too many atoms or multi-member clusters."""
     atom_bound = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     cluster_bound = DEFAULT_MAX_CLUSTERS if max_clusters is None else max_clusters
-    n_atoms = len(atoms(c))
-    n_clusters = len(c.summary.counts)
-    if n_atoms > atom_bound:
-        raise TooLargeError(f"{n_atoms} atoms exceeds the bound of {atom_bound}")
-    if n_clusters > cluster_bound:
-        raise TooLargeError(f"{n_clusters} clusters exceeds the bound of {cluster_bound}")
+    names = sorted(atoms(c))
+    n_multi = sum(1 for n in c.summary.counts.values() if n > 1)
+    if len(names) > atom_bound:
+        raise TooLargeError(f"{len(names)} atoms exceeds the bound of {atom_bound}")
+    if n_multi > cluster_bound:
+        raise TooLargeError(f"{n_multi} multi-member clusters exceeds the bound of {cluster_bound}")
+    return names
 
 
 def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Mapping[int, str]) -> bool:
     """Evaluate with every clustered disjunction resolved by the metaselection.
 
-    Extra keys in either mapping are ignored, so restricting them to the
-    atoms and clusters actually present never changes the outcome.
+    Each atom and cluster of ``c`` needs a value, even one the outcome does not depend
+    on; extra keys in either mapping are ignored.
     """
-    if isinstance(c, Literal):
-        try:
-            value = interpretation[c.atom]
-        except KeyError:
-            raise MissingAtomError(f"no value for atom {c.atom!r}") from None
-        return value if c.positive else not value
-    if isinstance(c, And):
-        return metatrue(c.left, interpretation, metaselection) and metatrue(
-            c.right, interpretation, metaselection
-        )
-    try:
-        side = metaselection[c.cluster]
-    except KeyError:
-        raise MissingClusterError(f"no side for cluster {c.cluster}") from None
-    resolvent = c.left if side == LEFT else c.right
-    return metatrue(resolvent, interpretation, metaselection)
-
-
-def interpretations(names) -> Iterator[Interpretation]:
-    """All assignments over the given atoms, in lexicographic order (false first)."""
-    ordered = sorted(names)
-    for values in product((False, True), repeat=len(ordered)):
-        yield dict(zip(ordered, values))
-
-
-def metaselections(ids) -> Iterator[Metaselection]:
-    """All metaselections over the given cluster IDs ("left" before "right")."""
-    ordered = sorted(ids)
-    for sides in product((LEFT, RIGHT), repeat=len(ordered)):
-        yield dict(zip(ordered, sides))
+    missing = c.summary.counts.keys() - metaselection.keys()
+    if missing:
+        raise MissingClusterError(f"no side for cluster {min(missing)}")
+    return not _false_rows(c, (), interpretation, metaselection)[0]
 
 
 def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
-    """True when some metaselection makes the cirquent metatrue."""
-    return any(metatrue(c, interpretation, f) for f in metaselections(c.summary.counts))
+    """True when some metaselection makes the cirquent metatrue; every atom needs a value."""
+    return not _false_rows(c, (), interpretation, {})[0]
 
 
 def witness_metaselection(c: Cirquent, interpretation: Mapping[str, bool]) -> Metaselection | None:
-    """The lexicographically first metaselection making ``c`` metatrue, if any."""
-    for f in metaselections(c.summary.counts):
-        if metatrue(c, interpretation, f):
-            return f
-    return None
+    """The lexicographically first metaselection of all clusters making ``c`` metatrue, if any."""
+    chosen = {}
+    for k in sorted(c.summary.counts):
+        chosen[k] = LEFT
+        if _false_rows(c, (), interpretation, chosen)[0]:
+            chosen[k] = RIGHT
+    return None if _false_rows(c, (), interpretation, chosen)[0] else chosen
 
 
 def valid(c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None) -> bool:
     """True when the cirquent is true under every interpretation of its atoms."""
-    ensure_within_bounds(c, max_atoms, max_clusters)
-    return all(true_under(c, i) for i in interpretations(atoms(c)))
+    return countermodel(c, max_atoms=max_atoms, max_clusters=max_clusters) is None
 
 
 def countermodel(
     c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
 ) -> Interpretation | None:
     """The lexicographically first falsifying interpretation, or None when valid."""
-    ensure_within_bounds(c, max_atoms, max_clusters)
-    for i in interpretations(atoms(c)):
-        if not true_under(c, i):
-            return i
-    return None
+    names = ensure_within_bounds(c, max_atoms, max_clusters)
+    false, shift = _false_rows(c, names, {}, {})
+    if not false:
+        return None
+    row = ((false & -false).bit_length() - 1) >> shift
+    return {name: bool(row >> (len(names) - 1 - j) & 1) for j, name in enumerate(names)}
 
 
 @dataclass(frozen=True)
@@ -144,12 +121,11 @@ def truth_table(
     c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
 ) -> TruthTable:
     """Tabulate true_under over every assignment of the cirquent's atoms."""
-    ensure_within_bounds(c, max_atoms, max_clusters)
-    ordered = tuple(sorted(atoms(c)))
-    rows = {}
-    for values in product((False, True), repeat=len(ordered)):
-        rows[values] = true_under(c, dict(zip(ordered, values)))
-    return TruthTable(ordered, rows)
+    names = ensure_within_bounds(c, max_atoms, max_clusters)
+    false, shift = _false_rows(c, names, {}, {})
+    assignments = product((False, True), repeat=len(names))
+    rows = {values: not (false >> (i << shift)) & 1 for i, values in enumerate(assignments)}
+    return TruthTable(tuple(names), rows)
 
 
 def compile_classical(table: TruthTable) -> Cirquent | None:
@@ -176,42 +152,68 @@ def compile_classical(table: TruthTable) -> Cirquent | None:
     return dnf
 
 
-def eval_classical(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
-    """Plain boolean evaluation, reading every disjunction as ordinary ``or``.
+def _false_rows(c: Cirquent, names: Sequence[str], values: Mapping, fixed: Mapping) -> tuple:
+    """``(bits, shift)``, with bit ``i << shift`` set for each falsifying assignment ``i``.
 
-    On classical cirquents this agrees with true_under but costs nothing
-    exponential, which matters when a reduction has multiplied the number
-    of singleton clusters.
+    ``i`` numbers assignments to ``names`` lexicographically; other atoms take ``values``,
+    clusters in ``fixed`` their sides, and other multi-member ones are enumerated.
     """
-    if isinstance(c, Literal):
-        try:
-            value = interpretation[c.atom]
-        except KeyError:
-            raise MissingAtomError(f"no value for atom {c.atom!r}") from None
-        return value if c.positive else not value
-    if isinstance(c, And):
-        return eval_classical(c.left, interpretation) and eval_classical(c.right, interpretation)
-    return eval_classical(c.left, interpretation) or eval_classical(c.right, interpretation)
+    multi = sorted([k for k, n in c.summary.counts.items() if n > 1 and k not in fixed])
+    cut = min(len(multi), len(names) + len(multi) - _VECTOR_BITS)
+    if cut > 0:  # enumerate the first clusters: a row is false if no choice makes it true
+        false = -1
+        for choice in product((LEFT, RIGHT), repeat=cut):
+            block, shift = _false_rows(c, names, values, {**fixed, **dict(zip(multi, choice))})
+            false &= block
+            if not false:
+                break
+        return false, shift
+    width = len(names) + len(multi)
+    columns = _SMALL_COLUMNS[width] if width < len(_SMALL_COLUMNS) else _columns(width)
+    full = (1 << (1 << width)) - 1
+    literals = {name: full if value else 0 for name, value in values.items()}
+    literals.update(zip(names, columns))
+    sides = {k: 0 if side == LEFT else -1 for k, side in fixed.items()}
+    false = full  # then only the first bit of each interpretation's block
+    for k, mask in zip(multi, columns[len(names) :]):
+        sides[k] = mask
+        false &= ~mask
+    vector = _truth(c, literals, sides, full)
+    for j in range(len(multi)):
+        vector |= vector >> (1 << j)
+    return false & ~vector, len(multi)
 
 
-def classical_tautology(
-    c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> bool:
-    """True when a classical cirquent holds under every interpretation."""
-    if not is_classical(c):
-        raise NotClassicalError("classical_tautology needs every cluster to be a singleton")
-    ensure_within_bounds(c, max_atoms, max_clusters)
-    return all(eval_classical(c, i) for i in interpretations(atoms(c)))
+def _truth(c: Cirquent, literals: Mapping[str, int], sides: Mapping[int, int], full: int) -> int:
+    """The truth vector of ``c``; a disjunction's mask in ``sides`` picks its right operand."""
+    results, stack = [], [c]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the connective below has both operands in results
+            node = stack.pop()
+            right, left = results.pop(), results.pop()
+            if isinstance(node, And):
+                results.append(left & right)
+            else:
+                mask = sides.get(node.cluster)
+                results.append(left | right if mask is None else left & ~mask | right & mask)
+        elif isinstance(node, Literal):
+            vector = literals.get(node.atom)
+            if vector is None:
+                raise MissingAtomError(f"no value for atom {node.atom!r}")
+            results.append(vector if node.positive else full ^ vector)
+        else:
+            stack += (node, None, node.right, node.left)
+    return results[0]
 
 
-def classical_countermodel(
-    c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> Interpretation | None:
-    """First falsifier of a classical cirquent under plain boolean evaluation."""
-    if not is_classical(c):
-        raise NotClassicalError("classical_countermodel needs every cluster to be a singleton")
-    ensure_within_bounds(c, max_atoms, max_clusters)
-    for i in interpretations(atoms(c)):
-        if not eval_classical(c, i):
-            return i
-    return None
+def _columns(width: int) -> tuple:
+    """Per bit of a ``width``-bit index, top bit first: the vector of the indices with it set."""
+    columns, size = [], 1
+    for _ in range(width):
+        columns = [((1 << size) - 1) << size] + [column | column << size for column in columns]
+        size <<= 1
+    return tuple(columns)
+
+
+_SMALL_COLUMNS = tuple(_columns(width) for width in range(11))  # the common widths, built once

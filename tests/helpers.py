@@ -1,7 +1,9 @@
-"""Shared generators and enumeration utilities for the test suite.
+"""Shared generators, enumeration utilities and references for the test suite.
 
 Everything here is deterministic: the exhaustive enumerator has a fixed
 iteration order and the random builders take an explicit ``random.Random``.
+The ``*_reference`` functions are slow, obviously correct versions that
+library code is compared against.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ from ifp import (
     Cirquent,
     InvalidPathError,
     Literal,
+    MissingAtomError,
+    MissingClusterError,
     Or,
     RuleApp,
     RuleError,
+    TruthTable,
     apply_rule_forward,
+    atoms,
     cluster_struct_match,
     clusters,
     members,
@@ -443,3 +449,106 @@ def forward_steps(rng, premise: Cirquent):
                     except RuleError:
                         continue
                     yield conclusion, app
+
+
+def interpretations(names):
+    """All assignments over the given atoms, in lexicographic order (false first)."""
+    ordered = sorted(names)
+    for values in itertools.product((False, True), repeat=len(ordered)):
+        yield dict(zip(ordered, values))
+
+
+def metaselections(ids):
+    """All metaselections over the given cluster IDs ("left" before "right")."""
+    ordered = sorted(ids)
+    for sides in itertools.product(("left", "right"), repeat=len(ordered)):
+        yield dict(zip(ordered, sides))
+
+
+def metatrue_reference(c: Cirquent, interpretation, metaselection) -> bool:
+    """Recursive evaluation with every disjunction resolved by the metaselection.
+
+    It stops at the first operand that settles a conjunction, so a
+    missing atom or cluster goes unnoticed when it is never reached.
+    """
+    if isinstance(c, Literal):
+        try:
+            value = interpretation[c.atom]
+        except KeyError:
+            raise MissingAtomError(f"no value for atom {c.atom!r}") from None
+        return value if c.positive else not value
+    if isinstance(c, And):
+        return metatrue_reference(c.left, interpretation, metaselection) and metatrue_reference(
+            c.right, interpretation, metaselection
+        )
+    try:
+        side = metaselection[c.cluster]
+    except KeyError:
+        raise MissingClusterError(f"no side for cluster {c.cluster}") from None
+    resolvent = c.left if side == "left" else c.right
+    return metatrue_reference(resolvent, interpretation, metaselection)
+
+
+def true_under_reference(c: Cirquent, interpretation) -> bool:
+    """Some metaselection over every cluster, single-member ones too, is metatrue."""
+    return any(metatrue_reference(c, interpretation, f) for f in metaselections(clusters(c)))
+
+
+def witness_metaselection_reference(c: Cirquent, interpretation):
+    """The first metaselection over every cluster that is metatrue, or None."""
+    for f in metaselections(clusters(c)):
+        if metatrue_reference(c, interpretation, f):
+            return f
+    return None
+
+
+def valid_reference(c: Cirquent) -> bool:
+    """Every interpretation makes ``c`` true."""
+    return all(true_under_reference(c, i) for i in interpretations(atoms(c)))
+
+
+def countermodel_reference(c: Cirquent):
+    """The first interpretation, in lexicographic order, that falsifies ``c``."""
+    for i in interpretations(atoms(c)):
+        if not true_under_reference(c, i):
+            return i
+    return None
+
+
+def truth_table_reference(c: Cirquent) -> TruthTable:
+    """``true_under_reference`` at every assignment of the atoms, in lexicographic order."""
+    ordered = tuple(sorted(atoms(c)))
+    rows = {}
+    for values in itertools.product((False, True), repeat=len(ordered)):
+        rows[values] = true_under_reference(c, dict(zip(ordered, values)))
+    return TruthTable(ordered, rows)
+
+
+def eval_classical_reference(c: Cirquent, interpretation) -> bool:
+    """Plain boolean evaluation, reading every disjunction as ordinary ``or``."""
+    if isinstance(c, Literal):
+        try:
+            value = interpretation[c.atom]
+        except KeyError:
+            raise MissingAtomError(f"no value for atom {c.atom!r}") from None
+        return value if c.positive else not value
+    if isinstance(c, And):
+        return eval_classical_reference(c.left, interpretation) and eval_classical_reference(
+            c.right, interpretation
+        )
+    return eval_classical_reference(c.left, interpretation) or eval_classical_reference(
+        c.right, interpretation
+    )
+
+
+def classical_tautology_reference(c: Cirquent) -> bool:
+    """``c`` holds under every interpretation when every disjunction is ``or``."""
+    return all(eval_classical_reference(c, i) for i in interpretations(atoms(c)))
+
+
+def classical_countermodel_reference(c: Cirquent):
+    """The first interpretation falsifying ``c`` when every disjunction is ``or``."""
+    for i in interpretations(atoms(c)):
+        if not eval_classical_reference(c, i):
+            return i
+    return None

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from helpers import (
     RULE_FAMILIES,
     forward_steps,
+    interpretations,
     match_step_reference,
     rand_rule_instance,
     rand_step_premise,
@@ -31,7 +32,6 @@ from ifp import (
     atoms,
     check_proof,
     cluster_struct_match,
-    interpretations,
     is_axiom,
     match_step,
     or_positions,
@@ -42,6 +42,7 @@ from ifp import (
     replace_at,
     subcirquent_at,
     true_under,
+    valid,
 )
 
 # The six stages of the worked proof, axiom first.
@@ -377,6 +378,10 @@ class TestCheckProof:
     def test_non_axiom_start(self):
         script = ProofScript((ProofEntry(parse("p"), None),))
         assert check_proof(script) == CheckFailure(1, "not-an-axiom")
+
+    def test_a_valid_clustered_start_is_no_axiom(self, e1):
+        assert valid(e1)
+        assert check_proof(ProofScript((ProofEntry(e1, None),))) == CheckFailure(1, "not-an-axiom")
 
     def test_unjustifiable_entry(self):
         script = ProofScript(

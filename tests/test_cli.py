@@ -97,6 +97,13 @@ class TestValidCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["valid", "decide"])
+    def test_single_member_clusters_are_not_bounded(self, command, capsys, monkeypatch):
+        # 21 disjunctions, each alone in its cluster.
+        text = "|".join(["p"] * 21 + ["~p"])
+        code, _, err = run([command], capsys, monkeypatch, stdin=text)
+        assert (code, err) == (0, "")
+
 
 class TestProveCommand:
     def test_prints_the_proof(self, capsys, monkeypatch, worked_proof_text):

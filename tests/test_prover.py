@@ -240,12 +240,22 @@ class TestSummariesAlongDerivations:
 
 class TestDecideBounds:
     def test_bounds_reach_the_residue_check(self):
-        c = parse("p|~p" + "|q" * 20)
+        c = parse("p|~p|" + "|".join(f"((q|{k} r)&(q|{k} r))" for k in range(1, 22)))
         with pytest.raises(TooLargeError):
             decide(c)
         decision = decide(c, max_clusters=100)
         assert isinstance(decision, Valid)
         assert check_proof(decision.proof, max_clusters=100) is None
+
+
+    def test_single_member_clusters_of_the_residue_are_not_counted(self):
+        # 12 clusters in the goal, 23 single-member ones in its residue.
+        x = "&".join(f"(x{i}|~x{i})" for i in range(5))
+        c = parse(f"({x}&(p|1 q))|((~p|1 ~q)&{x})")
+        assert len(reduce_to_classical(c).final.summary.counts) > 20
+        decision = decide(c)
+        assert isinstance(decision, Valid)
+        assert check_proof(decision.proof) is None
 
 
 class TestRandomized:

@@ -1,29 +1,41 @@
 """Tests for evaluation: metatruth, validity, and the classical special case."""
 
-import itertools
+import random
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from helpers import cirquents, rand_classical
+import ifp.semantics
+from helpers import (
+    cirquents,
+    classical_countermodel_reference,
+    classical_tautology_reference,
+    countermodel_reference,
+    eval_classical_reference,
+    interpretations,
+    metaselections,
+    metatrue_reference,
+    rand_classical,
+    true_under_reference,
+    truth_table_reference,
+    valid_reference,
+    witness_metaselection_reference,
+)
 from ifp import (
     And,
     Literal,
     MissingAtomError,
     MissingClusterError,
-    NotClassicalError,
     Or,
     TooLargeError,
     TruthTable,
-    classical_countermodel,
-    classical_tautology,
+    atoms,
     clusters,
     compile_classical,
     countermodel,
     ensure_within_bounds,
-    eval_classical,
-    interpretations,
-    metaselections,
+    is_axiom,
     metatrue,
     parse,
     print_cirquent,
@@ -32,8 +44,6 @@ from ifp import (
     valid,
     witness_metaselection,
 )
-
-import random
 
 P = Literal("p")
 Q = Literal("q")
@@ -113,9 +123,15 @@ class TestBounds:
             valid(wide)
 
     def test_too_many_clusters(self):
-        crowded = parse("|".join("p" for _ in range(22)))
-        with pytest.raises(TooLargeError):
+        crowded = parse("&".join(f"(p|{k} q)&(q|{k} p)" for k in range(1, 22)))
+        with pytest.raises(TooLargeError, match="21 multi-member clusters exceeds the bound of 20"):
             ensure_within_bounds(crowded)
+        ensure_within_bounds(crowded, None, 21)
+
+    def test_single_member_clusters_are_not_counted(self):
+        tautology = parse("|".join(["p"] * 21 + ["~p"]))
+        assert ensure_within_bounds(tautology) == ["p"]
+        assert valid(tautology)
 
     def test_overrides(self):
         c = parse("p&q&r")
@@ -126,29 +142,32 @@ class TestBounds:
 
 class TestClassical:
     def test_tautology(self, a0):
-        assert classical_tautology(a0)
-        assert not classical_tautology(parse("p|q"))
+        assert valid(a0) and classical_tautology_reference(a0)
+        p_or_q = parse("p|q")
+        assert not valid(p_or_q) and not classical_tautology_reference(p_or_q)
 
     def test_classical_countermodel(self):
-        assert classical_countermodel(parse("p|q")) == {"p": False, "q": False}
-        assert classical_countermodel(parse("p|~p")) is None
+        for text, expected in (("p|q", {"p": False, "q": False}), ("p|~p", None)):
+            c = parse(text)
+            assert countermodel(c) == classical_countermodel_reference(c) == expected
 
-    def test_clustered_input_is_rejected(self, x_pair):
-        with pytest.raises(NotClassicalError):
-            classical_tautology(x_pair)
-        with pytest.raises(NotClassicalError):
-            classical_countermodel(x_pair)
+    def test_clustered_input_is_rejected(self, e1):
+        # Read with plain "or", e1 is a tautology; it is still no axiom.
+        assert classical_tautology_reference(e1)
+        assert not is_axiom(e1)
 
     def test_plain_evaluation_agrees_on_classical_cirquents(self):
         rng = random.Random(7)
         for _ in range(25):
             classical = rand_classical(rng, 5)
             for i in interpretations("pqrs"):
-                assert eval_classical(classical, i) == true_under(classical, i)
+                assert eval_classical_reference(classical, i) == true_under(classical, i)
 
     def test_eval_classical_missing_atom(self):
         with pytest.raises(MissingAtomError):
-            eval_classical(P, {})
+            eval_classical_reference(P, {})
+        with pytest.raises(MissingAtomError):
+            true_under(P, {})
 
 
 class TestTruthTables:
@@ -191,3 +210,77 @@ class TestTruthAgainstBruteForce:
         i = dict.fromkeys("pqr", True)
         expected = any(metatrue(c, i, f) for f in metaselections(clusters(c)))
         assert true_under(c, i) == expected
+
+
+def deep_chain(depth: int):
+    """``p`` under ``depth - 1`` cluster-1 disjunctions with ``q``, then one with ``~p``.
+
+    All left, the chain resolves to ``p``; all right, to ``~p``: valid.
+    """
+    c = P
+    for _ in range(depth - 1):
+        c = Or(1, c, Q)
+    return Or(1, c, Literal("p", False))
+
+
+@st.composite
+def shared_cirquents(draw, min_leaves=8, max_leaves=10):
+    """Cirquents with 8 to 10 leaves over p, q, r whose disjunctions share clusters 1-3."""
+    nodes = [
+        Literal(draw(st.sampled_from("pqr")), draw(st.booleans()))
+        for _ in range(draw(st.integers(min_leaves, max_leaves)))
+    ]
+    while len(nodes) > 1:
+        i = draw(st.integers(0, len(nodes) - 2))
+        left, right = nodes[i], nodes.pop(i + 1)
+        if draw(st.booleans()):
+            nodes[i] = And(left, right)
+        else:
+            nodes[i] = Or(draw(st.integers(1, 3)), left, right)
+    return nodes[0]
+
+
+class TestEvaluator:
+    def test_deep_cirquents_need_no_recursion(self):
+        c = deep_chain(5000)
+        assert valid(c)
+        assert countermodel(c) is None
+        assert countermodel(And(c, Q)) == {"p": False, "q": False}
+        assert true_under(c, {"p": True, "q": False})
+        assert not metatrue(c, {"p": False, "q": True}, {1: "left"})
+        assert metatrue(c, {"p": False, "q": True}, {1: "right"})
+
+    def test_missing_atoms_are_reported_whatever_the_values(self):
+        with pytest.raises(MissingAtomError):
+            metatrue(Or(1, P, Q), {"p": True}, {1: "left"})
+        with pytest.raises(MissingAtomError):
+            metatrue(And(Literal("p", False), Q), {"p": True}, {})
+        with pytest.raises(MissingAtomError):
+            true_under(Or(1, P, Q), {"p": True})
+        with pytest.raises(MissingAtomError):
+            witness_metaselection(Or(1, P, Q), {"p": True})
+
+    def test_missing_clusters_are_reported_whatever_the_values(self):
+        c = Or(1, P, Or(2, Q, Q))
+        with pytest.raises(MissingClusterError):
+            metatrue(c, {"p": True, "q": True}, {1: "left"})
+
+    def test_clusters_beyond_one_vector_are_enumerated_in_a_loop(self):
+        # One atom and 21 clusters need 2**22 bits, two more than a vector holds.
+        free = "&".join(f"(a|{k} ~a)&(a|{k} ~a)" for k in range(1, 22))
+        assert valid(parse(free), max_clusters=21)
+        pinned = parse(free + "&(a|1 ~a)&(~a|1 a)")
+        assert countermodel(pinned, max_clusters=21) == {"a": False}
+
+    @given(shared_cirquents(), st.randoms(use_true_random=False), st.sampled_from((20, 1, 0)))
+    def test_agrees_with_the_reference(self, c, rng, vector_bits):
+        # Narrower vectors send clusters through the enumeration loop.
+        with mock.patch.object(ifp.semantics, "_VECTOR_BITS", vector_bits):
+            assert valid(c) == valid_reference(c)
+            assert countermodel(c) == countermodel_reference(c)
+            assert truth_table(c) == truth_table_reference(c)
+            for i in interpretations(atoms(c)):
+                assert true_under(c, i) == true_under_reference(c, i)
+                assert witness_metaselection(c, i) == witness_metaselection_reference(c, i)
+                f = {k: rng.choice(("left", "right")) for k in clusters(c)}
+                assert metatrue(c, i, f) == metatrue_reference(c, i, f)
