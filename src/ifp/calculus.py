@@ -44,11 +44,10 @@ from .core import (
     Literal,
     Or,
     Path,
-    clusters,
+    cluster_map,
     is_classical,
     members,
     replace_at,
-    same_shape,
     singleton_clusters,
     subcirquent_at,
     walk,
@@ -198,13 +197,10 @@ def cluster_struct_match(c: Cirquent, d: Cirquent) -> bool:
     which is exactly the freedom the printed form exercises when it
     omits them.
     """
-    if not same_shape(c, d):
+    mapping = cluster_map(c, d)
+    if mapping is None:
         return False
-    inv_c = {block: k for k, block in clusters(c).items()}
-    inv_d = {block: k for k, block in clusters(d).items()}
-    if set(inv_c) != set(inv_d):
-        return False
-    return all(len(block) == 1 or inv_d[block] == k for block, k in inv_c.items())
+    return all(mapping[k] == k for k, n in c.summary.counts.items() if n > 1)
 
 
 def match_step(
@@ -359,19 +355,11 @@ def _require_copies(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
     ID only when both are alone in their clusters, since such IDs carry
     no grouping information.
     """
+    mapping = cluster_map(c1, c2)
     singles = singleton_clusters(c)
-
-    def matches(x: Cirquent, y: Cirquent) -> bool:
-        if isinstance(x, Literal) or isinstance(y, Literal):
-            return x == y
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Or) and x.cluster != y.cluster:
-            if x.cluster not in singles or y.cluster not in singles:
-                return False
-        return matches(x.left, y.left) and matches(x.right, y.right)
-
-    if not matches(c1, c2):
+    if mapping is None or any(
+        k != m and (k not in singles or m not in singles) for k, m in mapping.items()
+    ):
         raise CopyMismatchError("the two copies of the shared operand disagree")
 
 

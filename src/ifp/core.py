@@ -269,24 +269,36 @@ def nearest_common_ancestor(c: Cirquent, a: Path, b: Path) -> Path:
     return tuple(common)
 
 
-def same_shape(c: Cirquent, d: Cirquent) -> bool:
-    """True when the two cirquents agree on everything except cluster IDs."""
-    if isinstance(c, Literal):
-        return c == d
-    if type(c) is not type(d):
-        return False
-    return same_shape(c.left, d.left) and same_shape(c.right, d.right)
+def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
+    """``c``'s cluster IDs mapped to ``d``'s, or None when no renaming fits.
+
+    The trees must match node for node (equal literals, the same
+    connective at every position), and the IDs of corresponding
+    disjunctions must pair off one to one.  The walk keeps a stack of
+    node pairs, so depth costs no recursion.
+    """
+    forward: dict[int, int] = {}
+    backward: dict[int, int] = {}
+    stack = [(c, d)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return None
+        if isinstance(x, Literal):
+            if x != y:
+                return None
+            continue
+        if isinstance(x, Or):
+            k, m = x.cluster, y.cluster
+            if forward.setdefault(k, m) != m or backward.setdefault(m, k) != k:
+                return None
+        stack += ((x.right, y.right), (x.left, y.left))
+    return forward
 
 
 def cluster_iso(c: Cirquent, d: Cirquent) -> bool:
-    """Equality up to a bijective renaming of cluster IDs.
-
-    Holds exactly when the trees match literal for literal and the two
-    cluster partitions group the same position sets together.
-    """
-    if not same_shape(c, d):
-        return False
-    return frozenset(clusters(c).values()) == frozenset(clusters(d).values())
+    """Equality up to a bijective renaming of cluster IDs."""
+    return cluster_map(c, d) is not None
 
 
 def canonicalize_ids(c: Cirquent) -> Cirquent:
@@ -298,24 +310,25 @@ def canonicalize_ids(c: Cirquent) -> Cirquent:
     isomorphism class, which pins down a canonical printed form.
     """
     mapping: dict[int, int] = {}
-
-    def number(node: Cirquent) -> None:
+    built: list[Cirquent] = []
+    todo: list = [(c, 0)]  # stage 0: enter; 1: left operand built; 2: both built
+    while todo:
+        node, stage = todo.pop()
         if isinstance(node, Literal):
-            return
-        number(node.left)
-        if isinstance(node, Or) and node.cluster not in mapping:
-            mapping[node.cluster] = len(mapping) + 1
-        number(node.right)
-
-    def rebuild(node: Cirquent) -> Cirquent:
-        if isinstance(node, Literal):
-            return node
-        if isinstance(node, And):
-            return And(rebuild(node.left), rebuild(node.right))
-        return Or(mapping[node.cluster], rebuild(node.left), rebuild(node.right))
-
-    number(c)
-    return rebuild(c)
+            built.append(node)
+        elif stage == 0:
+            todo += ((node, 1), (node.left, 0))
+        elif stage == 1:
+            if isinstance(node, Or) and node.cluster not in mapping:
+                mapping[node.cluster] = len(mapping) + 1
+            todo += ((node, 2), (node.right, 0))
+        else:
+            right, left = built.pop(), built.pop()
+            if isinstance(node, And):
+                built.append(And(left, right))
+            else:
+                built.append(Or(mapping[node.cluster], left, right))
+    return built[0]
 
 
 def _fmt(path: Path) -> str:

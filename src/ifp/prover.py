@@ -180,24 +180,29 @@ def nested_pairs(c: Cirquent) -> list[tuple[Path, Path]]:
 def eliminate_nested(c: Cirquent) -> tuple[Cirquent, tuple[ReductionStep, ...]]:
     """Rule I backward until no cluster member sits inside another.
 
-    The lexicographically first (ancestor, descendant) pair goes first;
-    the nested disjunction keeps the operand on the side where it sits
-    (left under the ancestor's left operand, right under its right) and
-    the other disjunct is deleted, recorded on the step for replay.
+    The first pair ``nested_pairs`` would list goes first, found by
+    descending from the root along the cached nesting flags to the first
+    disjunction with a member of its own cluster beneath it, then taking
+    the first such member.  The nested disjunction keeps the operand on
+    the side where it sits (left under the ancestor's left operand, right
+    under its right) and the other disjunct is deleted, recorded on the
+    step for replay.
     """
     steps: list[ReductionStep] = []
     current = c
-    while True:
-        pairs = nested_pairs(current)
-        if not pairs:
-            return current, tuple(steps)
-        outer, inner = pairs[0]
-        key = subcirquent_at(current, outer)
-        side = inner[len(outer)]
-        rule = "I-left" if side == LEFT_STEP else "I-right"
-        app = RuleApp(rule, outer, key.cluster, inner_path=inner[len(outer) + 1 :])
+    while not current.summary.nesting_free:
+        outer, node = ROOT, current
+        while not (isinstance(node, Or) and node.summary.counts[node.cluster] > 1):
+            if node.left.summary.nesting_free:
+                outer, node = outer + (RIGHT_STEP,), node.right
+            else:
+                outer, node = outer + (LEFT_STEP,), node.left
+        inner = members(node, node.cluster)[1]  # the first after the node itself
+        rule = "I-left" if inner[0] == LEFT_STEP else "I-right"
+        app = RuleApp(rule, outer, node.cluster, inner_path=inner[1:])
         current, completed = apply_rule_backward(current, app)
         steps.append(ReductionStep(completed, current))
+    return current, tuple(steps)
 
 
 def resolve_cluster(

@@ -28,7 +28,7 @@ RIGHT = "right"
 
 DEFAULT_MAX_ATOMS = 20
 DEFAULT_MAX_CLUSTERS = 20
-_VECTOR_BITS = 20  # a vector holds at most 2**20 bits, or 2**atoms past a raised atom bound
+_VECTOR_BITS = 20  # a vector holds at most 2**20 bits
 
 Interpretation = dict[str, bool]
 Metaselection = dict[int, str]
@@ -158,6 +158,14 @@ def _false_rows(c: Cirquent, names: Sequence[str], values: Mapping, fixed: Mappi
     ``i`` numbers assignments to ``names`` lexicographically; other atoms take ``values``,
     clusters in ``fixed`` their sides, and other multi-member ones are enumerated.
     """
+    extra = len(names) - _VECTOR_BITS
+    if extra > 0:  # enumerate the first atoms: each assignment to them is one block of rows
+        head, tail = names[:extra], names[extra:]
+        false = 0
+        for i, head_values in enumerate(product((False, True), repeat=extra)):
+            block, shift = _false_rows(c, tail, {**values, **dict(zip(head, head_values))}, fixed)
+            false |= block << (i << (len(tail) + shift))
+        return false, shift
     multi = sorted([k for k, n in c.summary.counts.items() if n > 1 and k not in fixed])
     cut = min(len(multi), len(names) + len(multi) - _VECTOR_BITS)
     if cut > 0:  # enumerate the first clusters: a row is false if no choice makes it true

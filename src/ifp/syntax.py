@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .calculus import AXIOM, ProofEntry, ProofScript, RULES, RuleHint
@@ -115,6 +116,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.index = 0
+        self.max_id = 0  # the largest explicit cluster ID read so far
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -174,13 +176,13 @@ class _Parser:
             token.position,
         )
 
-    @staticmethod
-    def cluster_id(token: _Token) -> int:
+    def cluster_id(self, token: _Token) -> int:
         value = int(token.text)
         if token.text != str(value):
             raise ParseError("cluster IDs may not have leading zeros", token.position)
         if value < 1:
             raise NonpositiveClusterIdError("cluster IDs start at 1", token.position)
+        self.max_id = max(self.max_id, value)
         return value
 
 
@@ -192,7 +194,7 @@ def parse(text: str) -> Cirquent:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected {trailing.text!r} after the formula", trailing.position)
-    return _finish(raw)
+    return _finish(raw, parser.max_id)
 
 
 def _parse_prefix(text: str) -> tuple[Cirquent, int]:
@@ -202,14 +204,11 @@ def _parse_prefix(text: str) -> tuple[Cirquent, int]:
     raw = parser.impl()
     trailing = parser.peek()
     stop = scanned if trailing.kind == "end" else trailing.position
-    return _finish(raw), stop
+    return _finish(raw, parser.max_id), stop
 
 
-def _finish(raw) -> Cirquent:
-    shaped = _nnf(raw, True)
-    start = _max_explicit_id(shaped) + 1
-    counter = iter(range(start, start + _count_bare(shaped)))
-    return _assign_ids(shaped, counter)
+def _finish(raw, max_id: int) -> Cirquent:
+    return _assign_ids(_nnf(raw, True), count(max_id + 1))
 
 
 def _nnf(node, positive: bool):
@@ -237,24 +236,6 @@ def _nnf(node, positive: bool):
     if positive:
         return ("or", None, _nnf(left, False), _nnf(right, True))
     return ("and", _nnf(left, True), _nnf(right, False))
-
-
-def _max_explicit_id(shaped) -> int:
-    if shaped[0] == "lit":
-        return 0
-    if shaped[0] == "and":
-        return max(_max_explicit_id(shaped[1]), _max_explicit_id(shaped[2]))
-    _, cluster, left, right = shaped
-    return max(cluster or 0, _max_explicit_id(left), _max_explicit_id(right))
-
-
-def _count_bare(shaped) -> int:
-    if shaped[0] == "lit":
-        return 0
-    if shaped[0] == "and":
-        return _count_bare(shaped[1]) + _count_bare(shaped[2])
-    _, cluster, left, right = shaped
-    return (cluster is None) + _count_bare(left) + _count_bare(right)
 
 
 def _assign_ids(shaped, counter) -> Cirquent:

@@ -16,14 +16,17 @@ from ifp import (
     RULES,
     And,
     Cirquent,
+    CopyMismatchError,
     InvalidPathError,
     Literal,
     MissingAtomError,
     MissingClusterError,
     Or,
+    ReductionStep,
     RuleApp,
     RuleError,
     TruthTable,
+    apply_rule_backward,
     apply_rule_forward,
     atoms,
     cluster_struct_match,
@@ -34,6 +37,7 @@ from ifp import (
     parse,
     positions,
     replace_at,
+    singleton_clusters,
     subcirquent_at,
     valid,
 )
@@ -301,6 +305,89 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     assert c.summary.nesting_free == (not nested_pairs(c))
     for k, positions_of_k in table.items():
         assert members(c, k) == sorted(positions_of_k)
+
+
+def deep_chain(depth: int, cluster: int = 1) -> Cirquent:
+    """``p`` under ``depth - 1`` disjunctions with ``q``, then one with ``~p``, all in one cluster.
+
+    Built without recursion.  All left, the chain resolves to ``p``; all
+    right, to ``~p``: valid.
+    """
+    c = Literal("p")
+    for _ in range(depth - 1):
+        c = Or(cluster, c, Literal("q"))
+    return Or(cluster, c, Literal("p", positive=False))
+
+
+def rename_clusters(c: Cirquent, mapping) -> Cirquent:
+    """``c`` with every disjunction's cluster ID sent through ``mapping``."""
+    if isinstance(c, Literal):
+        return c
+    left, right = rename_clusters(c.left, mapping), rename_clusters(c.right, mapping)
+    if isinstance(c, And):
+        return And(left, right)
+    return Or(mapping[c.cluster], left, right)
+
+
+def same_shape_reference(c: Cirquent, d: Cirquent) -> bool:
+    """True when the two cirquents agree on everything except cluster IDs (recursive)."""
+    if isinstance(c, Literal):
+        return c == d
+    if type(c) is not type(d):
+        return False
+    return same_shape_reference(c.left, d.left) and same_shape_reference(c.right, d.right)
+
+
+def cluster_iso_reference(c: Cirquent, d: Cirquent) -> bool:
+    """Same shape, and the two cluster tables group the same position sets."""
+    if not same_shape_reference(c, d):
+        return False
+    return frozenset(clusters(c).values()) == frozenset(clusters(d).values())
+
+
+def cluster_struct_match_reference(c: Cirquent, d: Cirquent) -> bool:
+    """Same shape and grouping, multi-member clusters under the same ID, by inverse tables."""
+    if not same_shape_reference(c, d):
+        return False
+    inv_c = {block: k for k, block in clusters(c).items()}
+    inv_d = {block: k for k, block in clusters(d).items()}
+    if set(inv_c) != set(inv_d):
+        return False
+    return all(len(block) == 1 or inv_d[block] == k for block, k in inv_c.items())
+
+
+def require_copies_reference(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
+    """CopyMismatchError unless c1 and c2 agree node for node, IDs differing only between singletons of c."""
+    singles = singleton_clusters(c)
+
+    def matches(x: Cirquent, y: Cirquent) -> bool:
+        if isinstance(x, Literal) or isinstance(y, Literal):
+            return x == y
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Or) and x.cluster != y.cluster:
+            if x.cluster not in singles or y.cluster not in singles:
+                return False
+        return matches(x.left, y.left) and matches(x.right, y.right)
+
+    if not matches(c1, c2):
+        raise CopyMismatchError("the two copies of the shared operand disagree")
+
+
+def eliminate_nested_reference(c: Cirquent):
+    """Rule I backward on the first pair ``nested_pairs`` lists, recomputed after each step."""
+    steps = []
+    current = c
+    while True:
+        pairs = nested_pairs(current)
+        if not pairs:
+            return current, tuple(steps)
+        outer, inner = pairs[0]
+        key = subcirquent_at(current, outer)
+        rule = "I-left" if inner[len(outer)] == "L" else "I-right"
+        app = RuleApp(rule, outer, key.cluster, inner_path=inner[len(outer) + 1 :])
+        current, completed = apply_rule_backward(current, app)
+        steps.append(ReductionStep(completed, current))
 
 
 def strictly_decreasing(trace) -> bool:

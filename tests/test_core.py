@@ -1,11 +1,21 @@
 """Tests for the cirquent tree: paths, clusters, isomorphism."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from helpers import assert_summary_matches_walk, cirquents
+import ifp.calculus
+from helpers import (
+    assert_summary_matches_walk,
+    cirquents,
+    cluster_iso_reference,
+    cluster_struct_match_reference,
+    deep_chain,
+    rename_clusters,
+    require_copies_reference,
+)
 from ifp import (
     And,
+    CopyMismatchError,
     InvalidPathError,
     Literal,
     Or,
@@ -13,6 +23,8 @@ from ifp import (
     atoms,
     canonicalize_ids,
     cluster_iso,
+    cluster_map,
+    cluster_struct_match,
     clusters,
     is_classical,
     level,
@@ -23,7 +35,6 @@ from ifp import (
     parse,
     positions,
     replace_at,
-    same_shape,
     singleton_clusters,
     subcirquent_at,
     walk,
@@ -135,11 +146,64 @@ class TestClusters:
         assert node_count(P) == 1
 
 
+@st.composite
+def comparison_pairs(draw):
+    """``(whole, x, y)``: two cirquents to compare up to cluster renaming, and one holding both.
+
+    ``y`` is ``x`` renamed by a random, possibly non-injective ID map, or
+    an independent small cirquent, or ``x`` and ``y`` are two subtrees
+    of ``whole``.
+    """
+    kind = draw(st.sampled_from(("renamed", "random", "subtrees")))
+    if kind == "subtrees":
+        whole = draw(cirquents(max_leaves=10, max_cluster=4))
+        x, y = (subcirquent_at(whole, draw(st.sampled_from(positions(whole)))) for _ in "xy")
+        return whole, x, y
+    if kind == "renamed":
+        x = draw(cirquents(max_leaves=8, max_cluster=4))
+        y = rename_clusters(x, {k: draw(st.integers(1, 5)) for k in range(1, 5)})
+    else:
+        x, y = (draw(cirquents(max_leaves=4, atom_names=("p",), max_cluster=3)) for _ in "xy")
+    return And(x, y), x, y
+
+
+def _copies_match(require, whole, x, y) -> bool:
+    try:
+        require(whole, x, y)
+    except CopyMismatchError:
+        return False
+    return True
+
+
 class TestIsomorphism:
-    def test_same_shape_ignores_ids(self):
-        assert same_shape(Or(1, P, Q), Or(7, P, Q))
-        assert not same_shape(Or(1, P, Q), And(P, Q))
-        assert not same_shape(Or(1, P, Q), Or(1, Q, P))
+    def test_cluster_map_ignores_ids(self):
+        assert cluster_map(Or(1, P, Q), Or(7, P, Q)) == {1: 7}
+        assert cluster_map(Or(1, P, Q), And(P, Q)) is None
+        assert cluster_map(Or(1, P, Q), Or(1, Q, P)) is None
+
+    def test_cluster_map_is_one_to_one(self):
+        assert cluster_map(And(Or(1, P, Q), Or(2, P, Q)), And(Or(5, P, Q), Or(6, P, Q))) == {1: 5, 2: 6}
+        assert cluster_map(And(Or(1, P, Q), Or(2, P, Q)), And(Or(5, P, Q), Or(5, P, Q))) is None
+        assert cluster_map(And(Or(1, P, Q), Or(1, P, Q)), And(Or(5, P, Q), Or(6, P, Q))) is None
+
+    @given(comparison_pairs())
+    def test_comparisons_agree_with_the_references(self, pair):
+        whole, x, y = pair
+        mapping = cluster_map(x, y)
+        assert (mapping is not None) == cluster_iso(x, y) == cluster_iso_reference(x, y)
+        if mapping is not None:
+            assert rename_clusters(x, mapping) == y
+        assert cluster_struct_match(x, y) == cluster_struct_match_reference(x, y)
+        assert _copies_match(ifp.calculus._require_copies, whole, x, y) == _copies_match(
+            require_copies_reference, whole, x, y
+        )
+
+    def test_deep_cirquents_need_no_recursion(self):
+        c = deep_chain(5000)
+        assert cluster_iso(c, deep_chain(5000, cluster=7))
+        assert not cluster_iso(c, Or(2, c.left, c.right))
+        assert cluster_struct_match(c, deep_chain(5000))
+        assert not cluster_struct_match(c, deep_chain(5000, cluster=7))
 
     def test_cluster_iso_compares_the_partition(self):
         a = And(Or(1, P, Q), Or(1, NOT_P, Q))
@@ -171,6 +235,10 @@ class TestCanonicalize:
         canonical = canonicalize_ids(c)
         assert cluster_iso(c, canonical)
         assert canonicalize_ids(canonical) == canonical
+
+    def test_deep_cirquents_need_no_recursion(self):
+        canonical = canonicalize_ids(deep_chain(5000, cluster=7))
+        assert cluster_map(canonical, deep_chain(5000)) == {1: 1}
 
     @given(cirquents())
     def test_canonical_ids_are_dense_from_one(self, c):

@@ -9,6 +9,7 @@ from conftest import C1_TEXT, GOAL_TEXT
 from helpers import (
     assert_summary_matches_walk,
     cirquents,
+    eliminate_nested_reference,
     nested_family,
     rand_cirquent,
     strictly_decreasing,
@@ -95,6 +96,10 @@ class TestEliminateNested:
         assert [step.app.new_subcirquent for step in steps] == [
             Literal("q"), Literal("r"),
         ]
+
+    @given(cirquents(max_leaves=10, max_cluster=2))
+    def test_steps_match_the_pair_by_pair_reference(self, c):
+        assert eliminate_nested(c) == eliminate_nested_reference(c)
 
 
 class TestResolveCluster:

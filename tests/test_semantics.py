@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import ifp.semantics
 from helpers import (
@@ -12,6 +12,7 @@ from helpers import (
     classical_countermodel_reference,
     classical_tautology_reference,
     countermodel_reference,
+    deep_chain,
     eval_classical_reference,
     interpretations,
     metaselections,
@@ -212,22 +213,11 @@ class TestTruthAgainstBruteForce:
         assert true_under(c, i) == expected
 
 
-def deep_chain(depth: int):
-    """``p`` under ``depth - 1`` cluster-1 disjunctions with ``q``, then one with ``~p``.
-
-    All left, the chain resolves to ``p``; all right, to ``~p``: valid.
-    """
-    c = P
-    for _ in range(depth - 1):
-        c = Or(1, c, Q)
-    return Or(1, c, Literal("p", False))
-
-
 @st.composite
-def shared_cirquents(draw, min_leaves=8, max_leaves=10):
-    """Cirquents with 8 to 10 leaves over p, q, r whose disjunctions share clusters 1-3."""
+def shared_cirquents(draw, min_leaves=8, max_leaves=10, names="pqr"):
+    """Cirquents with 8 to 10 leaves (by default) over ``names`` whose disjunctions share clusters 1-3."""
     nodes = [
-        Literal(draw(st.sampled_from("pqr")), draw(st.booleans()))
+        Literal(draw(st.sampled_from(names)), draw(st.booleans()))
         for _ in range(draw(st.integers(min_leaves, max_leaves)))
     ]
     while len(nodes) > 1:
@@ -284,3 +274,12 @@ class TestEvaluator:
                 assert witness_metaselection(c, i) == witness_metaselection_reference(c, i)
                 f = {k: rng.choice(("left", "right")) for k in clusters(c)}
                 assert metatrue(c, i, f) == metatrue_reference(c, i, f)
+
+    @given(shared_cirquents(min_leaves=6, max_leaves=8, names="pqrstu"))
+    def test_atoms_beyond_one_vector_are_enumerated_in_blocks(self, c):
+        # With 4 to 6 atoms, a 2-bit vector holds only the last two atoms' rows.
+        assume(len(atoms(c)) >= 4)
+        with mock.patch.object(ifp.semantics, "_VECTOR_BITS", 2):
+            assert valid(c) == valid_reference(c)
+            assert countermodel(c) == countermodel_reference(c)
+            assert truth_table(c) == truth_table_reference(c)
