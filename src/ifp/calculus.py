@@ -46,6 +46,7 @@ from .core import (
     Path,
     cluster_map,
     is_classical,
+    map_clusters,
     members,
     replace_at,
     singleton_clusters,
@@ -418,13 +419,7 @@ class _Mint:
         return n
 
     def freshen(self, c: Cirquent) -> Cirquent:
-        if isinstance(c, Literal):
-            return c
-        left = self.freshen(c.left)
-        if isinstance(c, And):
-            return And(left, self.freshen(c.right))
-        cluster = self.fresh() if c.cluster in self.singles else c.cluster
-        return Or(cluster, left, self.freshen(c.right))
+        return map_clusters(c, lambda k: self.fresh() if k in self.singles else k)
 
 
 def _backward_one(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
@@ -523,21 +518,32 @@ def _backward_three(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
 
 
 def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
-    """The applications ``match_step`` tries, read off the conclusion in its order."""
+    """The applications ``match_step`` tries, read off the conclusion in its order.
+
+    A hinted hole or inner position is looked up by its path, not found
+    by a walk.
+    """
     counts = conclusion.summary.counts
-    nodes = [(hole, node) for hole, node in walk(conclusion) if not isinstance(node, Literal)]
+    if hint.hole_path is None:
+        nodes = [(hole, node) for hole, node in walk(conclusion) if not isinstance(node, Literal)]
+    else:
+        node = _at(conclusion, hint.hole_path)
+        nodes = [] if node is None or isinstance(node, Literal) else [(hint.hole_path, node)]
     for rule in RULES:
         if hint.rule not in (None, rule):
             continue
         for hole, node in nodes:
-            if hint.hole_path not in (None, hole):
-                continue
             if rule in ("I-left", "I-right"):
                 if not isinstance(node, Or):
                     continue
                 k = node.cluster
                 host = node.left if rule == "I-left" else node.right
-                inners = [p for p in members(host, k) if hint.inner_path in (None, p)]
+                if hint.inner_path is None:
+                    inners = members(host, k)
+                else:
+                    inner = _at(host, hint.inner_path)
+                    held = isinstance(inner, Or) and inner.cluster == k
+                    inners = [hint.inner_path] if held else []
             else:
                 key = node.right if rule == "II-right" else node.left
                 if not isinstance(key, Or):
@@ -550,3 +556,11 @@ def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
                 continue
             for inner in inners:
                 yield RuleApp(rule, hole, k, inner_path=inner)
+
+
+def _at(c: Cirquent, path: Path) -> Optional[Cirquent]:
+    """The node at ``path``, or None when the path addresses none."""
+    try:
+        return subcirquent_at(c, path)
+    except InvalidPathError:
+        return None

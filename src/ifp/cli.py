@@ -3,8 +3,7 @@
 Subcommands: parse, eval, valid, prove, check, compile, decide.  Each
 reads one input file, with "-" for standard input.  Exit status 0 means
 the affirmative outcome, 1 the negative one or an input error, and 2 a
-usage error, an input over the brute-force size bound, or an input that
-nests deeper than the interpreter's recursion limit.
+usage error or an input over the brute-force size bound.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except TooLargeError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nests too deeply", file=sys.stderr)
         return 2
     except (
         ParseError,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 LEFT_STEP = "L"
 RIGHT_STEP = "R"
@@ -145,20 +145,29 @@ def subcirquent_at(c: Cirquent, path: Path) -> Cirquent:
 
 def replace_at(c: Cirquent, path: Path, replacement: Cirquent) -> Cirquent:
     """Return a copy of ``c`` with the subcirquent at ``path`` swapped out."""
-    if not path:
-        return replacement
-    if isinstance(c, Literal):
-        raise InvalidPathError(f"path {_fmt(path)} steps through the literal {c}")
-    step = path[0]
-    if step == LEFT_STEP:
-        left, right = replace_at(c.left, path[1:], replacement), c.right
-    elif step == RIGHT_STEP:
-        left, right = c.left, replace_at(c.right, path[1:], replacement)
-    else:
-        raise InvalidPathError(f"bad path step {step!r}")
-    if isinstance(c, Or):
-        return Or(c.cluster, left, right)
-    return And(left, right)
+    spine = []
+    node = c
+    for step in path:
+        if isinstance(node, Literal):
+            raise InvalidPathError(f"path {_fmt(path[len(spine):])} steps through the literal {node}")
+        spine.append(node)
+        if step == LEFT_STEP:
+            node = node.left
+        elif step == RIGHT_STEP:
+            node = node.right
+        else:
+            raise InvalidPathError(f"bad path step {step!r}")
+    while spine:  # rebuild the spine, bottom up
+        parent = spine.pop()
+        if path[len(spine)] == LEFT_STEP:
+            left, right = replacement, parent.right
+        else:
+            left, right = parent.left, replacement
+        if isinstance(parent, Or):
+            replacement = Or(parent.cluster, left, right)
+        else:
+            replacement = And(left, right)
+    return replacement
 
 
 def walk(c: Cirquent) -> Iterator[tuple[Path, Cirquent]]:
@@ -310,25 +319,33 @@ def canonicalize_ids(c: Cirquent) -> Cirquent:
     isomorphism class, which pins down a canonical printed form.
     """
     mapping: dict[int, int] = {}
-    built: list[Cirquent] = []
-    todo: list = [(c, 0)]  # stage 0: enter; 1: left operand built; 2: both built
-    while todo:
-        node, stage = todo.pop()
-        if isinstance(node, Literal):
-            built.append(node)
-        elif stage == 0:
-            todo += ((node, 1), (node.left, 0))
-        elif stage == 1:
-            if isinstance(node, Or) and node.cluster not in mapping:
-                mapping[node.cluster] = len(mapping) + 1
-            todo += ((node, 2), (node.right, 0))
-        else:
-            right, left = built.pop(), built.pop()
-            if isinstance(node, And):
-                built.append(And(left, right))
-            else:
-                built.append(Or(mapping[node.cluster], left, right))
-    return built[0]
+    return map_clusters(c, lambda k: mapping.setdefault(k, len(mapping) + 1))
+
+
+def map_clusters(c: Cirquent, rename: Callable[[int], int]) -> Cirquent:
+    """A copy of ``c`` whose disjunctions of cluster k are in cluster ``rename(k)``.
+
+    ``rename`` is called once per disjunction, in textual order.  The
+    copy is built in order along left spines, with the connectives
+    waiting for an operand on a stack, so depth costs no recursion.
+    """
+    waiting = []  # [connective, its built left operand or None, its new ID]
+    node = c
+    while True:
+        while not isinstance(node, Literal):
+            waiting.append([node, None, 0])
+            node = node.left
+        built = node
+        while waiting and waiting[-1][1] is not None:  # a right operand is built
+            parent, left, k = waiting.pop()
+            built = And(left, built) if isinstance(parent, And) else Or(k, left, built)
+        if not waiting:
+            return built
+        entry = waiting[-1]
+        entry[1] = built
+        if isinstance(entry[0], Or):
+            entry[2] = rename(entry[0].cluster)
+        node = entry[0].right
 
 
 def _fmt(path: Path) -> str:

@@ -182,24 +182,25 @@ def eliminate_nested(c: Cirquent) -> tuple[Cirquent, tuple[ReductionStep, ...]]:
 
     The first pair ``nested_pairs`` would list goes first, found by
     descending from the root along the cached nesting flags to the first
-    disjunction with a member of its own cluster beneath it, then taking
-    the first such member.  The nested disjunction keeps the operand on
-    the side where it sits (left under the ancestor's left operand, right
-    under its right) and the other disjunct is deleted, recorded on the
-    step for replay.
+    disjunction with a member of its own cluster beneath it, then along
+    the cached counts to the first such member, in O(depth).  The nested
+    disjunction keeps the operand on the side where it sits (left under
+    the ancestor's left operand, right under its right) and the other
+    disjunct is deleted, recorded on the step for replay.
     """
     steps: list[ReductionStep] = []
     current = c
     while not current.summary.nesting_free:
-        outer, node = ROOT, current
+        outer, node = [], current
         while not (isinstance(node, Or) and node.summary.counts[node.cluster] > 1):
-            if node.left.summary.nesting_free:
-                outer, node = outer + (RIGHT_STEP,), node.right
-            else:
-                outer, node = outer + (LEFT_STEP,), node.left
-        inner = members(node, node.cluster)[1]  # the first after the node itself
+            outer.append(RIGHT_STEP if node.left.summary.nesting_free else LEFT_STEP)
+            node = node.right if outer[-1] == RIGHT_STEP else node.left
+        k, inner, below = node.cluster, [], node
+        while not inner or not (isinstance(below, Or) and below.cluster == k):
+            inner.append(LEFT_STEP if k in below.left.summary.counts else RIGHT_STEP)
+            below = below.left if inner[-1] == LEFT_STEP else below.right
         rule = "I-left" if inner[0] == LEFT_STEP else "I-right"
-        app = RuleApp(rule, outer, node.cluster, inner_path=inner[1:])
+        app = RuleApp(rule, tuple(outer), k, inner_path=tuple(inner[1:]))
         current, completed = apply_rule_backward(current, app)
         steps.append(ReductionStep(completed, current))
     return current, tuple(steps)

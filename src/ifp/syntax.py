@@ -19,19 +19,20 @@ pushed through a disjunction that carries an explicit cluster ID, since
 no meaning is defined for that; such input is rejected.  Disjunctions
 written without an ID each get a fresh single-member cluster, numbered
 upward from the largest explicit ID in the order the "|" signs appear.
+One regular-expression scan and one pass over the tokens with an
+explicit operator stack build these nodes directly.
 
 The printer parenthesizes every compound operand, leaves the root bare,
 and omits the IDs of single-member clusters (unless asked not to): any
 reassignment of those IDs on re-parse leaves the cirquent the same up to
-cluster isomorphism.
+cluster isomorphism.  Neither it nor the parser recurses.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import count
-from typing import Optional
+from itertools import islice
+from typing import Callable, Optional
 
 from .calculus import AXIOM, ProofEntry, ProofScript, RULES, RuleHint
 from .core import (
@@ -75,179 +76,169 @@ class DuplicateKeyError(ParseError):
     """The same key is assigned twice in one mapping."""
 
 
-_TOKEN = re.compile(
-    r"\s+|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<sym>->|[()&|~])"
-)
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN = re.compile(_NAME.pattern + r"|\d+|->|[()&|~]")
+# One match per token; the first unexpected character takes the rest of the text.
+_SCAN = re.compile(_TOKEN.pattern + r"|\S.*", re.S)
+_EXPLICIT_ID = re.compile(r"\|\s*(\d+)")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "num" | "sym" | "end"
-    text: str
-    position: int
-
-
-def _tokenize(text: str, partial: bool) -> tuple[list[_Token], int]:
-    """Scan tokens; in partial mode, stop quietly at the first alien character."""
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if partial:
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
-        pos = m.end()
-    tokens.append(_Token("end", "", pos))
-    return tokens, pos
-
-
-class _Parser:
-    """Recursive descent over the token list, building a raw tree.
-
-    Raw nodes are tuples: ("lit", name), ("not", sub, pos),
-    ("and", left, right), ("or", id_or_None, left, right, pos), and
-    ("imp", left, right, pos).
-    """
-
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
-        self.max_id = 0  # the largest explicit cluster ID read so far
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def take(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def at_symbol(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "sym" and token.text == text
-
-    def impl(self):
-        left = self.or_()
-        if self.at_symbol("->"):
-            arrow = self.take()
-            return ("imp", left, self.impl(), arrow.position)
-        return left
-
-    def or_(self):
-        node = self.and_()
-        while self.at_symbol("|"):
-            bar = self.take()
-            cluster = None
-            if self.peek().kind == "num":
-                cluster = self.cluster_id(self.take())
-            node = ("or", cluster, node, self.and_(), bar.position)
-        return node
-
-    def and_(self):
-        node = self.unary()
-        while self.at_symbol("&"):
-            self.take()
-            node = ("and", node, self.unary())
-        return node
-
-    def unary(self):
-        token = self.peek()
-        if token.kind == "sym" and token.text == "~":
-            self.take()
-            return ("not", self.unary(), token.position)
-        if token.kind == "name":
-            self.take()
-            return ("lit", token.text)
-        if token.kind == "sym" and token.text == "(":
-            self.take()
-            node = self.impl()
-            if not self.at_symbol(")"):
-                bad = self.peek()
-                raise ParseError("expected a closing parenthesis", bad.position)
-            self.take()
-            return node
-        raise ParseError(
-            f"expected a formula, found {token.text!r}" if token.text
-            else "expected a formula, found the end of the input",
-            token.position,
-        )
-
-    def cluster_id(self, token: _Token) -> int:
-        value = int(token.text)
-        if token.text != str(value):
-            raise ParseError("cluster IDs may not have leading zeros", token.position)
-        if value < 1:
-            raise NonpositiveClusterIdError("cluster IDs start at 1", token.position)
-        self.max_id = max(self.max_id, value)
-        return value
+# Operator state: reduce the stacked operators binding at least this tightly.
+_REDUCE_FROM = {"&": 3, "|": 2, "->": 2, ")": 1}
 
 
 def parse(text: str) -> Cirquent:
     """Parse one formula into a cirquent."""
-    tokens, _ = _tokenize(text, partial=False)
-    parser = _Parser(tokens)
-    raw = parser.impl()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected {trailing.text!r} after the formula", trailing.position)
-    return _finish(raw, parser.max_id)
+    return _read(text, partial=False)[0]
 
 
 def _parse_prefix(text: str) -> tuple[Cirquent, int]:
     """Parse the longest formula prefix; also report where it stopped."""
-    tokens, scanned = _tokenize(text, partial=True)
-    parser = _Parser(tokens)
-    raw = parser.impl()
-    trailing = parser.peek()
-    stop = scanned if trailing.kind == "end" else trailing.position
-    return _finish(raw, parser.max_id), stop
+    return _read(text, partial=True)
 
 
-def _finish(raw, max_id: int) -> Cirquent:
-    return _assign_ids(_nnf(raw, True), count(max_id + 1))
+def _read(text: str, partial: bool) -> tuple[Cirquent, int]:
+    """Scan once, then build; in partial mode, stop quietly at the first alien character."""
+    tokens = _SCAN.findall(text)
+    scanned = len(text)
+    if tokens and not _TOKEN.fullmatch(tokens[-1]):
+        scanned -= len(tokens.pop())
+        if not partial:
+            raise ParseError(f"unexpected character {text[scanned]!r}", scanned)
+
+    def where(i: int) -> int:  # the position of token i, for errors
+        return scanned if i >= len(tokens) else next(islice(_SCAN.finditer(text), i, None)).start()
+
+    base = max(map(int, _EXPLICIT_ID.findall(text, 0, scanned)), default=0)
+    lefts = _arrow_lefts(tokens) if "->" in text else set()
+    c, used, top = _build(tokens, base, lefts, partial, where)
+    if top != base:  # the largest explicit ID lies past the formula: number again
+        c, used, top = _build(tokens[:used], top, lefts, partial, where)
+    stop = scanned
+    for token in reversed(tokens[used:]):
+        stop = text.rfind(token, 0, stop)
+    return c, stop
 
 
-def _nnf(node, positive: bool):
-    tag = node[0]
-    if tag == "lit":
-        return ("lit", node[1], positive)
-    if tag == "not":
-        return _nnf(node[1], not positive)
-    if tag == "and":
-        _, left, right = node
-        if positive:
-            return ("and", _nnf(left, True), _nnf(right, True))
-        return ("or", None, _nnf(left, False), _nnf(right, False))
-    if tag == "or":
-        _, cluster, left, right, position = node
-        if positive:
-            return ("or", cluster, _nnf(left, True), _nnf(right, True))
-        if cluster is not None:
-            raise NegatedIndexedDisjunctionError(
-                "negation cannot apply over a disjunction with an explicit cluster ID",
-                position,
-            )
-        return ("and", _nnf(left, False), _nnf(right, False))
-    _, left, right, _position = node  # "imp"
-    if positive:
-        return ("or", None, _nnf(left, False), _nnf(right, True))
-    return ("and", _nnf(left, True), _nnf(right, False))
+def _build(
+    tokens: list[str], base: int, lefts: set[int], partial: bool, where: Callable[[int], int]
+) -> tuple[Cirquent, int, int]:
+    """The formula heading ``tokens``, the tokens it used, and its largest explicit ID.
+
+    An operator waits on the stack as (binding, ID of the node it becomes):
+    None for a conjunction, ~j for a "|k" at token j under negation.  "("
+    waits as (0, group polarity, operand polarity); an operand's polarity
+    is its group's, flipped on a left operand of "->".  The n-th
+    disjunction written without an ID in the normal form gets ``base + n``.
+    """
+    n = len(tokens)
+    tokens = tokens + [""]  # the end
+    literals: tuple[dict, dict] = ({}, {})  # negative, positive
+    values: list[Cirquent] = []
+    ops: list[tuple] = [(0, True, True)]
+    group = True
+    positive = 0 not in lefts
+    fresh = base
+    top = depth = i = 0
+    negated: dict[int, int] = {}  # id() of a stand-in node -> its "|k" token index
+    while True:
+        sign = positive
+        token = tokens[i]
+        while token == "~":
+            sign = not sign
+            i += 1
+            token = tokens[i]
+        if token == "(":
+            ops.append((0, group, positive))
+            depth += 1
+            i += 1
+            group = sign
+            positive = sign != (i in lefts)
+            continue
+        literal = literals[sign].get(token)
+        if literal is None:
+            if not token[:1].isalpha():
+                found = f"found {token!r}" if token else "found the end of the input"
+                raise ParseError(f"expected a formula, {found}", where(i))
+            literal = literals[sign][token] = Literal(token, sign)
+        values.append(literal)
+        i += 1
+        while True:  # operator state
+            token = tokens[i]
+            reduce_from = _REDUCE_FROM.get(token, 1)
+            while ops[-1][0] >= reduce_from:
+                cluster = ops.pop()[1]
+                right = values.pop()
+                if cluster is None:
+                    values[-1] = And(values[-1], right)
+                elif cluster > 0:
+                    values[-1] = Or(cluster, values[-1], right)
+                else:  # "|k" under negation: reported once the text has parsed
+                    values[-1] = stand_in = And(values[-1], right)
+                    negated[id(stand_in)] = ~cluster
+            if token != ")" or not depth:
+                break
+            _, group, positive = ops.pop()
+            depth -= 1
+            i += 1
+        if token == "|" and tokens[i + 1].isdecimal():
+            i += 1
+            cluster = int(tokens[i])
+            if tokens[i] != str(cluster):
+                raise ParseError("cluster IDs may not have leading zeros", where(i))
+            if cluster < 1:
+                raise NonpositiveClusterIdError("cluster IDs start at 1", where(i))
+            top = max(top, cluster)
+            ops.append((2, cluster if positive else ~(i - 1)))
+        else:
+            if token == "&":
+                binding, bare_or = 3, not positive
+            elif token == "|":
+                binding, bare_or = 2, positive
+            elif token == "->":
+                binding, bare_or = 1, group
+                positive = group != (i + 1 in lefts)
+            else:
+                break
+            if bare_or:
+                fresh += 1
+            ops.append((binding, fresh if bare_or else None))
+        i += 1
+    if depth:
+        raise ParseError("expected a closing parenthesis", where(i))
+    if i < n and not partial:
+        raise ParseError(f"unexpected {token!r} after the formula", where(i))
+    c = values[0]
+    if negated:  # report the first in pre-order, where negation normal form meets it
+        todo = [c]
+        while id(todo[-1]) not in negated:
+            node = todo.pop()
+            if not isinstance(node, Literal):
+                todo += (node.right, node.left)
+        message = "negation cannot apply over a disjunction with an explicit cluster ID"
+        raise NegatedIndexedDisjunctionError(message, where(negated[id(todo[-1])]))
+    return c, i, top
 
 
-def _assign_ids(shaped, counter) -> Cirquent:
-    if shaped[0] == "lit":
-        return Literal(shaped[1], shaped[2])
-    if shaped[0] == "and":
-        return And(_assign_ids(shaped[1], counter), _assign_ids(shaped[2], counter))
-    _, cluster, left, right = shaped
-    built_left = _assign_ids(left, counter)
-    if cluster is None:
-        cluster = next(counter)
-    return Or(cluster, built_left, _assign_ids(right, counter))
+def _arrow_lefts(tokens: list[str]) -> set[int]:
+    """Where the left operands of "->" start, as token indices.
+
+    The scan follows the parser's two states and stops where the formula
+    must end, so tokens past it mark nothing."""
+    lefts = set()
+    starts = [0]  # where the current operand of "->" began, one per open group
+    after_operand = False
+    for i, token in enumerate(tokens):
+        if (token in _REDUCE_FROM) != after_operand or token == ")" and len(starts) == 1:
+            break
+        if token == "(":
+            starts.append(i + 1)
+        elif token == ")":
+            starts.pop()
+        elif token == "->":
+            lefts.add(starts[-1])
+            starts[-1] = i + 1
+        after_operand = token == ")" or token[0].isalpha()
+    return lefts
 
 
 def print_cirquent(c: Cirquent, *, show_singleton_ids: bool = False) -> str:
@@ -258,25 +249,30 @@ def print_cirquent(c: Cirquent, *, show_singleton_ids: bool = False) -> str:
     fresh IDs a re-parse assigns change nothing up to cluster
     isomorphism.
     """
-    singles = singleton_clusters(c)
-
-    def operand(node: Cirquent) -> str:
-        if isinstance(node, Literal):
-            return render(node)
-        return "(" + render(node) + ")"
-
-    def render(node: Cirquent) -> str:
-        if isinstance(node, Literal):
-            return node.atom if node.positive else "~" + node.atom
-        if isinstance(node, And):
-            return operand(node.left) + "&" + operand(node.right)
-        right = operand(node.right)
-        if node.cluster in singles and not show_singleton_ids:
-            return operand(node.left) + "|" + right
-        separator = "" if right.startswith("(") else " "
-        return operand(node.left) + "|" + str(node.cluster) + separator + right
-
-    return render(c)
+    hidden = set() if show_singleton_ids else singleton_clusters(c)
+    pieces = []
+    todo: list = [c]  # text, and nodes to render bare; the next one last
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            pieces.append(node)
+            continue
+        while not isinstance(node, Literal):  # the left operand now, the rest later
+            right = node.right
+            bare = isinstance(right, Literal)
+            if isinstance(node, And):
+                op = "&"
+            elif node.cluster in hidden:
+                op = "|"
+            else:
+                op = f"|{node.cluster} " if bare else f"|{node.cluster}"
+            todo += (op + str(right),) if bare else (")", right, op + "(")
+            node = node.left
+            if not isinstance(node, Literal):
+                pieces.append("(")
+                todo.append(")")
+        pieces.append(str(node))
+    return "".join(pieces)
 
 
 def format_path(path: Path) -> str:

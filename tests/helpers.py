@@ -9,6 +9,8 @@ library code is compared against.
 from __future__ import annotations
 
 import itertools
+import re
+from dataclasses import dataclass
 
 from hypothesis import assume, strategies as st
 
@@ -21,7 +23,10 @@ from ifp import (
     Literal,
     MissingAtomError,
     MissingClusterError,
+    NegatedIndexedDisjunctionError,
+    NonpositiveClusterIdError,
     Or,
+    ParseError,
     ReductionStep,
     RuleApp,
     RuleError,
@@ -639,3 +644,176 @@ def classical_countermodel_reference(c: Cirquent):
         if not eval_classical_reference(c, i):
             return i
     return None
+
+
+# The recursive-descent parser the one-pass parser in ``ifp.syntax``
+# replaced: tokens, a raw tuple tree, negation normal form, then IDs.
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s+|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<sym>->|[()&|~])"
+)
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str  # "name" | "num" | "sym" | "end"
+    text: str
+    position: int
+
+
+def _reference_tokenize(text: str, partial: bool):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            if partial:
+                break
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup is not None:
+            tokens.append(_ReferenceToken(m.lastgroup, m.group(), m.start()))
+        pos = m.end()
+    tokens.append(_ReferenceToken("end", "", pos))
+    return tokens, pos
+
+
+class _ReferenceParser:
+    """Raw nodes: ("lit", name), ("not", sub, pos), ("and", l, r),
+    ("or", id_or_None, l, r, pos) and ("imp", l, r, pos)."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.index = 0
+        self.max_id = 0
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def take(self):
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def at_symbol(self, text: str) -> bool:
+        token = self.peek()
+        return token.kind == "sym" and token.text == text
+
+    def impl(self):
+        left = self.or_()
+        if self.at_symbol("->"):
+            arrow = self.take()
+            return ("imp", left, self.impl(), arrow.position)
+        return left
+
+    def or_(self):
+        node = self.and_()
+        while self.at_symbol("|"):
+            bar = self.take()
+            cluster = None
+            if self.peek().kind == "num":
+                cluster = self.cluster_id(self.take())
+            node = ("or", cluster, node, self.and_(), bar.position)
+        return node
+
+    def and_(self):
+        node = self.unary()
+        while self.at_symbol("&"):
+            self.take()
+            node = ("and", node, self.unary())
+        return node
+
+    def unary(self):
+        token = self.peek()
+        if token.kind == "sym" and token.text == "~":
+            self.take()
+            return ("not", self.unary(), token.position)
+        if token.kind == "name":
+            self.take()
+            return ("lit", token.text)
+        if token.kind == "sym" and token.text == "(":
+            self.take()
+            node = self.impl()
+            if not self.at_symbol(")"):
+                raise ParseError("expected a closing parenthesis", self.peek().position)
+            self.take()
+            return node
+        raise ParseError(
+            f"expected a formula, found {token.text!r}" if token.text
+            else "expected a formula, found the end of the input",
+            token.position,
+        )
+
+    def cluster_id(self, token) -> int:
+        value = int(token.text)
+        if token.text != str(value):
+            raise ParseError("cluster IDs may not have leading zeros", token.position)
+        if value < 1:
+            raise NonpositiveClusterIdError("cluster IDs start at 1", token.position)
+        self.max_id = max(self.max_id, value)
+        return value
+
+
+def parse_reference(text: str) -> Cirquent:
+    """``ifp.parse`` as the recursive-descent parser computed it."""
+    tokens, _ = _reference_tokenize(text, partial=False)
+    parser = _ReferenceParser(tokens)
+    raw = parser.impl()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ParseError(f"unexpected {trailing.text!r} after the formula", trailing.position)
+    return _reference_finish(raw, parser.max_id)
+
+
+def parse_prefix_reference(text: str) -> tuple[Cirquent, int]:
+    """``ifp.syntax._parse_prefix`` as the recursive-descent parser computed it."""
+    tokens, scanned = _reference_tokenize(text, partial=True)
+    parser = _ReferenceParser(tokens)
+    raw = parser.impl()
+    trailing = parser.peek()
+    stop = scanned if trailing.kind == "end" else trailing.position
+    return _reference_finish(raw, parser.max_id), stop
+
+
+def _reference_finish(raw, max_id: int) -> Cirquent:
+    return _reference_assign_ids(_reference_nnf(raw, True), itertools.count(max_id + 1))
+
+
+def _reference_nnf(node, positive: bool):
+    tag = node[0]
+    if tag == "lit":
+        return ("lit", node[1], positive)
+    if tag == "not":
+        return _reference_nnf(node[1], not positive)
+    if tag == "and":
+        _, left, right = node
+        if positive:
+            return ("and", _reference_nnf(left, True), _reference_nnf(right, True))
+        return ("or", None, _reference_nnf(left, False), _reference_nnf(right, False))
+    if tag == "or":
+        _, cluster, left, right, position = node
+        if positive:
+            return ("or", cluster, _reference_nnf(left, True), _reference_nnf(right, True))
+        if cluster is not None:
+            raise NegatedIndexedDisjunctionError(
+                "negation cannot apply over a disjunction with an explicit cluster ID",
+                position,
+            )
+        return ("and", _reference_nnf(left, False), _reference_nnf(right, False))
+    _, left, right, _position = node  # "imp"
+    if positive:
+        return ("or", None, _reference_nnf(left, False), _reference_nnf(right, True))
+    return ("and", _reference_nnf(left, True), _reference_nnf(right, False))
+
+
+def _reference_assign_ids(shaped, counter) -> Cirquent:
+    if shaped[0] == "lit":
+        return Literal(shaped[1], shaped[2])
+    if shaped[0] == "and":
+        return And(
+            _reference_assign_ids(shaped[1], counter), _reference_assign_ids(shaped[2], counter)
+        )
+    _, cluster, left, right = shaped
+    built_left = _reference_assign_ids(left, counter)
+    if cluster is None:
+        cluster = next(counter)
+    return Or(cluster, built_left, _reference_assign_ids(right, counter))

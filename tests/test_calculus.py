@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from helpers import (
     RULE_FAMILIES,
+    deep_chain,
     forward_steps,
     interpretations,
     match_step_reference,
@@ -16,6 +17,7 @@ from helpers import (
 )
 from ifp import (
     AXIOM,
+    And,
     CheckFailure,
     ConnectiveConstraintError,
     CopyMismatchError,
@@ -31,6 +33,7 @@ from ifp import (
     apply_rule_forward,
     atoms,
     check_proof,
+    cluster_map,
     cluster_struct_match,
     is_axiom,
     match_step,
@@ -44,6 +47,10 @@ from ifp import (
     true_under,
     valid,
 )
+
+P = Literal("p")
+Q = Literal("q")
+NOT_P = Literal("p", positive=False)
 
 # The six stages of the worked proof, axiom first.
 L1 = "((q&p)|(p&~q))|((q&~p)|(~p&~q))"
@@ -207,6 +214,14 @@ class TestBackward:
         assert completed.circ == "and"
         assert apply_rule_forward(premise, completed) == parse("(p|1 q)&(r|2 s)")
 
+    def test_rule_two_copies_a_deep_operand(self):
+        shared = replace_at(deep_chain(5000), ("L",) * 4999, Or(2, P, Q))
+        conclusion = And(Or(5, P, NOT_P), shared)
+        premise, completed = apply_rule_backward(conclusion, RuleApp("II-left", (), 5))
+        assert premise.left.right is shared
+        assert cluster_map(premise.right.right, shared) == {1: 1, 3: 2}
+        assert cluster_struct_match(apply_rule_forward(premise, completed), conclusion)
+
     def test_rule_two_right_mirrors(self):
         premise, completed = apply_rule_backward(
             parse("(r|2 s)&(p|1 q)"), RuleApp("II-right", (), 1)
@@ -328,6 +343,15 @@ class TestMatchStep:
         assert match_step(parse(L5), parse(L6), RuleHint(rule="III")) is None
         assert match_step(parse(L5), parse(L6), RuleHint(k=2)) is None
         assert match_step(parse(L5), parse(L6), RuleHint(hole_path=("L",))) is None
+
+    def test_hint_paths_that_address_no_candidate(self):
+        for hint in (
+            RuleHint(hole_path=("L", "L", "L")),  # a literal
+            RuleHint(hole_path=("L", "L", "L", "L")),  # through a literal
+            RuleHint("I-left", (), 1, ("R",)),  # a disjunction of cluster 2
+            RuleHint("I-left", (), 1, ("L", "L", "L")),  # through a literal
+        ):
+            assert match_step(parse(L5), parse(L6), hint) is None
 
     def test_unrelated_cirquents_do_not_match(self):
         assert match_step(parse(L1), parse(L3)) is None

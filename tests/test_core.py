@@ -97,6 +97,14 @@ class TestPaths:
         with pytest.raises(InvalidPathError):
             replace_at(P, ("L",), Q)
 
+    def test_replace_at_the_bottom_of_a_deep_chain(self):
+        c = deep_chain(5000)
+        bottom = ("L",) * 5000  # the atom p
+        swapped = replace_at(c, bottom, Q)
+        assert subcirquent_at(swapped, bottom) == Q
+        assert cluster_map(swapped, c) is None
+        assert cluster_map(replace_at(swapped, bottom, P), c) == {1: 1}
+
     def test_walk_is_preorder_left_first(self):
         c = And(Or(2, P, Q), NOT_P)
         visited = [path for path, _ in walk(c)]

@@ -1,14 +1,17 @@
 """Tests for parsing, printing, and the textual value formats."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from conftest import E1_TEXT, GOAL_TEXT
-from helpers import cirquents
+from helpers import cirquents, parse_prefix_reference, parse_reference, valid_cirquents
 from ifp import (
     AXIOM,
     And,
     DuplicateKeyError,
+    Invalid,
     Literal,
     NegatedIndexedDisjunctionError,
     NonpositiveClusterIdError,
@@ -20,6 +23,7 @@ from ifp import (
     canonicalize_ids,
     cluster_iso,
     clusters,
+    decide,
     format_interpretation,
     format_metaselection,
     format_path,
@@ -30,6 +34,9 @@ from ifp import (
     parse_proof,
     print_cirquent,
     print_proof,
+    prove,
+    syntax,
+    valid,
 )
 
 P = Literal("p")
@@ -116,6 +123,105 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse("p?q")
         assert info.value.position == 1
+
+
+def _formulas():
+    """Well-formed text: every operator, with and without IDs, spaces and groups."""
+    atoms = st.sampled_from(["p", "q", "~p", "r1", "s_2"])
+    operators = st.sampled_from(["&", "|", "->", "|1", "|2 ", "| 3", " & ", " -> "])
+    return st.recursive(
+        atoms,
+        lambda inner: st.tuples(
+            st.sampled_from(["{}", "({})", "~({})"]), inner, operators, inner
+        ).map(lambda t: t[0].format(t[1] + t[2] + t[3])),
+        max_leaves=10,
+    )
+
+
+def _spliced(parts):
+    text, piece, at = parts
+    return text[:at] + piece + text[at:]
+
+
+_TEXTS = st.one_of(
+    _formulas(),
+    # Negated as a whole: every "|k" inside is an error, the first in pre-order reported.
+    _formulas().map(lambda t: f"~({t})"),
+    # Two formulas side by side: a prefix ends where the second begins.
+    st.tuples(_formulas(), st.sampled_from(["", " ", " = "]), _formulas()).map("".join),
+    # A formula with something out of place.
+    st.tuples(
+        _formulas(), st.sampled_from(["", ")", "(", "3", "|0", "|01", "?", "-", "~"]), st.integers(0, 60)
+    ).map(_spliced),
+    # Tokens, whitespace, a non-ASCII digit and letter, and characters no token starts with.
+    st.text(alphabet="pq1_~()&|->= 0\t\u0663\u00e9?", max_size=24),
+)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as e:
+        return type(e), e.message, e.position
+
+
+class TestOnePassParser:
+    """The one-pass parser agrees with the recursive-descent reference on any text."""
+
+    @settings(max_examples=400)
+    @given(_TEXTS)
+    def test_parse_matches_the_reference(self, text):
+        assert _outcome(parse, text) == _outcome(parse_reference, text)
+
+    @settings(max_examples=400)
+    @given(_TEXTS)
+    def test_prefix_matches_the_reference(self, text):
+        assert _outcome(syntax._parse_prefix, text) == _outcome(parse_prefix_reference, text)
+
+    @given(valid_cirquents())
+    def test_parse_proof_matches_the_reference(self, goal):
+        text = print_proof(prove(goal))
+        with mock.patch.object(syntax, "_parse_prefix", parse_prefix_reference):
+            expected = parse_proof(text)
+        assert parse_proof(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, error, position",
+        [
+            ("(p q?", "unexpected character '?'", 4),  # before the syntax error at q
+            ("~((p|1 q)|2 r)", "negation cannot apply over a disjunction with an explicit cluster ID", 9),
+            ("(p|1 q)->(r|2 s)->~(t|3 u)", "negation cannot apply over a disjunction with an explicit cluster ID", 2),
+            ("~(p|1 q) ?", "unexpected character '?'", 9),
+            ("~(p|1 q) r", "unexpected 'r' after the formula", 9),
+        ],
+        ids=["alien-first", "pre-order", "arrow-operands", "alien-last", "trailing"],
+    )
+    def test_which_error_comes_first(self, text, error, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.message, info.value.position) == (error, position)
+
+    def test_where_a_prefix_stops(self):
+        assert syntax._parse_prefix("p|q rule=III |9 r") == (Or(1, P, Q), 4)
+        assert syntax._parse_prefix("p -> q = r -> s") == (Or(1, NOT_P, Q), 7)
+        assert syntax._parse_prefix("p|q r|9 s") == (Or(1, P, Q), 4)
+        assert syntax._parse_prefix("p|q p") == (Or(1, P, Q), 4)
+        assert syntax._parse_prefix("p -> q r -> s") == (Or(1, NOT_P, Q), 7)
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("(" * 100_000 + "p" + ")" * 100_000, "p"),
+            ("&".join(["p"] * 100_000), "(" * 99_998 + "p&p" + ")&p" * 99_998),
+        ],
+        ids=["parens", "conjuncts"],
+    )
+    def test_deep_input_needs_no_recursion(self, text, printed):
+        c = parse(text)
+        assert print_cirquent(c) == printed
+        assert not valid(c)
+        decision = decide(c)
+        assert isinstance(decision, Invalid) and decision.countermodel == {"p": False}
 
 
 class TestPrint:
