@@ -8,24 +8,27 @@ hole) and its cluster ID k.
 
 Rule I grows a disjunct of the key: some subcirquent A inside the key's
 left operand (I-left) or right operand (I-right) is replaced by "A | k B"
-(respectively "B | k A") for an arbitrary new subcirquent B.  Rule II
-pulls the key out of a shared connective: a premise whose key operands
-are "A o C" and "B o C", for the same connective o and matching copies of
-C, concludes "(A | k B) o C"; II-right is the mirror image with C on the
-left.  Rule III merges two keys: operands "A o C" and "B o D" conclude
-"(A | k B) o (C | k D)".
+(respectively "B | k A") for an arbitrary new subcirquent B.
 
-For rules II and III the displayed connective o must be the same on both
-sides: both conjunctions, or both disjunctions in one cluster, or two
-disjunctions that are each alone in their clusters.  The conclusion's o
-keeps the left occurrence's cluster ID.
+Rules II-left, II-right and III are one rewrite of a key whose operands
+are "A o C" and "B o D": the conclusion is one o whose left operand is
+either merged into the key ("A | k B") or kept as a shared copy (A, which
+B must copy), and likewise its right operand.  II-left merges the left
+and copies the right, concluding "(A | k B) o C"; II-right copies the
+left and merges the right; III merges both, concluding
+"(A | k B) o (C | k D)".  One table, ``_MERGED``, says which; the
+forward and the backward rewrite both read it.  The displayed
+connective o must be the same on both sides: both conjunctions, or both
+disjunctions in one cluster, or two disjunctions that are each alone in
+their clusters.  The conclusion's o keeps the left occurrence's cluster
+ID.
 
 Applied backward (conclusion to premise), rule I deletes a disjunct,
-rule II duplicates the shared operand, and rule III splits the two
-merged disjunctions apart.  Duplication and splitting give single-member
-clusters fresh IDs, smallest unused first, in the order the disjunction
-signs appear in the new text; multi-member clusters keep their IDs, so
-the grouping structure is preserved.
+and rules II and III split each merged operand apart and duplicate each
+copied one.  Duplication and splitting give single-member clusters
+fresh IDs, smallest unused first, in the order the disjunction signs
+appear in the new text; multi-member clusters keep their IDs, so the
+grouping structure is preserved.
 
 The checker reads each step's candidates off its conclusion and checks
 rule I by its inverse, rules II and III forward (``match_step`` says
@@ -41,10 +44,13 @@ from .core import (
     And,
     Cirquent,
     InvalidPathError,
+    LEFT_STEP,
     Literal,
     Or,
     Path,
+    RIGHT_STEP,
     cluster_map,
+    format_path,
     is_classical,
     map_clusters,
     members,
@@ -61,6 +67,11 @@ AXIOM = "axiom"
 AND_KIND = "and"
 SINGLETON_OR_KIND = "singleton-or"
 CLUSTER_OR_KIND = "or-in-cluster"
+
+# Rules II and III, by which operands of the displayed connective o the
+# conclusion merges into the key ("A |k B") rather than keeps as one
+# shared copy: (left operand merged, right operand merged).
+_MERGED = {"II-left": (True, False), "II-right": (False, True), "III": (True, True)}
 
 
 class RuleError(Exception):
@@ -182,11 +193,21 @@ def apply_rule_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, R
     the deleted disjunct for rule I, the connective classification for
     rules II and III.
     """
-    if app.rule in ("I-left", "I-right"):
-        return _backward_one(conclusion, app)
-    if app.rule in ("II-left", "II-right"):
-        return _backward_two(conclusion, app)
-    return _backward_three(conclusion, app)
+    if app.rule in _MERGED:
+        return _merge_backward(conclusion, app)
+    key = _key_or(conclusion, app.hole_path)
+    if key.cluster != app.k:
+        raise RuleError(
+            f"key at {format_path(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
+        )
+    inner, grown = _grown_position(key, app)
+    if not isinstance(grown, Or) or grown.cluster != app.k:
+        raise RuleError("the inner position must hold a disjunction in the key's cluster")
+    if app.rule == "I-left":
+        kept, dropped = grown.left, grown.right
+    else:
+        kept, dropped = grown.right, grown.left
+    return replace_at(conclusion, inner, kept), replace(app, new_subcirquent=dropped)
 
 
 def cluster_struct_match(c: Cirquent, d: Cirquent) -> bool:
@@ -232,7 +253,7 @@ def match_step(
     for app in _candidates_in(conclusion, hint or RuleHint()):
         try:
             if app.rule in ("I-left", "I-right"):
-                restored, completed = _backward_one(conclusion, app)
+                restored, completed = apply_rule_backward(conclusion, app)
                 if cluster_struct_match(restored, premise):
                     return completed
             else:
@@ -265,17 +286,13 @@ def check_proof(
     return None
 
 
-def _show(path: Path) -> str:
-    return "".join(path) or "."
-
-
 def _key_or(c: Cirquent, hole_path: Path) -> Or:
     try:
         node = subcirquent_at(c, hole_path)
     except InvalidPathError as e:
         raise RuleError(str(e)) from None
     if not isinstance(node, Or):
-        raise RuleError(f"no disjunction at {_show(hole_path)}")
+        raise RuleError(f"no disjunction at {format_path(hole_path)}")
     return node
 
 
@@ -287,7 +304,7 @@ def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
     counts = premise.summary.counts
     if counts[key.cluster] > 1 or counts.get(app.k, 0) > 1:
         raise RuleError(
-            f"key at {_show(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
+            f"key at {format_path(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
         )
     if app.k in counts:
         (holder,) = members(premise, app.k)
@@ -299,35 +316,37 @@ def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
 
 
 def _apply_forward(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Optional[str]]:
-    if app.rule in ("I-left", "I-right"):
-        return _forward_one(premise, app)
-    if app.rule in ("II-left", "II-right"):
-        return _forward_two(premise, app)
-    return _forward_three(premise, app)
-
-
-def _forward_one(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, None]:
-    if app.inner_path is None:
-        raise RuleError("rule I needs an inner position")
+    if app.rule in _MERGED:
+        return _merge_forward(premise, app)
     if app.new_subcirquent is None:
         raise RuleError("rule I needs the disjunct being introduced")
     aligned, key = _align_key(premise, app)
-    left_form = app.rule == "I-left"
-    host = key.left if left_form else key.right
-    try:
-        target = subcirquent_at(host, app.inner_path)
-    except InvalidPathError as e:
-        raise RuleError(str(e)) from None
-    if left_form:
+    inner, target = _grown_position(key, app)
+    if app.rule == "I-left":
         grown = Or(app.k, target, app.new_subcirquent)
     else:
         grown = Or(app.k, app.new_subcirquent, target)
-    new_host = replace_at(host, app.inner_path, grown)
-    if left_form:
-        new_key = Or(app.k, new_host, key.right)
+    return replace_at(aligned, inner, grown), None
+
+
+def _grown_position(key: Or, app: RuleApp) -> tuple[Path, Cirquent]:
+    """Rule I's inner position, from the root, and the node there.
+
+    ``key`` is the node at ``app.hole_path``; the inner path runs inside
+    its left operand for I-left, its right one for I-right.  Replacing
+    the node at the returned path rebuilds the key and the spine above.
+    """
+    if app.inner_path is None:
+        raise RuleError("rule I needs an inner position")
+    if app.rule == "I-left":
+        side, host = LEFT_STEP, key.left
     else:
-        new_key = Or(app.k, key.left, new_host)
-    return replace_at(aligned, app.hole_path, new_key), None
+        side, host = RIGHT_STEP, key.right
+    try:
+        node = subcirquent_at(host, app.inner_path)
+    except InvalidPathError as e:
+        raise RuleError(str(e)) from None
+    return app.hole_path + (side,) + app.inner_path, node
 
 
 def _circ_kind(c: Cirquent, n1: Cirquent, n2: Cirquent) -> str:
@@ -364,38 +383,20 @@ def _require_copies(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
         raise CopyMismatchError("the two copies of the shared operand disagree")
 
 
-def _like(template: Cirquent, left: Cirquent, right: Cirquent) -> Cirquent:
-    """A connective node of the template's type (and ID), with new operands."""
-    if isinstance(template, And):
-        return And(left, right)
-    return Or(template.cluster, left, right)
-
-
-def _forward_two(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, str]:
+def _merge_forward(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, str]:
+    """Rules II and III forward: one o of the merged operands and the checked copies."""
     aligned, key = _align_key(premise, app)
     n1, n2 = key.left, key.right
     kind = _circ_kind(aligned, n1, n2)
-    if app.rule == "II-left":
-        a, c1 = n1.left, n1.right
-        b, c2 = n2.left, n2.right
-        _require_copies(aligned, c1, c2)
-        merged = _like(n1, Or(app.k, a, b), c1)
-    else:
-        c1, a = n1.left, n1.right
-        c2, b = n2.left, n2.right
-        _require_copies(aligned, c1, c2)
-        merged = _like(n1, c1, Or(app.k, a, b))
-    return replace_at(aligned, app.hole_path, merged), kind
-
-
-def _forward_three(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, str]:
-    aligned, key = _align_key(premise, app)
-    n1, n2 = key.left, key.right
-    kind = _circ_kind(aligned, n1, n2)
-    a, c = n1.left, n1.right
-    b, d = n2.left, n2.right
-    merged = _like(n1, Or(app.k, a, b), Or(app.k, c, d))
-    return replace_at(aligned, app.hole_path, merged), kind
+    pieces = []
+    for merged, x, y in zip(_MERGED[app.rule], (n1.left, n1.right), (n2.left, n2.right)):
+        if merged:
+            pieces.append(Or(app.k, x, y))
+        else:
+            _require_copies(aligned, x, y)
+            pieces.append(x)
+    joined = And(*pieces) if kind == AND_KIND else Or(n1.cluster, *pieces)
+    return replace_at(aligned, app.hole_path, joined), kind
 
 
 class _Mint:
@@ -422,98 +423,45 @@ class _Mint:
         return map_clusters(c, lambda k: self.fresh() if k in self.singles else k)
 
 
-def _backward_one(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
-    if app.inner_path is None:
-        raise RuleError("rule I needs an inner position")
-    key = _key_or(conclusion, app.hole_path)
-    if key.cluster != app.k:
-        raise RuleError(
-            f"key at {_show(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
-        )
-    left_form = app.rule == "I-left"
-    host = key.left if left_form else key.right
-    try:
-        inner = subcirquent_at(host, app.inner_path)
-    except InvalidPathError as e:
-        raise RuleError(str(e)) from None
-    if not isinstance(inner, Or) or inner.cluster != app.k:
-        raise RuleError("the inner position must hold a disjunction in the key's cluster")
-    kept = inner.left if left_form else inner.right
-    dropped = inner.right if left_form else inner.left
-    new_host = replace_at(host, app.inner_path, kept)
-    if left_form:
-        new_key = Or(app.k, new_host, key.right)
-    else:
-        new_key = Or(app.k, key.left, new_host)
-    premise = replace_at(conclusion, app.hole_path, new_key)
-    return premise, replace(app, new_subcirquent=dropped)
+def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
+    """Rules II and III backward: split o's merged operands and duplicate its copied one.
 
-
-def _backward_two(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
+    The first copy takes each merged operand's left side and the copied
+    operand itself; the second takes the right sides and a freshened
+    copy.  Each copy is built left operand, connective, right operand,
+    so fresh IDs follow the text.  Rule II's first copy keeps the node's
+    ID; rule III gives both copies fresh IDs when the node is alone in
+    its cluster.
+    """
     node = subcirquent_at(conclusion, app.hole_path)
     if isinstance(node, Literal):
-        raise ShapeMismatchError(f"no connective at {_show(app.hole_path)}")
-    mint = _Mint(conclusion)
-    left_form = app.rule == "II-left"
-    key_in = node.left if left_form else node.right
-    if not isinstance(key_in, Or) or key_in.cluster != app.k:
-        side = "left" if left_form else "right"
-        raise RuleError(
-            f"rule {app.rule} needs the key disjunction as the {side} operand"
-        )
-    a, b = key_in.left, key_in.right
-    shared = node.right if left_form else node.left
-    if isinstance(node, And):
+        raise ShapeMismatchError(f"no connective at {format_path(app.hole_path)}")
+    left_merged, right_merged = _MERGED[app.rule]
+    left, right = node.left, node.right
+    for merged, operand in ((left_merged, left), (right_merged, right)):
+        if merged and not (isinstance(operand, Or) and operand.cluster == app.k):
+            raise RuleError(f"rule {app.rule} merges only disjunctions of cluster {app.k}")
+    conjunction = isinstance(node, And)
+    # Rule III under a conjunction mints no ID: skip the minter's set-up.
+    mint = None if conjunction and left_merged and right_merged else _Mint(conclusion)
+    if conjunction:
         kind = AND_KIND
-        if left_form:
-            parts = And(a, shared), And(b, mint.freshen(shared))
-        else:
-            parts = And(shared, a), And(mint.freshen(shared), b)
     else:
-        fresh_second = node.cluster in mint.singles
-        kind = SINGLETON_OR_KIND if fresh_second else CLUSTER_OR_KIND
-        if left_form:
-            # Second copy reads "B o C": its connective ID precedes C's.
-            second_id = mint.fresh() if fresh_second else node.cluster
-            parts = Or(node.cluster, a, shared), Or(second_id, b, mint.freshen(shared))
-        else:
-            # Second copy reads "C o B": C's IDs precede its connective ID.
-            copy = mint.freshen(shared)
-            second_id = mint.fresh() if fresh_second else node.cluster
-            parts = Or(node.cluster, shared, a), Or(second_id, copy, b)
-    premise = replace_at(conclusion, app.hole_path, Or(app.k, parts[0], parts[1]))
-    return premise, replace(app, circ=kind)
-
-
-def _backward_three(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
-    node = subcirquent_at(conclusion, app.hole_path)
-    if isinstance(node, Literal):
-        raise ShapeMismatchError(f"no connective at {_show(app.hole_path)}")
-    left_or, right_or = node.left, node.right
-    if (
-        not isinstance(left_or, Or)
-        or left_or.cluster != app.k
-        or not isinstance(right_or, Or)
-        or right_or.cluster != app.k
-    ):
-        raise RuleError(
-            "rule III needs both operands to be disjunctions in the key's cluster"
-        )
-    a, b = left_or.left, left_or.right
-    c, d = right_or.left, right_or.right
-    if isinstance(node, And):
-        kind = AND_KIND
-        parts = And(a, c), And(b, d)
+        fresh_ids = node.cluster in mint.singles
+        kind = SINGLETON_OR_KIND if fresh_ids else CLUSTER_OR_KIND
+        first_id = mint.fresh() if fresh_ids and left_merged and right_merged else node.cluster
+    first_left = left.left if left_merged else left
+    first_right = right.left if right_merged else right
+    second_left = left.right if left_merged else mint.freshen(left)
+    if not conjunction:
+        second_id = mint.fresh() if fresh_ids else node.cluster
+    second_right = right.right if right_merged else mint.freshen(right)
+    if conjunction:
+        first, second = And(first_left, first_right), And(second_left, second_right)
     else:
-        mint = _Mint(conclusion)
-        if node.cluster in mint.singles:
-            kind = SINGLETON_OR_KIND
-            first, second = mint.fresh(), mint.fresh()
-            parts = Or(first, a, c), Or(second, b, d)
-        else:
-            kind = CLUSTER_OR_KIND
-            parts = Or(node.cluster, a, c), Or(node.cluster, b, d)
-    premise = replace_at(conclusion, app.hole_path, Or(app.k, parts[0], parts[1]))
+        first = Or(first_id, first_left, first_right)
+        second = Or(second_id, second_left, second_right)
+    premise = replace_at(conclusion, app.hole_path, Or(app.k, first, second))
     return premise, replace(app, circ=kind)
 
 
@@ -532,8 +480,9 @@ def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
     for rule in RULES:
         if hint.rule not in (None, rule):
             continue
+        left_merged, right_merged = _MERGED.get(rule, (None, None))
         for hole, node in nodes:
-            if rule in ("I-left", "I-right"):
+            if left_merged is None:
                 if not isinstance(node, Or):
                     continue
                 k = node.cluster
@@ -545,11 +494,13 @@ def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
                     held = isinstance(inner, Or) and inner.cluster == k
                     inners = [hint.inner_path] if held else []
             else:
-                key = node.right if rule == "II-right" else node.left
+                key = node.left if left_merged else node.right
                 if not isinstance(key, Or):
                     continue
                 k = key.cluster
-                if rule == "III" and not (isinstance(node.right, Or) and node.right.cluster == k):
+                if left_merged and right_merged and not (
+                    isinstance(node.right, Or) and node.right.cluster == k
+                ):
                     continue
                 inners = [None]
             if hint.k not in (None, k) and counts[k] > 1:

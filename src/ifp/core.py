@@ -133,7 +133,7 @@ def subcirquent_at(c: Cirquent, path: Path) -> Cirquent:
     node = c
     for step in path:
         if isinstance(node, Literal):
-            raise InvalidPathError(f"path {_fmt(path)} steps through the literal {node}")
+            raise InvalidPathError(f"path {format_path(path)} steps through the literal {node}")
         if step == LEFT_STEP:
             node = node.left
         elif step == RIGHT_STEP:
@@ -149,7 +149,7 @@ def replace_at(c: Cirquent, path: Path, replacement: Cirquent) -> Cirquent:
     node = c
     for step in path:
         if isinstance(node, Literal):
-            raise InvalidPathError(f"path {_fmt(path[len(spine):])} steps through the literal {node}")
+            raise InvalidPathError(f"path {format_path(path[len(spine):])} steps through the literal {node}")
         spine.append(node)
         if step == LEFT_STEP:
             node = node.left
@@ -256,7 +256,7 @@ def level(c: Cirquent, path: Path) -> int:
     """
     node = subcirquent_at(c, path)
     if isinstance(node, Literal):
-        raise InvalidPathError(f"{_fmt(path)} addresses the literal {node}, not a connective")
+        raise InvalidPathError(f"{format_path(path)} addresses the literal {node}, not a connective")
     return len(path)
 
 
@@ -348,5 +348,6 @@ def map_clusters(c: Cirquent, rename: Callable[[int], int]) -> Cirquent:
         node = entry[0].right
 
 
-def _fmt(path: Path) -> str:
+def format_path(path: Path) -> str:
+    """Render a path; the empty path is a single dot."""
     return "".join(path) or "."

@@ -43,6 +43,7 @@ from .core import (
     Or,
     Path,
     RIGHT_STEP,
+    format_path,
     singleton_clusters,
 )
 
@@ -86,6 +87,18 @@ _EXPLICIT_ID = re.compile(r"\|\s*(\d+)")
 _REDUCE_FROM = {"&": 3, "|": 2, "->": 2, ")": 1}
 
 
+def _number(digits: str, position: Optional[int] = None, line: Optional[int] = None) -> int:
+    """The value of a run of decimal digits.
+
+    Python refuses to convert a run longer than its integer string
+    limit (4,300 digits by default); that is a ParseError here too.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a number of {len(digits)} digits is too long", position, line) from None
+
+
 def parse(text: str) -> Cirquent:
     """Parse one formula into a cirquent."""
     return _read(text, partial=False)[0]
@@ -108,7 +121,12 @@ def _read(text: str, partial: bool) -> tuple[Cirquent, int]:
     def where(i: int) -> int:  # the position of token i, for errors
         return scanned if i >= len(tokens) else next(islice(_SCAN.finditer(text), i, None)).start()
 
-    base = max(map(int, _EXPLICIT_ID.findall(text, 0, scanned)), default=0)
+    try:
+        base = max(map(int, _EXPLICIT_ID.findall(text, 0, scanned)), default=0)
+    except ValueError:  # report the first ID too long to convert, with its position
+        for m in _EXPLICIT_ID.finditer(text, 0, scanned):
+            _number(m[1], m.start(1))
+        raise
     lefts = _arrow_lefts(tokens) if "->" in text else set()
     c, used, top = _build(tokens, base, lefts, partial, where)
     if top != base:  # the largest explicit ID lies past the formula: number again
@@ -182,7 +200,7 @@ def _build(
             i += 1
         if token == "|" and tokens[i + 1].isdecimal():
             i += 1
-            cluster = int(tokens[i])
+            cluster = int(tokens[i])  # not too long: _read converted it first
             if tokens[i] != str(cluster):
                 raise ParseError("cluster IDs may not have leading zeros", where(i))
             if cluster < 1:
@@ -275,11 +293,6 @@ def print_cirquent(c: Cirquent, *, show_singleton_ids: bool = False) -> str:
     return "".join(pieces)
 
 
-def format_path(path: Path) -> str:
-    """Render a path; the empty path is a single dot."""
-    return "".join(path) or "."
-
-
 def parse_path(text: str) -> Path:
     """Parse a path: "." for the root, otherwise "L"/"R" steps.
 
@@ -317,11 +330,11 @@ def parse_metaselection(text: str) -> dict[int, str]:
     """Parse "1=left,2=right" into a metaselection."""
     result: dict[int, str] = {}
     for key, value in _assignments(text):
-        if not key.isdigit() or key != str(int(key)) or int(key) < 1:
+        cluster = _number(key) if key.isdecimal() else 0
+        if key != str(cluster) or cluster < 1:
             raise ParseError(f"bad cluster ID {key!r}")
         if value not in ("left", "right"):
             raise ParseError(f"sides are left or right, got {value!r}")
-        cluster = int(key)
         if cluster in result:
             raise DuplicateKeyError(f"cluster {cluster} is assigned twice")
         result[cluster] = value
@@ -372,9 +385,9 @@ def parse_proof(text: str) -> ProofScript:
         m = _ENTRY_NUMBER.match(line)
         if m is None:
             raise ParseError("an entry starts with its number and a dot", line=lineno)
-        if m.group(1) != str(int(m.group(1))):
+        number = _number(m.group(1), line=lineno)
+        if m.group(1) != str(number):
             raise ParseError("entry numbers may not have leading zeros", line=lineno)
-        number = int(m.group(1))
         if number != len(entries) + 1:
             raise ParseError(
                 f"expected entry {len(entries) + 1}, found {number}", line=lineno
@@ -405,9 +418,9 @@ def _parse_annotation(text: str, number: int) -> Optional[RuleHint]:
         raise ParseError("the first entry is an axiom, not a rule application")
     k = None
     if m.group("k") is not None:
-        if m.group("k") != str(int(m.group("k"))) or int(m.group("k")) < 1:
+        k = _number(m.group("k"))
+        if m.group("k") != str(k) or k < 1:
             raise ParseError(f"bad cluster ID {m.group('k')!r}")
-        k = int(m.group("k"))
     return RuleHint(
         rule=m.group("rule"),
         hole_path=parse_path(m.group("path")) if m.group("path") else None,

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dataclass_replace
 
 from hypothesis import assume, strategies as st
 
+import ifp.calculus as calculus
 from ifp import (
     RULES,
     And,
@@ -30,6 +31,7 @@ from ifp import (
     ReductionStep,
     RuleApp,
     RuleError,
+    ShapeMismatchError,
     TruthTable,
     apply_rule_backward,
     apply_rule_forward,
@@ -541,6 +543,175 @@ def forward_steps(rng, premise: Cirquent):
                     except RuleError:
                         continue
                     yield conclusion, app
+
+
+def apply_rule_forward_reference(premise: Cirquent, app: RuleApp):
+    """Rules forward as written one function per rule; returns ``(conclusion, circ)``.
+
+    Kept as the reference for the table that defines rules II and III
+    once; it shares the key alignment, the connective classification
+    and the copy check with the library.
+    """
+    if app.rule in ("I-left", "I-right"):
+        return _forward_one_reference(premise, app)
+    if app.rule in ("II-left", "II-right"):
+        return _forward_two_reference(premise, app)
+    return _forward_three_reference(premise, app)
+
+
+def apply_rule_backward_reference(conclusion: Cirquent, app: RuleApp):
+    """Rules backward as written one function per rule; returns ``(premise, completed)``."""
+    if app.rule in ("I-left", "I-right"):
+        return _backward_one_reference(conclusion, app)
+    if app.rule in ("II-left", "II-right"):
+        return _backward_two_reference(conclusion, app)
+    return _backward_three_reference(conclusion, app)
+
+
+def _forward_one_reference(premise: Cirquent, app: RuleApp):
+    if app.inner_path is None:
+        raise RuleError("rule I needs an inner position")
+    if app.new_subcirquent is None:
+        raise RuleError("rule I needs the disjunct being introduced")
+    aligned, key = calculus._align_key(premise, app)
+    left_form = app.rule == "I-left"
+    host = key.left if left_form else key.right
+    try:
+        target = subcirquent_at(host, app.inner_path)
+    except InvalidPathError as e:
+        raise RuleError(str(e)) from None
+    if left_form:
+        grown = Or(app.k, target, app.new_subcirquent)
+    else:
+        grown = Or(app.k, app.new_subcirquent, target)
+    new_host = replace_at(host, app.inner_path, grown)
+    if left_form:
+        new_key = Or(app.k, new_host, key.right)
+    else:
+        new_key = Or(app.k, key.left, new_host)
+    return replace_at(aligned, app.hole_path, new_key), None
+
+
+def _like_reference(template: Cirquent, left: Cirquent, right: Cirquent) -> Cirquent:
+    """A connective node of the template's type (and ID), with new operands."""
+    if isinstance(template, And):
+        return And(left, right)
+    return Or(template.cluster, left, right)
+
+
+def _forward_two_reference(premise: Cirquent, app: RuleApp):
+    aligned, key = calculus._align_key(premise, app)
+    n1, n2 = key.left, key.right
+    kind = calculus._circ_kind(aligned, n1, n2)
+    if app.rule == "II-left":
+        a, c1 = n1.left, n1.right
+        b, c2 = n2.left, n2.right
+        calculus._require_copies(aligned, c1, c2)
+        merged = _like_reference(n1, Or(app.k, a, b), c1)
+    else:
+        c1, a = n1.left, n1.right
+        c2, b = n2.left, n2.right
+        calculus._require_copies(aligned, c1, c2)
+        merged = _like_reference(n1, c1, Or(app.k, a, b))
+    return replace_at(aligned, app.hole_path, merged), kind
+
+
+def _forward_three_reference(premise: Cirquent, app: RuleApp):
+    aligned, key = calculus._align_key(premise, app)
+    n1, n2 = key.left, key.right
+    kind = calculus._circ_kind(aligned, n1, n2)
+    a, c = n1.left, n1.right
+    b, d = n2.left, n2.right
+    merged = _like_reference(n1, Or(app.k, a, b), Or(app.k, c, d))
+    return replace_at(aligned, app.hole_path, merged), kind
+
+
+def _backward_one_reference(conclusion: Cirquent, app: RuleApp):
+    if app.inner_path is None:
+        raise RuleError("rule I needs an inner position")
+    key = calculus._key_or(conclusion, app.hole_path)
+    if key.cluster != app.k:
+        raise RuleError(f"key at {app.hole_path} is in cluster {key.cluster}, not {app.k}")
+    left_form = app.rule == "I-left"
+    host = key.left if left_form else key.right
+    try:
+        inner = subcirquent_at(host, app.inner_path)
+    except InvalidPathError as e:
+        raise RuleError(str(e)) from None
+    if not isinstance(inner, Or) or inner.cluster != app.k:
+        raise RuleError("the inner position must hold a disjunction in the key's cluster")
+    kept = inner.left if left_form else inner.right
+    dropped = inner.right if left_form else inner.left
+    new_host = replace_at(host, app.inner_path, kept)
+    if left_form:
+        new_key = Or(app.k, new_host, key.right)
+    else:
+        new_key = Or(app.k, key.left, new_host)
+    premise = replace_at(conclusion, app.hole_path, new_key)
+    return premise, dataclass_replace(app, new_subcirquent=dropped)
+
+
+def _backward_two_reference(conclusion: Cirquent, app: RuleApp):
+    node = subcirquent_at(conclusion, app.hole_path)
+    if isinstance(node, Literal):
+        raise ShapeMismatchError(f"no connective at {app.hole_path}")
+    mint = calculus._Mint(conclusion)
+    left_form = app.rule == "II-left"
+    key_in = node.left if left_form else node.right
+    if not isinstance(key_in, Or) or key_in.cluster != app.k:
+        raise RuleError(f"rule {app.rule} needs the key disjunction as its operand")
+    a, b = key_in.left, key_in.right
+    shared = node.right if left_form else node.left
+    if isinstance(node, And):
+        kind = "and"
+        if left_form:
+            parts = And(a, shared), And(b, mint.freshen(shared))
+        else:
+            parts = And(shared, a), And(mint.freshen(shared), b)
+    else:
+        fresh_second = node.cluster in mint.singles
+        kind = "singleton-or" if fresh_second else "or-in-cluster"
+        if left_form:
+            # Second copy reads "B o C": its connective ID precedes C's.
+            second_id = mint.fresh() if fresh_second else node.cluster
+            parts = Or(node.cluster, a, shared), Or(second_id, b, mint.freshen(shared))
+        else:
+            # Second copy reads "C o B": C's IDs precede its connective ID.
+            copy = mint.freshen(shared)
+            second_id = mint.fresh() if fresh_second else node.cluster
+            parts = Or(node.cluster, shared, a), Or(second_id, copy, b)
+    premise = replace_at(conclusion, app.hole_path, Or(app.k, parts[0], parts[1]))
+    return premise, dataclass_replace(app, circ=kind)
+
+
+def _backward_three_reference(conclusion: Cirquent, app: RuleApp):
+    node = subcirquent_at(conclusion, app.hole_path)
+    if isinstance(node, Literal):
+        raise ShapeMismatchError(f"no connective at {app.hole_path}")
+    left_or, right_or = node.left, node.right
+    if (
+        not isinstance(left_or, Or)
+        or left_or.cluster != app.k
+        or not isinstance(right_or, Or)
+        or right_or.cluster != app.k
+    ):
+        raise RuleError("rule III needs both operands to be disjunctions in the key's cluster")
+    a, b = left_or.left, left_or.right
+    c, d = right_or.left, right_or.right
+    if isinstance(node, And):
+        kind = "and"
+        parts = And(a, c), And(b, d)
+    else:
+        mint = calculus._Mint(conclusion)
+        if node.cluster in mint.singles:
+            kind = "singleton-or"
+            first, second = mint.fresh(), mint.fresh()
+            parts = Or(first, a, c), Or(second, b, d)
+        else:
+            kind = "or-in-cluster"
+            parts = Or(node.cluster, a, c), Or(node.cluster, b, d)
+    premise = replace_at(conclusion, app.hole_path, Or(app.k, parts[0], parts[1]))
+    return premise, dataclass_replace(app, circ=kind)
 
 
 def interpretations(names):

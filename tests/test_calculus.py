@@ -5,8 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import ifp.calculus
 from helpers import (
     RULE_FAMILIES,
+    apply_rule_backward_reference,
+    apply_rule_forward_reference,
     deep_chain,
     forward_steps,
     interpretations,
@@ -21,6 +24,7 @@ from ifp import (
     CheckFailure,
     ConnectiveConstraintError,
     CopyMismatchError,
+    InvalidPathError,
     Literal,
     Or,
     ProofEntry,
@@ -39,6 +43,7 @@ from ifp import (
     match_step,
     or_positions,
     parse,
+    positions,
     parse_proof,
     print_proof,
     prove,
@@ -300,6 +305,82 @@ class TestBackward:
             names = atoms(premise) | atoms(conclusion)
             for i in interpretations(names):
                 assert true_under(premise, i) == true_under(conclusion, i)
+
+
+def _forward(premise, app):
+    """Forward application with the connective classification: ``(conclusion, circ)``."""
+    return ifp.calculus._apply_forward(premise, app)
+
+
+def _outcome(apply, c, app):
+    """The rule's result, or the class of the error it raises."""
+    try:
+        return apply(c, app)
+    except (RuleError, InvalidPathError) as e:
+        return type(e)
+
+
+def _every_application(rng, c):
+    """Every rule at every hole of ``c`` and at one path through a literal.
+
+    Each is tried under every ID of ``c`` and one unused; rule I with
+    inner paths that do and do not address a node.
+    """
+    ids = sorted(c.summary.counts)
+    ids.append(max(ids, default=0) + 1)
+    holes = positions(c)
+    holes.append(next(h for h in holes if isinstance(subcirquent_at(c, h), Literal)) + ("L",))
+    inners = [None] + holes
+    for hole in holes:
+        for rule in ("I-left", "I-right", "II-left", "II-right", "III"):
+            for k in ids:
+                for inner in inners if rule.startswith("I-") else (None, ("L",)):
+                    new = rng.choice((None, Literal("q"), Or(k, P, NOT_P)))
+                    yield RuleApp(rule, hole, k, inner, new)
+
+
+class TestRulesAgainstReference:
+    """The operand table gives what one function per rule gave: equal trees,
+    IDs included, the same classification and deleted disjunct, or the same
+    error class."""
+
+    @pytest.mark.parametrize("rule,kind", RULE_FAMILIES)
+    def test_rule_instances(self, rule, kind):
+        rng = random.Random(700 + RULE_FAMILIES.index((rule, kind)))
+        for _ in range(60):
+            conclusion, app = rand_rule_instance(rng, rule, kind)
+            premise, completed = apply_rule_backward(conclusion, app)
+            assert (premise, completed) == apply_rule_backward_reference(conclusion, app)
+            assert _forward(premise, completed) == apply_rule_forward_reference(premise, completed)
+
+    def test_forward_steps(self):
+        rng = random.Random(71)
+        steps = 0
+        for _ in range(60):
+            premise = rand_step_premise(rng)
+            for conclusion, app in forward_steps(rng, premise):
+                steps += 1
+                assert _forward(premise, app) == apply_rule_forward_reference(premise, app)
+                assert _outcome(apply_rule_backward, conclusion, app) == _outcome(
+                    apply_rule_backward_reference, conclusion, app
+                )
+        assert steps > 1000
+
+    def test_every_rule_at_every_hole(self):
+        rng = random.Random(72)
+        trees = [parse(text) for text in (L1, L2, L3, L4, L5, L6)]
+        trees += [rand_rule_instance(rng, rule, kind)[0] for rule, kind in RULE_FAMILIES]
+        trees += [rand_step_premise(rng) for _ in range(12)]
+        seen = set()
+        for c in trees:
+            for app in _every_application(rng, c):
+                forward = _outcome(_forward, c, app)
+                assert forward == _outcome(apply_rule_forward_reference, c, app)
+                backward = _outcome(apply_rule_backward, c, app)
+                assert backward == _outcome(apply_rule_backward_reference, c, app)
+                seen.update(x if isinstance(x, type) else "applied" for x in (forward, backward))
+        errors = {RuleError, ShapeMismatchError, CopyMismatchError, ConnectiveConstraintError}
+        assert seen == {"applied", InvalidPathError} | errors
 
 
 class TestClusterStructMatch:

@@ -205,6 +205,28 @@ class TestDeepInput:
         assert "Traceback" not in done.stderr
 
 
+BIG = "1" * 5000  # past Python's 4,300-digit limit on converting text to int
+
+
+class TestOverlongIntegers:
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["parse"], f"p|{BIG} q"),
+            (["eval", "--model", "p=1", "--metaselection", f"{BIG}=left"], "p|1 q"),
+            (["check"], f"1. p|{BIG} ~p\n"),
+            (["check"], f"1. p|~p axiom\n2. (p|~p)|q rule=I-left path=. k={BIG}\n"),
+            (["check"], f"{BIG}. p|~p\n"),
+        ],
+        ids=["formula", "metaselection", "proof-formula", "proof-annotation", "proof-entry-number"],
+    )
+    def test_exit_one_with_an_error(self, argv, source, capsys, monkeypatch):
+        code, out, err = run(argv, capsys, monkeypatch, stdin=source)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a number of 5000 digits is too long")
+        assert "Traceback" not in err
+
+
 class TestCompileCommand:
     def test_satisfiable_input(self, capsys, monkeypatch):
         code, out, _ = run(["compile"], capsys, monkeypatch, stdin="(p|q)&(~p|~q)")

@@ -124,6 +124,13 @@ class TestParseErrors:
             parse("p?q")
         assert info.value.position == 1
 
+    def test_an_id_too_long_to_convert_is_reported_where_it_starts(self):
+        big = "1" * 5000
+        with pytest.raises(ParseError) as info:
+            parse(f"(p|2 q)&(r|{big} s)")
+        assert info.value.position == 11
+        assert info.value.message == "a number of 5000 digits is too long"
+
 
 def _formulas():
     """Well-formed text: every operator, with and without IDs, spaces and groups."""
@@ -295,6 +302,10 @@ class TestValueFormats:
     def test_bad_metaselections(self, text):
         with pytest.raises(ParseError):
             parse_metaselection(text)
+
+    def test_a_superscript_digit_is_no_cluster_id(self):
+        with pytest.raises(ParseError, match="bad cluster ID"):
+            parse_metaselection("\u00b2=left")
 
     def test_metaselection_duplicate_cluster(self):
         with pytest.raises(DuplicateKeyError):
