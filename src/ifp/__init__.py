@@ -5,107 +5,59 @@ occurrences are partitioned into clusters; truth requires choosing one
 side per cluster, not per occurrence.  This package parses, prints,
 evaluates and decides cirquents, and synthesizes and checks proofs in a
 five-rule calculus whose axioms are classical tautologies.
+
+The names below are the public API, the ones README's Library section
+documents; everything else is imported from its submodule.
 """
 
 from .core import (
     And,
-    Cirquent,
-    InvalidPathError,
-    LEFT_STEP,
     Literal,
     Or,
-    Path,
-    RIGHT_STEP,
-    ROOT,
-    atoms,
     canonicalize_ids,
+    cluster_ids,
     cluster_iso,
     cluster_map,
+    cluster_size,
     clusters,
-    format_path,
-    is_classical,
-    level,
+    first_nested,
     members,
-    nearest_common_ancestor,
-    node_count,
-    or_positions,
+    multi_member,
     positions,
     replace_at,
     singleton_clusters,
     subcirquent_at,
-    walk,
 )
 from .semantics import (
-    DEFAULT_MAX_ATOMS,
-    DEFAULT_MAX_CLUSTERS,
-    Interpretation,
-    Metaselection,
-    MissingAtomError,
-    MissingClusterError,
     TooLargeError,
-    TruthTable,
     compile_classical,
     countermodel,
-    ensure_within_bounds,
     metatrue,
     true_under,
     truth_table,
     valid,
-    witness_metaselection,
 )
 from .calculus import (
-    AND_KIND,
-    AXIOM,
-    CLUSTER_OR_KIND,
-    CheckFailure,
-    ConnectiveConstraintError,
-    CopyMismatchError,
     ProofEntry,
     ProofScript,
-    RULES,
     RuleApp,
     RuleError,
-    RuleHint,
-    SINGLETON_OR_KIND,
-    ShapeMismatchError,
     apply_rule_backward,
     apply_rule_forward,
     check_proof,
     cluster_struct_match,
-    is_axiom,
     match_step,
 )
-from .syntax import (
-    DuplicateKeyError,
-    NegatedIndexedDisjunctionError,
-    NonpositiveClusterIdError,
-    ParseError,
-    format_interpretation,
-    format_metaselection,
-    parse,
-    parse_interpretation,
-    parse_metaselection,
-    parse_path,
-    parse_proof,
-    print_cirquent,
-    print_proof,
-)
+from .syntax import ParseError, parse, parse_proof, print_cirquent, print_proof
 from .prover import (
-    Decision,
     Derivation,
     Invalid,
-    PreconditionError,
-    ReductionInvariantError,
-    ReductionStep,
     StateTuple,
     Valid,
     decide,
-    eliminate_nested,
-    nested_pairs,
     prove,
     reduce_to_classical,
     resolve_cluster,
-    state_tuple,
 )
 
 __version__ = "0.1.0"

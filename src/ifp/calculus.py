@@ -49,11 +49,14 @@ from .core import (
     Or,
     Path,
     RIGHT_STEP,
+    cluster_ids,
     cluster_map,
+    cluster_size,
     format_path,
     is_classical,
     map_clusters,
     members,
+    multi_member,
     replace_at,
     singleton_clusters,
     subcirquent_at,
@@ -222,7 +225,7 @@ def cluster_struct_match(c: Cirquent, d: Cirquent) -> bool:
     mapping = cluster_map(c, d)
     if mapping is None:
         return False
-    return all(mapping[k] == k for k, n in c.summary.counts.items() if n > 1)
+    return all(mapping[k] == k for k in multi_member(c))
 
 
 def match_step(
@@ -301,15 +304,16 @@ def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
     key = _key_or(premise, app.hole_path)
     if key.cluster == app.k:
         return premise, key
-    counts = premise.summary.counts
-    if counts[key.cluster] > 1 or counts.get(app.k, 0) > 1:
+    holders = cluster_size(premise, app.k)
+    if holders > 1 or cluster_size(premise, key.cluster) > 1:
         raise RuleError(
             f"key at {format_path(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
         )
-    if app.k in counts:
+    if holders:
         (holder,) = members(premise, app.k)
         moved = subcirquent_at(premise, holder)
-        premise = replace_at(premise, holder, Or(max(counts) + 1, moved.left, moved.right))
+        unused = max(cluster_ids(premise)) + 1
+        premise = replace_at(premise, holder, Or(unused, moved.left, moved.right))
         key = subcirquent_at(premise, app.hole_path)
     renamed = Or(app.k, key.left, key.right)
     return replace_at(premise, app.hole_path, renamed), renamed
@@ -403,20 +407,23 @@ class _Mint:
     """Hands out fresh cluster IDs against a conclusion's ID budget.
 
     Each call to ``fresh`` returns the smallest positive integer not yet
-    in use; ``freshen`` copies a subcirquent, renaming every disjunction
-    whose cluster is a singleton of the conclusion, in the order the
-    disjunction signs appear in the text.
+    in use; the used set only grows, so each scan resumes where the last
+    one stopped.  ``freshen`` copies a subcirquent, renaming every
+    disjunction whose cluster is a singleton of the conclusion, in the
+    order the disjunction signs appear in the text.
     """
 
     def __init__(self, conclusion: Cirquent):
-        self.used = set(conclusion.summary.counts)
+        self.used = set(cluster_ids(conclusion))
         self.singles = singleton_clusters(conclusion)
+        self.lowest = 1  # no ID below this one is free
 
     def fresh(self) -> int:
-        n = 1
+        n = self.lowest
         while n in self.used:
             n += 1
         self.used.add(n)
+        self.lowest = n + 1
         return n
 
     def freshen(self, c: Cirquent) -> Cirquent:
@@ -471,7 +478,6 @@ def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
     A hinted hole or inner position is looked up by its path, not found
     by a walk.
     """
-    counts = conclusion.summary.counts
     if hint.hole_path is None:
         nodes = [(hole, node) for hole, node in walk(conclusion) if not isinstance(node, Literal)]
     else:
@@ -503,7 +509,7 @@ def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
                 ):
                     continue
                 inners = [None]
-            if hint.k not in (None, k) and counts[k] > 1:
+            if hint.k not in (None, k) and cluster_size(conclusion, k) > 1:
                 continue
             for inner in inners:
                 yield RuleApp(rule, hole, k, inner_path=inner)

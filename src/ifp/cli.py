@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _command(commands, "valid", "Decide validity by exhausting interpretations.")
     p.add_argument(
-        "--max-atoms", type=int, help="override the brute-force size bound on atoms"
+        "--max-atoms", type=_bound, help="override the brute-force size bound on atoms"
     )
 
     p = _command(commands, "prove", "Synthesize a checkable proof of a valid formula.")
@@ -112,6 +112,17 @@ def _command(commands, name: str, help_text: str) -> argparse.ArgumentParser:
     )
     sub.set_defaults(handler=globals()[f"_cmd_{name}"])
     return sub
+
+
+def _bound(text: str) -> int:
+    """A size bound: a nonnegative integer, or a usage error."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"a bound must be a nonnegative integer, got {text!r}")
 
 
 def _read_source(args) -> str:

@@ -10,12 +10,15 @@ Positions inside a cirquent are addressed by paths: tuples of "L"/"R" steps
 from the root.  A path may end at any node, literals included, but may not
 step through a literal.
 
-Every node has a ``summary``: how many disjunctions of each cluster lie
-beneath it (itself included) and whether it is free of same-cluster
+Every node caches a ``summary``: how many disjunctions of each cluster
+lie beneath it (itself included) and whether it is free of same-cluster
 nesting.  A connective computes its summary on first use and keeps it;
 nodes are immutable and a rewrite shares every subtree it leaves alone,
 so a rebuilt cirquent computes summaries only along the rebuilt spine.
-Summaries are shared between nodes and must never be mutated.
+The summary is this module's private cache: other modules ask
+``cluster_size``, ``cluster_ids``, ``multi_member``,
+``singleton_clusters``, ``is_classical``, ``members`` and
+``first_nested`` instead of reading it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, KeysView, Mapping, NamedTuple, Union
 
 LEFT_STEP = "L"
 RIGHT_STEP = "R"
@@ -218,6 +221,21 @@ def members(c: Cirquent, k: int) -> list[Path]:
     return found
 
 
+def cluster_size(c: Cirquent, k: int) -> int:
+    """How many disjunctions of cluster ``k`` ``c`` holds; 0 when none."""
+    return c.summary.counts.get(k, 0)
+
+
+def cluster_ids(c: Cirquent) -> KeysView[int]:
+    """The IDs of every cluster of ``c``, as a read-only view."""
+    return c.summary.counts.keys()
+
+
+def multi_member(c: Cirquent) -> dict[int, int]:
+    """Each cluster with more than one member, mapped to its size."""
+    return {k: n for k, n in c.summary.counts.items() if n > 1}
+
+
 def singleton_clusters(c: Cirquent) -> set[int]:
     """IDs of the clusters with exactly one member."""
     return {k for k, n in c.summary.counts.items() if n == 1}
@@ -226,6 +244,28 @@ def singleton_clusters(c: Cirquent) -> set[int]:
 def is_classical(c: Cirquent) -> bool:
     """True when every cluster is a singleton, i.e. the cirquent is an ordinary formula."""
     return all(n == 1 for n in c.summary.counts.values())
+
+
+def first_nested(c: Cirquent) -> tuple[Path, Path] | None:
+    """The first same-cluster (outer, inner) disjunction pair in path order, or None.
+
+    Pairs are ordered by the outer position, then the inner one.  The
+    descent follows the cached nesting flags from the root to the first
+    disjunction with a member of its own cluster beneath it, then the
+    cached counts to the first such member, so it costs O(depth), and
+    nothing when the root is nesting-free.
+    """
+    if c.summary.nesting_free:
+        return None
+    outer, node = [], c
+    while not (isinstance(node, Or) and node.summary.counts[node.cluster] > 1):
+        outer.append(RIGHT_STEP if node.left.summary.nesting_free else LEFT_STEP)
+        node = node.right if outer[-1] == RIGHT_STEP else node.left
+    k, inner, below = node.cluster, [], node
+    while not inner or not (isinstance(below, Or) and below.cluster == k):
+        inner.append(LEFT_STEP if k in below.left.summary.counts else RIGHT_STEP)
+        below = below.left if inner[-1] == LEFT_STEP else below.right
+    return tuple(outer), tuple(outer + inner)
 
 
 def atoms(c: Cirquent) -> set[str]:

@@ -17,9 +17,9 @@ requires the cirquent to be free of same-cluster nesting and the
 resolved cluster's size to account exactly for the step taken (rule II
 leaves it unchanged, rule III shrinks it by one).  Violations raise
 ReductionInvariantError rather than producing a bad proof.  These checks
-read the cluster counts and nesting flag cached on each node, so a
-step's cost follows the depth of the spine it rebuilt, not the size of
-the residue.
+ask ``core``'s cluster queries, which read summaries cached on each
+node, so a step's cost follows the depth of the spine it rebuilt, not
+the size of the residue.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from .calculus import (
 from .core import (
     Cirquent,
     LEFT_STEP,
-    Literal,
-    Or,
     Path,
     RIGHT_STEP,
-    ROOT,
+    cluster_size,
+    first_nested,
     is_classical,
     level,
     members,
+    multi_member,
     subcirquent_at,
 )
 from .semantics import (
@@ -98,15 +98,15 @@ def state_tuple(
     c: Cirquent, k: int, tracked: int, a: Path, b: Optional[Path] = None
 ) -> StateTuple:
     """The progress measure of ``c`` while resolving cluster ``k``."""
-    counts = c.summary.counts
-    size = counts.get(k, 0)
+    size = cluster_size(c, k)
     if tracked == 2:
         if b is None:
             raise ValueError("tracking two members needs both positions")
         depth = level(c, a) + level(c, b)
     else:
         depth = level(c, a) - 1
-    outside = sum(n for kid, n in counts.items() if kid != k and n > 1)
+    multi = multi_member(c)
+    outside = sum(multi.values()) - multi.get(k, 0)
     return StateTuple(size, size - tracked, depth, outside, tracked)
 
 
@@ -149,58 +149,21 @@ class Invalid:
 Decision = Union[Valid, Invalid]
 
 
-def nested_pairs(c: Cirquent) -> list[tuple[Path, Path]]:
-    """Same-cluster (ancestor, descendant) disjunction pairs, in path order.
-
-    One depth-first pass; ``above`` holds the (cluster, path) of every
-    disjunction enclosing the current node, and a None on the work stack
-    marks where the innermost of them is left behind.
-    """
-    pairs = []
-    above: list[tuple[int, Path]] = []
-    todo: list = [(ROOT, c)]
-    while todo:
-        item = todo.pop()
-        if item is None:
-            above.pop()
-            continue
-        path, node = item
-        if isinstance(node, Literal):
-            continue
-        if isinstance(node, Or):
-            pairs.extend((outer, path) for k, outer in above if k == node.cluster)
-            above.append((node.cluster, path))
-            todo.append(None)
-        todo.append((path + (RIGHT_STEP,), node.right))
-        todo.append((path + (LEFT_STEP,), node.left))
-    pairs.sort()
-    return pairs
-
-
 def eliminate_nested(c: Cirquent) -> tuple[Cirquent, tuple[ReductionStep, ...]]:
     """Rule I backward until no cluster member sits inside another.
 
-    The first pair ``nested_pairs`` would list goes first, found by
-    descending from the root along the cached nesting flags to the first
-    disjunction with a member of its own cluster beneath it, then along
-    the cached counts to the first such member, in O(depth).  The nested
+    Each step takes the pair ``first_nested`` returns.  The nested
     disjunction keeps the operand on the side where it sits (left under
     the ancestor's left operand, right under its right) and the other
     disjunct is deleted, recorded on the step for replay.
     """
     steps: list[ReductionStep] = []
     current = c
-    while not current.summary.nesting_free:
-        outer, node = [], current
-        while not (isinstance(node, Or) and node.summary.counts[node.cluster] > 1):
-            outer.append(RIGHT_STEP if node.left.summary.nesting_free else LEFT_STEP)
-            node = node.right if outer[-1] == RIGHT_STEP else node.left
-        k, inner, below = node.cluster, [], node
-        while not inner or not (isinstance(below, Or) and below.cluster == k):
-            inner.append(LEFT_STEP if k in below.left.summary.counts else RIGHT_STEP)
-            below = below.left if inner[-1] == LEFT_STEP else below.right
-        rule = "I-left" if inner[0] == LEFT_STEP else "I-right"
-        app = RuleApp(rule, tuple(outer), k, inner_path=tuple(inner[1:]))
+    while (pair := first_nested(current)) is not None:
+        outer, inner = pair
+        k = subcirquent_at(current, outer).cluster
+        rule = "I-left" if inner[len(outer)] == LEFT_STEP else "I-right"
+        app = RuleApp(rule, outer, k, inner_path=inner[len(outer) + 1 :])
         current, completed = apply_rule_backward(current, app)
         steps.append(ReductionStep(completed, current))
     return current, tuple(steps)
@@ -218,14 +181,14 @@ def resolve_cluster(
     least two members.  Returns the result, the steps, and the recorded
     state-tuple trace.
     """
-    if not c.summary.nesting_free:
+    if first_nested(c) is not None:
         raise PreconditionError("same-cluster nesting must be eliminated first")
-    if c.summary.counts.get(k, 0) < 2:
+    if cluster_size(c, k) < 2:
         raise PreconditionError(f"cluster {k} already has a single member")
     steps: list[ReductionStep] = []
     trace: list[StateTuple] = []
     current = c
-    while current.summary.counts.get(k, 0) > 1:
+    while cluster_size(current, k) > 1:
         a, b, meet = _pick_pair(current, k)
         trace.append(state_tuple(current, k, 2, a, b))
         while len(a) > len(meet) + 1:
@@ -234,12 +197,12 @@ def resolve_cluster(
         while len(b) > len(meet) + 1:
             current, b = _lift_once(current, k, b, steps)
             trace.append(state_tuple(current, k, 2, a, b))
-        size_before = current.summary.counts[k]
+        size_before = cluster_size(current, k)
         current, completed = apply_rule_backward(current, RuleApp("III", meet, k))
         steps.append(ReductionStep(completed, current))
-        if current.summary.counts.get(k, 0) != size_before - 1:
+        if cluster_size(current, k) != size_before - 1:
             raise ReductionInvariantError("merging must shrink the cluster by one")
-        if not current.summary.nesting_free:
+        if first_nested(current) is not None:
             raise ReductionInvariantError("merging re-introduced same-cluster nesting")
         trace.append(state_tuple(current, k, 1, meet))
     _require_decreasing(trace)
@@ -279,17 +242,17 @@ def _lift_once(
     side = member[-1]
     other = RIGHT_STEP if side == LEFT_STEP else LEFT_STEP
     sibling = subcirquent_at(current, parent + (other,))
-    if k in sibling.summary.counts:
+    if cluster_size(sibling, k):
         raise ReductionInvariantError(
             "the operand being duplicated holds a member of the cluster"
         )
     rule = "II-left" if side == LEFT_STEP else "II-right"
-    size_before = current.summary.counts[k]
+    size_before = cluster_size(current, k)
     result, completed = apply_rule_backward(current, RuleApp(rule, parent, k))
     steps.append(ReductionStep(completed, result))
-    if result.summary.counts.get(k, 0) != size_before:
+    if cluster_size(result, k) != size_before:
         raise ReductionInvariantError("lifting must leave the cluster size unchanged")
-    if not result.summary.nesting_free:
+    if first_nested(result) is not None:
         raise ReductionInvariantError("lifting re-introduced same-cluster nesting")
     return result, parent
 
@@ -312,7 +275,7 @@ def reduce_to_classical(c: Cirquent) -> Derivation:
     steps = list(nested_steps)
     traces = []
     while True:
-        k = min((kid for kid, n in current.summary.counts.items() if n > 1), default=None)
+        k = min(multi_member(current), default=None)
         if k is None:
             break
         current, more, trace = resolve_cluster(current, k)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .core import And, Cirquent, Literal, Or, atoms
+from .core import And, Cirquent, Literal, Or, atoms, cluster_ids, multi_member
 
 LEFT = "left"
 RIGHT = "right"
@@ -55,7 +55,7 @@ def ensure_within_bounds(
     atom_bound = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
     cluster_bound = DEFAULT_MAX_CLUSTERS if max_clusters is None else max_clusters
     names = sorted(atoms(c))
-    n_multi = sum(1 for n in c.summary.counts.values() if n > 1)
+    n_multi = len(multi_member(c))
     if len(names) > atom_bound:
         raise TooLargeError(f"{len(names)} atoms exceeds the bound of {atom_bound}")
     if n_multi > cluster_bound:
@@ -69,7 +69,7 @@ def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Map
     Each atom and cluster of ``c`` needs a value, even one the outcome does not depend
     on; extra keys in either mapping are ignored.
     """
-    missing = c.summary.counts.keys() - metaselection.keys()
+    missing = cluster_ids(c) - metaselection.keys()
     if missing:
         raise MissingClusterError(f"no side for cluster {min(missing)}")
     return not _false_rows(c, (), interpretation, metaselection)[0]
@@ -83,7 +83,7 @@ def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
 def witness_metaselection(c: Cirquent, interpretation: Mapping[str, bool]) -> Metaselection | None:
     """The lexicographically first metaselection of all clusters making ``c`` metatrue, if any."""
     chosen = {}
-    for k in sorted(c.summary.counts):
+    for k in sorted(cluster_ids(c)):
         chosen[k] = LEFT
         if _false_rows(c, (), interpretation, chosen)[0]:
             chosen[k] = RIGHT
@@ -166,7 +166,7 @@ def _false_rows(c: Cirquent, names: Sequence[str], values: Mapping, fixed: Mappi
             block, shift = _false_rows(c, tail, {**values, **dict(zip(head, head_values))}, fixed)
             false |= block << (i << (len(tail) + shift))
         return false, shift
-    multi = sorted([k for k, n in c.summary.counts.items() if n > 1 and k not in fixed])
+    multi = sorted([k for k in multi_member(c) if k not in fixed])
     cut = min(len(multi), len(names) + len(multi) - _VECTOR_BITS)
     if cut > 0:  # enumerate the first clusters: a row is false if no choice makes it true
         false = -1

@@ -16,31 +16,21 @@ from hypothesis import assume, strategies as st
 
 import ifp.calculus as calculus
 from ifp import (
-    RULES,
     And,
-    Cirquent,
-    CopyMismatchError,
-    InvalidPathError,
     Literal,
-    MissingAtomError,
-    MissingClusterError,
-    NegatedIndexedDisjunctionError,
-    NonpositiveClusterIdError,
     Or,
     ParseError,
-    ReductionStep,
     RuleApp,
     RuleError,
-    ShapeMismatchError,
-    TruthTable,
     apply_rule_backward,
     apply_rule_forward,
-    atoms,
+    cluster_ids,
+    cluster_size,
     cluster_struct_match,
     clusters,
+    first_nested,
     members,
-    nested_pairs,
-    or_positions,
+    multi_member,
     parse,
     positions,
     replace_at,
@@ -48,6 +38,11 @@ from ifp import (
     subcirquent_at,
     valid,
 )
+from ifp.calculus import RULES, CopyMismatchError, ShapeMismatchError
+from ifp.core import Cirquent, InvalidPathError, atoms, or_positions
+from ifp.prover import ReductionStep
+from ifp.semantics import MissingAtomError, MissingClusterError, TruthTable
+from ifp.syntax import NegatedIndexedDisjunctionError, NonpositiveClusterIdError
 
 ATOMS3 = ("p", "q", "r")
 ATOMS4 = ("p", "q", "r", "s")
@@ -174,6 +169,28 @@ def cirquents(max_leaves: int = 6, atom_names=ATOMS3, max_cluster: int = 3):
         ),
         max_leaves=max_leaves,
     )
+
+
+@st.composite
+def nested_cirquents(draw, max_leaves: int = 10, max_cluster: int = 3):
+    """A hypothesis strategy producing cirquents with shared and nested clusters.
+
+    A drawn cirquent gets up to three more disjunctions, each put
+    somewhere beneath a disjunction, in that disjunction's cluster, with
+    a small drawn cirquent as its other operand.
+    """
+    c = draw(cirquents(max_leaves, max_cluster=max_cluster))
+    for _ in range(draw(st.integers(0, 3))):
+        hosts = or_positions(c)
+        if not hosts:
+            break
+        host = draw(st.sampled_from(hosts))
+        below = [p for p in positions(c) if len(p) > len(host) and p[: len(host)] == host]
+        target = draw(st.sampled_from(below))
+        node, extra = subcirquent_at(c, target), draw(cirquents(2, max_cluster=max_cluster))
+        operands = (node, extra) if draw(st.booleans()) else (extra, node)
+        c = replace_at(c, target, Or(subcirquent_at(c, host).cluster, *operands))
+    return c
 
 
 @st.composite
@@ -305,12 +322,36 @@ def nested_family(d: int, valid: bool) -> Cirquent:
     return parse(f"({side(False)})|({side(valid)})")
 
 
+def nested_pairs_reference(c: Cirquent) -> list:
+    """Every pair of same-cluster disjunctions, one inside the other, by a double loop."""
+    occurrences = [(p, subcirquent_at(c, p).cluster) for p in or_positions(c)]
+    pairs = []
+    for outer, outer_cluster in occurrences:
+        for inner, inner_cluster in occurrences:
+            if (
+                inner_cluster == outer_cluster
+                and len(inner) > len(outer)
+                and inner[: len(outer)] == outer
+            ):
+                pairs.append((outer, inner))
+    pairs.sort()
+    return pairs
+
+
 def assert_summary_matches_walk(c: Cirquent) -> None:
-    """The cached summary and ``members`` agree with a fresh full walk."""
+    """The cached summary and the cluster queries agree with a fresh full walk."""
     table = clusters(c)
-    assert dict(c.summary.counts) == {k: len(v) for k, v in table.items()}
-    assert c.summary.nesting_free == (not nested_pairs(c))
+    sizes = {k: len(v) for k, v in table.items()}
+    pairs = nested_pairs_reference(c)
+    assert dict(c.summary.counts) == sizes
+    assert c.summary.nesting_free == (not pairs)
+    assert sorted(cluster_ids(c)) == sorted(sizes)
+    assert multi_member(c) == {k: n for k, n in sizes.items() if n > 1}
+    assert singleton_clusters(c) == {k for k, n in sizes.items() if n == 1}
+    assert first_nested(c) == (pairs[0] if pairs else None)
+    assert cluster_size(c, max(sizes, default=0) + 1) == 0
     for k, positions_of_k in table.items():
+        assert cluster_size(c, k) == len(positions_of_k)
         assert members(c, k) == sorted(positions_of_k)
 
 
@@ -382,11 +423,11 @@ def require_copies_reference(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
 
 
 def eliminate_nested_reference(c: Cirquent):
-    """Rule I backward on the first pair ``nested_pairs`` lists, recomputed after each step."""
+    """Rule I backward on the first pair ``nested_pairs_reference`` lists, recomputed after each step."""
     steps = []
     current = c
     while True:
-        pairs = nested_pairs(current)
+        pairs = nested_pairs_reference(current)
         if not pairs:
             return current, tuple(steps)
         outer, inner = pairs[0]
@@ -459,7 +500,6 @@ def match_step_reference(premise: Cirquent, conclusion: Cirquent, hint=None):
     conclusion up to renaming of single-member clusters.  Returns the
     candidate without its connective classification, or None.
     """
-    counts = premise.summary.counts
     for rule in RULES:
         if hint is not None and hint.rule is not None and hint.rule != rule:
             continue
@@ -468,9 +508,9 @@ def match_step_reference(premise: Cirquent, conclusion: Cirquent, hint=None):
                 continue
             kp = subcirquent_at(premise, hole).cluster
             ks = [kp]
-            if counts[kp] == 1:
+            if cluster_size(premise, kp) == 1:
                 kc = _conclusion_key_id(conclusion, rule, hole)
-                if kc is not None and kc != kp and kc not in counts:
+                if kc is not None and kc != kp and not cluster_size(premise, kc):
                     ks = sorted({kp, kc})
             for k in ks:
                 if hint is not None and hint.k is not None and hint.k != k:
@@ -527,7 +567,7 @@ def forward_steps(rng, premise: Cirquent):
     not; rule I tries every inner position, each with a random new
     disjunct whose IDs may coincide with the premise's.
     """
-    ids = sorted(premise.summary.counts)
+    ids = sorted(cluster_ids(premise))
     ids.append(max(ids, default=0) + 1)
     for hole in or_positions(premise):
         key = subcirquent_at(premise, hole)

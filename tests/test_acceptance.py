@@ -22,19 +22,16 @@ from helpers import (
     strictly_decreasing,
 )
 from ifp import (
-    AXIOM,
     Valid,
     apply_rule_backward,
-    atoms,
     canonicalize_ids,
     check_proof,
     cluster_iso,
     clusters,
     compile_classical,
     decide,
+    first_nested,
     metatrue,
-    nested_pairs,
-    node_count,
     parse,
     parse_proof,
     print_cirquent,
@@ -44,6 +41,8 @@ from ifp import (
     truth_table,
     valid,
 )
+from ifp.calculus import AXIOM
+from ifp.core import atoms, node_count
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -88,7 +87,7 @@ def corpus():
         for index, step in enumerate(derivation.steps):
             if index >= derivation.lead_in:
                 stats["merge_steps"] += 1
-                if nested_pairs(step.result):
+                if first_nested(step.result) is not None:
                     stats["nested_intermediates"] += 1
 
     for c in all_cirquents(3):

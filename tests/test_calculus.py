@@ -14,34 +14,27 @@ from helpers import (
     forward_steps,
     interpretations,
     match_step_reference,
+    rand_cirquent,
     rand_rule_instance,
     rand_step_premise,
     valid_cirquents,
 )
 from ifp import (
-    AXIOM,
     And,
-    CheckFailure,
-    ConnectiveConstraintError,
-    CopyMismatchError,
-    InvalidPathError,
     Literal,
     Or,
     ProofEntry,
     ProofScript,
     RuleApp,
     RuleError,
-    RuleHint,
-    ShapeMismatchError,
     apply_rule_backward,
     apply_rule_forward,
-    atoms,
     check_proof,
+    cluster_ids,
     cluster_map,
     cluster_struct_match,
-    is_axiom,
+    clusters,
     match_step,
-    or_positions,
     parse,
     positions,
     parse_proof,
@@ -52,6 +45,16 @@ from ifp import (
     true_under,
     valid,
 )
+from ifp.calculus import (
+    AXIOM,
+    CheckFailure,
+    ConnectiveConstraintError,
+    CopyMismatchError,
+    RuleHint,
+    ShapeMismatchError,
+    is_axiom,
+)
+from ifp.core import InvalidPathError, atoms, or_positions
 
 P = Literal("p")
 Q = Literal("q")
@@ -326,7 +329,7 @@ def _every_application(rng, c):
     Each is tried under every ID of ``c`` and one unused; rule I with
     inner paths that do and do not address a node.
     """
-    ids = sorted(c.summary.counts)
+    ids = sorted(cluster_ids(c))
     ids.append(max(ids, default=0) + 1)
     holes = positions(c)
     holes.append(next(h for h in holes if isinstance(subcirquent_at(c, h), Literal)) + ("L",))
@@ -381,6 +384,19 @@ class TestRulesAgainstReference:
                 seen.update(x if isinstance(x, type) else "applied" for x in (forward, backward))
         errors = {RuleError, ShapeMismatchError, CopyMismatchError, ConnectiveConstraintError}
         assert seen == {"applied", InvalidPathError} | errors
+
+
+class TestMint:
+    def test_fresh_returns_the_smallest_unused_id_each_time(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            conclusion = rand_cirquent(rng, rng.randint(1, 8), max_cluster=9)
+            mint = ifp.calculus._Mint(conclusion)
+            used = set(clusters(conclusion))
+            for _ in range(8):
+                expected = min(set(range(1, len(used) + 2)) - used)
+                assert mint.fresh() == expected
+                used.add(expected)
 
 
 class TestClusterStructMatch:

@@ -97,6 +97,18 @@ class TestValidCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("bound", ["-1", "-20", "x"])
+    def test_a_bound_that_is_no_nonnegative_integer_is_a_usage_error(
+        self, bound, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO("p|1 q"))
+        with pytest.raises(SystemExit) as info:
+            main(["valid", "--max-atoms", bound])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("usage:")
+        assert "exceeds the bound" not in err
+
     @pytest.mark.parametrize("command", ["valid", "decide"])
     def test_single_member_clusters_are_not_bounded(self, command, capsys, monkeypatch):
         # 21 disjunctions, each alone in its cluster.

@@ -1,5 +1,9 @@
 """Tests for the cirquent tree: paths, clusters, isomorphism."""
 
+import pathlib
+import re
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,33 +14,36 @@ from helpers import (
     cluster_iso_reference,
     cluster_struct_match_reference,
     deep_chain,
+    nested_cirquents,
     rename_clusters,
     require_copies_reference,
 )
 from ifp import (
     And,
-    CopyMismatchError,
-    InvalidPathError,
     Literal,
     Or,
-    ROOT,
-    atoms,
     canonicalize_ids,
     cluster_iso,
     cluster_map,
     cluster_struct_match,
     clusters,
-    is_classical,
-    level,
     members,
-    nearest_common_ancestor,
-    node_count,
-    or_positions,
     parse,
     positions,
     replace_at,
     singleton_clusters,
     subcirquent_at,
+)
+from ifp.calculus import CopyMismatchError
+from ifp.core import (
+    InvalidPathError,
+    ROOT,
+    atoms,
+    is_classical,
+    level,
+    nearest_common_ancestor,
+    node_count,
+    or_positions,
     walk,
 )
 
@@ -275,6 +282,22 @@ class TestSummaries:
         assert dict(rebuilt.summary.counts) == {1: 2, 2: 2}
         assert dict(goal.summary.counts) == {1: 3, 2: 2}
 
-    @given(cirquents(max_leaves=8))
+    @given(st.one_of(cirquents(max_leaves=8), nested_cirquents()))
     def test_summary_matches_a_fresh_walk(self, c):
         assert_summary_matches_walk(c)
+
+
+class TestPublicApi:
+    def test_the_package_exports_what_the_readme_documents(self):
+        """Documented: a library name in backticks, bare or called, in README's Library section."""
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        library = readme.read_text(encoding="utf-8").split("## Library")[1].split("\n## ")[0]
+        documented = set(re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", library))
+        exported = {
+            name
+            for name, value in vars(ifp).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        modules = (ifp.core, ifp.semantics, ifp.calculus, ifp.syntax, ifp.prover)
+        library_names = {name for module in modules for name in vars(module)}
+        assert exported == documented & library_names

@@ -3,78 +3,64 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import C1_TEXT, GOAL_TEXT
 from helpers import (
     assert_summary_matches_walk,
     cirquents,
     eliminate_nested_reference,
+    nested_cirquents,
     nested_family,
+    nested_pairs_reference,
     rand_cirquent,
     strictly_decreasing,
 )
 from ifp import (
     Invalid,
     Literal,
-    PreconditionError,
     StateTuple,
     TooLargeError,
     Valid,
     check_proof,
+    cluster_ids,
     decide,
-    eliminate_nested,
-    is_classical,
-    nested_pairs,
-    or_positions,
+    first_nested,
     parse,
     print_proof,
     prove,
     reduce_to_classical,
     resolve_cluster,
-    state_tuple,
-    subcirquent_at,
     true_under,
     valid,
 )
-
-
-def nested_pairs_reference(c):
-    """Every pair of same-cluster disjunctions, one inside the other, by a double loop."""
-    occurrences = [(p, subcirquent_at(c, p).cluster) for p in or_positions(c)]
-    pairs = []
-    for outer, outer_cluster in occurrences:
-        for inner, inner_cluster in occurrences:
-            if (
-                inner_cluster == outer_cluster
-                and len(inner) > len(outer)
-                and inner[: len(outer)] == outer
-            ):
-                pairs.append((outer, inner))
-    pairs.sort()
-    return pairs
+from ifp.core import is_classical
+from ifp.prover import PreconditionError, eliminate_nested, state_tuple
 
 
 class TestNestedPairs:
     def test_ancestor_descendant_pairs_in_one_cluster(self, goal):
-        assert nested_pairs(goal) == [((), ("L", "L")), ((), ("R", "R"))]
+        assert nested_pairs_reference(goal) == [((), ("L", "L")), ((), ("R", "R"))]
+        assert first_nested(goal) == ((), ("L", "L"))
 
     def test_unrelated_members_are_not_nested(self, c1, e4):
-        assert nested_pairs(c1) == []
-        assert nested_pairs(e4) == []
+        assert first_nested(c1) is None
+        assert first_nested(e4) is None
 
     def test_chains_pair_every_ancestor(self):
         c = parse("((p|1 q)|1 r)|1(s|2(p|2 q))")
-        assert nested_pairs(c) == nested_pairs_reference(c) == [
+        assert nested_pairs_reference(c) == [
             ((), ("L",)),
             ((), ("L", "L")),
             (("L",), ("L", "L")),
             (("R",), ("R", "R")),
         ]
+        assert first_nested(c) == ((), ("L",))
 
-    @given(cirquents(max_leaves=10, max_cluster=2))
+    @given(st.one_of(cirquents(max_leaves=10, max_cluster=2), nested_cirquents()))
     def test_one_pass_matches_the_double_loop(self, c):
-        assert nested_pairs(c) == nested_pairs_reference(c)
+        pairs = nested_pairs_reference(c)
+        assert first_nested(c) == (pairs[0] if pairs else None)
 
 
 class TestEliminateNested:
@@ -125,7 +111,7 @@ class TestResolveCluster:
     def test_every_intermediate_is_nesting_free(self, e1):
         _, steps, _ = resolve_cluster(e1, 1)
         for step in steps:
-            assert nested_pairs(step.result) == []
+            assert nested_pairs_reference(step.result) == []
 
 
 class TestStateTuples:
@@ -257,7 +243,7 @@ class TestDecideBounds:
         # 12 clusters in the goal, 23 single-member ones in its residue.
         x = "&".join(f"(x{i}|~x{i})" for i in range(5))
         c = parse(f"({x}&(p|1 q))|((~p|1 ~q)&{x})")
-        assert len(reduce_to_classical(c).final.summary.counts) > 20
+        assert len(cluster_ids(reduce_to_classical(c).final)) > 20
         decision = decide(c)
         assert isinstance(decision, Valid)
         assert check_proof(decision.proof) is None
@@ -283,4 +269,4 @@ class TestRandomized:
             for trace in derivation.traces:
                 assert strictly_decreasing(trace)
             for step in derivation.steps[derivation.lead_in:]:
-                assert nested_pairs(step.result) == []
+                assert nested_pairs_reference(step.result) == []

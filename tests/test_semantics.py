@@ -26,23 +26,25 @@ from helpers import (
 from ifp import (
     And,
     Literal,
-    MissingAtomError,
-    MissingClusterError,
     Or,
     TooLargeError,
-    TruthTable,
-    atoms,
     clusters,
     compile_classical,
     countermodel,
-    ensure_within_bounds,
-    is_axiom,
     metatrue,
     parse,
     print_cirquent,
     true_under,
     truth_table,
     valid,
+)
+from ifp.calculus import is_axiom
+from ifp.core import atoms
+from ifp.semantics import (
+    MissingAtomError,
+    MissingClusterError,
+    TruthTable,
+    ensure_within_bounds,
     witness_metaselection,
 )
 

@@ -8,35 +8,36 @@ from hypothesis import given, settings, strategies as st
 from conftest import E1_TEXT, GOAL_TEXT
 from helpers import cirquents, parse_prefix_reference, parse_reference, valid_cirquents
 from ifp import (
-    AXIOM,
     And,
-    DuplicateKeyError,
     Invalid,
     Literal,
-    NegatedIndexedDisjunctionError,
-    NonpositiveClusterIdError,
     Or,
     ParseError,
     ProofEntry,
     ProofScript,
-    RuleHint,
     canonicalize_ids,
     cluster_iso,
     clusters,
     decide,
-    format_interpretation,
-    format_metaselection,
-    format_path,
     parse,
-    parse_interpretation,
-    parse_metaselection,
-    parse_path,
     parse_proof,
     print_cirquent,
     print_proof,
     prove,
     syntax,
     valid,
+)
+from ifp.calculus import AXIOM, RuleHint
+from ifp.core import format_path
+from ifp.syntax import (
+    DuplicateKeyError,
+    NegatedIndexedDisjunctionError,
+    NonpositiveClusterIdError,
+    format_interpretation,
+    format_metaselection,
+    parse_interpretation,
+    parse_metaselection,
+    parse_path,
 )
 
 P = Literal("p")
