@@ -287,37 +287,6 @@ def _nodes(c: Cirquent) -> list[Cirquent]:
     return nodes
 
 
-def level(c: Cirquent, path: Path) -> int:
-    """Number of connectives strictly above the connective at ``path``.
-
-    Every strict ancestor of a connective node is itself a connective, so
-    this is the path length; the walk is still performed to validate the
-    path and reject literal positions.
-    """
-    node = subcirquent_at(c, path)
-    if isinstance(node, Literal):
-        raise InvalidPathError(f"{format_path(path)} addresses the literal {node}, not a connective")
-    return len(path)
-
-
-def nearest_common_ancestor(c: Cirquent, a: Path, b: Path) -> Path:
-    """Path of the deepest node that lies on both paths.
-
-    When one path is a prefix of the other, the shorter path is returned.
-    The two paths must be distinct and valid for ``c``.
-    """
-    if a == b:
-        raise InvalidPathError("nearest common ancestor needs two distinct positions")
-    subcirquent_at(c, a)
-    subcirquent_at(c, b)
-    common = []
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        common.append(x)
-    return tuple(common)
-
-
 def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
     """``c``'s cluster IDs mapped to ``d``'s, or None when no renaming fits.
 

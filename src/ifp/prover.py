@@ -43,7 +43,6 @@ from .core import (
     cluster_size,
     first_nested,
     is_classical,
-    level,
     members,
     multi_member,
     subcirquent_at,
@@ -69,12 +68,12 @@ class StateTuple:
     """Progress measure for resolving one cluster.
 
     While two members are tracked (``tracked`` is 2), ``depth_weight``
-    is the sum of their levels; once they are merged (``tracked`` is 1),
-    it is the merged member's level minus one, which is -1 when the
-    merge landed on the root.  ``pending`` is the cluster size minus the
-    tracked count, and ``outside_load`` is the total membership of every
-    other multi-member cluster.  Steps must decrease ``measure``
-    strictly in lexicographic order.
+    is the sum of their path lengths; once they are merged (``tracked``
+    is 1), it is the merged member's path length minus one, which is -1
+    when the merge landed on the root.  ``pending`` is the cluster size
+    minus the tracked count, and ``outside_load`` is the total
+    membership of every other multi-member cluster.  Steps must decrease
+    ``measure`` strictly in lexicographic order.
     """
 
     cluster_size: int
@@ -94,17 +93,14 @@ class StateTuple:
         )
 
 
-def state_tuple(
-    c: Cirquent, k: int, tracked: int, a: Path, b: Optional[Path] = None
-) -> StateTuple:
-    """The progress measure of ``c`` while resolving cluster ``k``."""
+def state_tuple(c: Cirquent, k: int, a: Path, b: Optional[Path] = None) -> StateTuple:
+    """The progress measure of ``c`` while resolving cluster ``k``.
+
+    ``a`` and ``b`` are the paths of the two tracked members; ``b`` is
+    None once they are merged and ``a`` is the merged member's path.
+    """
     size = cluster_size(c, k)
-    if tracked == 2:
-        if b is None:
-            raise ValueError("tracking two members needs both positions")
-        depth = level(c, a) + level(c, b)
-    else:
-        depth = level(c, a) - 1
+    tracked, depth = (1, len(a) - 1) if b is None else (2, len(a) + len(b))
     multi = multi_member(c)
     outside = sum(multi.values()) - multi.get(k, 0)
     return StateTuple(size, size - tracked, depth, outside, tracked)
@@ -190,13 +186,13 @@ def resolve_cluster(
     current = c
     while cluster_size(current, k) > 1:
         a, b, meet = _pick_pair(current, k)
-        trace.append(state_tuple(current, k, 2, a, b))
+        trace.append(state_tuple(current, k, a, b))
         while len(a) > len(meet) + 1:
             current, a = _lift_once(current, k, a, steps)
-            trace.append(state_tuple(current, k, 2, a, b))
+            trace.append(state_tuple(current, k, a, b))
         while len(b) > len(meet) + 1:
             current, b = _lift_once(current, k, b, steps)
-            trace.append(state_tuple(current, k, 2, a, b))
+            trace.append(state_tuple(current, k, a, b))
         size_before = cluster_size(current, k)
         current, completed = apply_rule_backward(current, RuleApp("III", meet, k))
         steps.append(ReductionStep(completed, current))
@@ -204,7 +200,7 @@ def resolve_cluster(
             raise ReductionInvariantError("merging must shrink the cluster by one")
         if first_nested(current) is not None:
             raise ReductionInvariantError("merging re-introduced same-cluster nesting")
-        trace.append(state_tuple(current, k, 1, meet))
+        trace.append(state_tuple(current, k, meet))
     _require_decreasing(trace)
     return current, tuple(steps), tuple(trace)
 

@@ -12,7 +12,7 @@ interpretation and metaselection of the multi-member clusters; truth is
 monotone, so a single-member cluster's choice is just ``|``.  Order is
 fixed: atoms sorted by name (the first is the most significant bit),
 cluster IDs ascending, false before true, "left" before "right", so
-first witnesses and countermodels are deterministic.
+countermodels are deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ DEFAULT_MAX_CLUSTERS = 20
 _VECTOR_BITS = 20  # a vector holds at most 2**20 bits
 
 Interpretation = dict[str, bool]
-Metaselection = dict[int, str]
 
 
 class MissingAtomError(Exception):
@@ -78,16 +77,6 @@ def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Map
 def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
     """True when some metaselection makes the cirquent metatrue; every atom needs a value."""
     return not _false_rows(c, (), interpretation, {})[0]
-
-
-def witness_metaselection(c: Cirquent, interpretation: Mapping[str, bool]) -> Metaselection | None:
-    """The lexicographically first metaselection of all clusters making ``c`` metatrue, if any."""
-    chosen = {}
-    for k in sorted(cluster_ids(c)):
-        chosen[k] = LEFT
-        if _false_rows(c, (), interpretation, chosen)[0]:
-            chosen[k] = RIGHT
-    return None if _false_rows(c, (), interpretation, chosen)[0] else chosen
 
 
 def valid(c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None) -> bool:

@@ -341,10 +341,6 @@ def parse_metaselection(text: str) -> dict[int, str]:
     return result
 
 
-def format_metaselection(metaselection: dict[int, str]) -> str:
-    return ",".join(f"{k}={side}" for k, side in sorted(metaselection.items()))
-
-
 def _assignments(text: str) -> list[tuple[str, str]]:
     if not text.strip():
         return []

@@ -797,14 +797,6 @@ def true_under_reference(c: Cirquent, interpretation) -> bool:
     return any(metatrue_reference(c, interpretation, f) for f in metaselections(clusters(c)))
 
 
-def witness_metaselection_reference(c: Cirquent, interpretation):
-    """The first metaselection over every cluster that is metatrue, or None."""
-    for f in metaselections(clusters(c)):
-        if metatrue_reference(c, interpretation, f):
-            return f
-    return None
-
-
 def valid_reference(c: Cirquent) -> bool:
     """Every interpretation makes ``c`` true."""
     return all(true_under_reference(c, i) for i in interpretations(atoms(c)))

@@ -4,10 +4,14 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ifp
 from conftest import GOAL_TEXT, X_TEXT
@@ -283,3 +287,63 @@ class TestDecideCommand:
         assert payload["status"] == "valid"
         assert len(payload["proof"]) == 6
         assert payload["proof"][0].endswith("axiom")
+
+
+def call(argv, stdin):
+    """Run ``main`` on ``stdin`` outside pytest's fixtures; return (code, stdout)."""
+    out = io.StringIO()
+    with mock.patch.multiple("sys", stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue()
+
+
+# Formula tokens over three atoms, and the pieces of a proof file's lines.
+TOKENS = (
+    "p", "q", "r", "~", "&", "|", "|0", "|1", "|2", "->", "(", ")", " ", "\n",
+    "1. ", "axiom", "rule=III", " path=L", " k=2", " inner=.",
+)
+COMMANDS = (
+    ["parse"],
+    ["parse", "--canonical"],
+    ["eval", "--model", "p=1,q=0,r=1"],
+    ["valid"],
+    ["decide"],
+    ["prove"],
+    ["check"],
+    ["check", "--infer"],
+    ["compile"],
+)
+
+
+class TestGeneratedText:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=30).map("".join))
+    def test_no_exception_escapes_main(self, text):
+        for argv in COMMANDS:
+            code, _ = call(argv, text)
+            assert code in (0, 1, 2), (argv, text)
+
+
+def readme_examples():
+    """Each ``$ echo '<text>' | ifp <args>`` in README's Command line block, with its output lines."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    examples = []
+    for chunk in block.split("\n$ "):
+        command, *shown = chunk.removeprefix("$ ").rstrip("\n").split("\n")
+        found = re.fullmatch(r"echo '(.*)' \| ifp (.*)", command)
+        if found:
+            examples.append((found.group(1) + "\n", shlex.split(found.group(2)), shown))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_commands_print_what_readme_shows(self):
+        examples = readme_examples()
+        assert len(examples) >= 9
+        for stdin, argv, shown in examples:
+            _, out = call(argv, stdin)
+            assert out.splitlines() == shown, argv

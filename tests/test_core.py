@@ -40,8 +40,6 @@ from ifp.core import (
     ROOT,
     atoms,
     is_classical,
-    level,
-    nearest_common_ancestor,
     node_count,
     or_positions,
     walk,
@@ -120,17 +118,6 @@ class TestPaths:
 
     def test_or_positions_in_path_order(self, goal):
         assert or_positions(goal) == [(), ("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]
-
-    def test_level_counts_steps(self, goal):
-        assert level(goal, ROOT) == 0
-        assert level(goal, ("L", "R")) == 2
-        with pytest.raises(InvalidPathError):
-            level(goal, ("R", "L", "R"))
-
-    def test_nearest_common_ancestor(self, goal):
-        assert nearest_common_ancestor(goal, ("L", "L"), ("L", "R")) == ("L",)
-        assert nearest_common_ancestor(goal, ("L", "L"), ("R", "R")) == ROOT
-        assert nearest_common_ancestor(goal, ("L",), ("L", "R")) == ("L",)
 
 
 class TestClusters:

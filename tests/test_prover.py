@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import C1_TEXT, GOAL_TEXT
 from helpers import (
@@ -15,6 +15,7 @@ from helpers import (
     nested_pairs_reference,
     rand_cirquent,
     strictly_decreasing,
+    valid_cirquents,
 )
 from ifp import (
     Invalid,
@@ -27,6 +28,7 @@ from ifp import (
     decide,
     first_nested,
     parse,
+    parse_proof,
     print_proof,
     prove,
     reduce_to_classical,
@@ -121,14 +123,14 @@ class TestStateTuples:
         assert entry.measure == (3, 1, 4, 2)
 
     def test_computed_from_positions(self, c1):
-        entry = state_tuple(c1, 2, 2, ("L", "R"), ("R", "L"))
+        entry = state_tuple(c1, 2, ("L", "R"), ("R", "L"))
         assert entry == StateTuple(2, 0, 4, 0, 2)
 
     def test_merged_at_the_root_weighs_minus_one(self, c1):
-        assert state_tuple(c1, 2, 1, ()).depth_weight == -1
+        assert state_tuple(c1, 2, ()).depth_weight == -1
 
     def test_counts_other_multi_member_clusters(self, goal):
-        entry = state_tuple(goal, 2, 2, ("L", "R"), ("R", "L"))
+        entry = state_tuple(goal, 2, ("L", "R"), ("R", "L"))
         assert entry.outside_load == 3
 
 
@@ -249,17 +251,33 @@ class TestDecideBounds:
         assert check_proof(decision.proof) is None
 
 
+def assert_decided_correctly(c):
+    """``decide`` agrees with brute force, and its proof or countermodel holds up."""
+    decision = decide(c)
+    assert isinstance(decision, Valid) == valid(c)
+    if isinstance(decision, Valid):
+        assert check_proof(decision.proof) is None
+        assert check_proof(parse_proof(print_proof(decision.proof))) is None
+    else:
+        assert not true_under(c, decision.countermodel)
+
+
 class TestRandomized:
     def test_decide_agrees_with_brute_force_on_random_cirquents(self):
         rng = random.Random(11)
         for _ in range(60):
-            c = rand_cirquent(rng, rng.randint(1, 6))
-            decision = decide(c)
-            assert isinstance(decision, Valid) == valid(c)
-            if isinstance(decision, Valid):
-                assert check_proof(decision.proof) is None
-            else:
-                assert not true_under(c, decision.countermodel)
+            assert_decided_correctly(rand_cirquent(rng, rng.randint(1, 6)))
+
+    def test_decide_agrees_with_brute_force_at_eight_to_twelve_connectives(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            max_cluster = rng.choice((2, 3, 4, 6))
+            assert_decided_correctly(rand_cirquent(rng, rng.randint(8, 12), max_cluster=max_cluster))
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_cirquents(max_leaves=6))
+    def test_decide_proves_larger_valid_cirquents(self, c):
+        assert_decided_correctly(c)
 
     def test_reduction_traces_decrease_and_stay_nesting_free(self):
         rng = random.Random(12)

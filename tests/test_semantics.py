@@ -21,7 +21,6 @@ from helpers import (
     true_under_reference,
     truth_table_reference,
     valid_reference,
-    witness_metaselection_reference,
 )
 from ifp import (
     And,
@@ -45,7 +44,6 @@ from ifp.semantics import (
     MissingClusterError,
     TruthTable,
     ensure_within_bounds,
-    witness_metaselection,
 )
 
 P = Literal("p")
@@ -86,12 +84,7 @@ class TestMetatrue:
     def test_true_under_and_witness(self, e4):
         i = {"p": False, "q": True, "r": True, "s": True}
         assert true_under(e4, i)
-        f = witness_metaselection(e4, i)
-        assert f == {1: "right"}
-        assert metatrue(e4, i, f)
-
-    def test_witness_is_none_when_false(self, x_pair):
-        assert witness_metaselection(x_pair, {"p": True, "q": True}) is None
+        assert metatrue(e4, i, {1: "right"})
 
 
 class TestValidity:
@@ -249,8 +242,6 @@ class TestEvaluator:
             metatrue(And(Literal("p", False), Q), {"p": True}, {})
         with pytest.raises(MissingAtomError):
             true_under(Or(1, P, Q), {"p": True})
-        with pytest.raises(MissingAtomError):
-            witness_metaselection(Or(1, P, Q), {"p": True})
 
     def test_missing_clusters_are_reported_whatever_the_values(self):
         c = Or(1, P, Or(2, Q, Q))
@@ -273,7 +264,6 @@ class TestEvaluator:
             assert truth_table(c) == truth_table_reference(c)
             for i in interpretations(atoms(c)):
                 assert true_under(c, i) == true_under_reference(c, i)
-                assert witness_metaselection(c, i) == witness_metaselection_reference(c, i)
                 f = {k: rng.choice(("left", "right")) for k in clusters(c)}
                 assert metatrue(c, i, f) == metatrue_reference(c, i, f)
 

@@ -34,7 +34,6 @@ from ifp.syntax import (
     NegatedIndexedDisjunctionError,
     NonpositiveClusterIdError,
     format_interpretation,
-    format_metaselection,
     parse_interpretation,
     parse_metaselection,
     parse_path,
@@ -297,7 +296,6 @@ class TestValueFormats:
 
     def test_metaselections(self):
         assert parse_metaselection("1=left,2=right") == {1: "left", 2: "right"}
-        assert format_metaselection({2: "right", 1: "left"}) == "1=left,2=right"
 
     @pytest.mark.parametrize("text", ["0=left", "1=up", "x=left", "1 left"])
     def test_bad_metaselections(self, text):
