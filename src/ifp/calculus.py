@@ -33,6 +33,13 @@ grouping structure is preserved.
 The checker reads each step's candidates off its conclusion and checks
 rule I by its inverse, rules II and III forward (``match_step`` says
 why).  Single-member IDs are not printed, so no check compares them.
+Each candidate is compared with its proof entry by ``cluster_map``,
+which skips the subtrees both sides share and checks soundly that the
+rest of the walk moved none of their IDs.  A rewrite rebuilds only the
+path to what it changes, so a proof that ``decide`` or ``prove`` builds
+in memory shares every other subtree between neighbouring entries, and
+a step's check walks the rebuilt paths, not the whole tree.  Parsed
+proofs share nothing, and each step compares whole trees.
 """
 
 from __future__ import annotations
@@ -221,11 +228,17 @@ def cluster_struct_match(c: Cirquent, d: Cirquent) -> bool:
     both sides.  Single-member clusters match regardless of their IDs,
     which is exactly the freedom the printed form exercises when it
     omits them.
+
+    The clusters are read off ``d``, which the checker passes as the
+    proof entry: its summary is cached and serves the next step too,
+    while ``c``, the cirquent rebuilt for the comparison, then needs
+    none.  The map is a bijection that keeps cluster sizes, so reading
+    them off either side gives the same answer.
     """
-    mapping = cluster_map(c, d)
+    mapping = cluster_map(d, c)
     if mapping is None:
         return False
-    return all(mapping[k] == k for k in multi_member(c))
+    return all(mapping[k] == k for k in multi_member(d))
 
 
 def match_step(

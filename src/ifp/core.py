@@ -294,12 +294,25 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
     connective at every position), and the IDs of corresponding
     disjunctions must pair off one to one.  The walk keeps a stack of
     node pairs, so depth costs no recursion.
+
+    A subtree that both sides share (the same object, as a rewrite
+    leaves it) matches itself without being entered.  Walked, it would
+    map each of its IDs to itself, so it fits unless the rest of the
+    walk moved one of its IDs (sent it elsewhere, or sent another ID to
+    it); its cached summary says which IDs it holds.  The result is the
+    full walk's, and comparing a rewrite with its source costs the
+    rebuilt spine, not the whole tree.
     """
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
+    shared = []
     stack = [(c, d)]
     while stack:
         x, y = stack.pop()
+        if x is y:
+            if not isinstance(x, Literal):
+                shared.append(x.summary.counts)
+            continue
         if type(x) is not type(y):
             return None
         if isinstance(x, Literal):
@@ -311,6 +324,12 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
             if forward.setdefault(k, m) != m or backward.setdefault(m, k) != k:
                 return None
         stack += ((x.right, y.right), (x.left, y.left))
+    if shared:
+        moved = [k for k, m in forward.items() if k != m] + [m for m, k in backward.items() if k != m]
+        if any(k in counts for counts in shared for k in moved):
+            return None
+        for counts in shared:  # an ID already in forward is one that stayed
+            forward.update(zip(counts, counts))
     return forward
 
 

@@ -386,6 +386,27 @@ def same_shape_reference(c: Cirquent, d: Cirquent) -> bool:
     return same_shape_reference(c.left, d.left) and same_shape_reference(c.right, d.right)
 
 
+def cluster_map_reference(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
+    """``cluster_map`` as a full walk of both trees, shared subtrees included."""
+    forward: dict[int, int] = {}
+    backward: dict[int, int] = {}
+    stack = [(c, d)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return None
+        if isinstance(x, Literal):
+            if x != y:
+                return None
+            continue
+        if isinstance(x, Or):
+            k, m = x.cluster, y.cluster
+            if forward.setdefault(k, m) != m or backward.setdefault(m, k) != k:
+                return None
+        stack += ((x.right, y.right), (x.left, y.left))
+    return forward
+
+
 def cluster_iso_reference(c: Cirquent, d: Cirquent) -> bool:
     """Same shape, and the two cluster tables group the same position sets."""
     if not same_shape_reference(c, d):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import ifp.calculus
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     forward_steps,
     interpretations,
     match_step_reference,
+    nested_family,
     rand_cirquent,
     rand_rule_instance,
     rand_step_premise,
@@ -34,6 +35,7 @@ from ifp import (
     cluster_map,
     cluster_struct_match,
     clusters,
+    decide,
     match_step,
     parse,
     positions,
@@ -54,7 +56,7 @@ from ifp.calculus import (
     ShapeMismatchError,
     is_axiom,
 )
-from ifp.core import InvalidPathError, atoms, or_positions
+from ifp.core import InvalidPathError, atoms, map_clusters, or_positions, walk
 
 P = Literal("p")
 Q = Literal("q")
@@ -545,6 +547,96 @@ class TestCheckProof:
     def test_empty_scripts_cannot_exist(self):
         with pytest.raises(ValueError):
             ProofScript(())
+
+
+class TestSharedSubtrees:
+    """Entries that share subtrees, as in-memory proofs do, check as their
+    unshared copies do, also when one entry is changed where it shares a
+    subtree with its neighbour.  Every step the premise-driven reference
+    accepts is accepted, and every accepted step keeps the truth value
+    under every interpretation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_cirquents(), st.randoms(use_true_random=False))
+    def test_proofs_of_valid_cirquents(self, goal, rng):
+        _check_mutated_proofs(decide(goal).proof, rng)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_proofs_of_the_nested_family(self, d):
+        _check_mutated_proofs(decide(nested_family(d, True)).proof, random.Random(80 + d))
+
+    def test_forward_steps(self):
+        rng = random.Random(84)
+        steps = accepted = 0
+        for _ in range(20):
+            premise = rand_step_premise(rng)
+            for conclusion, app in forward_steps(rng, premise):
+                hint = RuleHint(app.rule, app.hole_path, app.k, app.inner_path)
+                for mutant in _mutants(rng, conclusion, premise):
+                    steps += 1
+                    accepted += _check_step(premise, mutant, hint)
+                for mutant in _mutants(rng, premise, conclusion):
+                    steps += 1
+                    accepted += _check_step(mutant, conclusion, hint)
+        assert steps > 1000 and 0 < accepted < steps
+
+
+def _unshared(c):
+    """A copy of ``c`` that shares no connective with any other cirquent."""
+    return map_clusters(c, lambda k: k)
+
+
+def _recluster(c, where, k):
+    """``c`` with the disjunction at ``where`` moved to cluster ``k``; only the path to it is rebuilt."""
+    node = subcirquent_at(c, where)
+    return replace_at(c, where, Or(k, node.left, node.right))
+
+
+def _mutants(rng, c, neighbour):
+    """``c`` with a disjunction it shares with ``neighbour`` renamed to a fresh ID,
+    and ``c`` with any one disjunction moved to another of its clusters."""
+    theirs = {id(node) for _, node in walk(neighbour)}
+    shared = [p for p, node in walk(c) if isinstance(node, Or) and id(node) in theirs]
+    ids = set(cluster_ids(c))
+    found = []
+    if shared:
+        found.append(_recluster(c, rng.choice(shared), max(ids) + 1))
+    hosts = or_positions(c)
+    if hosts:
+        where = rng.choice(hosts)
+        others = sorted(ids - {subcirquent_at(c, where).cluster})
+        if others:
+            found.append(_recluster(c, where, rng.choice(others)))
+    return found
+
+
+def _check_step(premise, conclusion, hint) -> bool:
+    """Assert what the class docstring says of one step; return whether it is accepted."""
+    found = match_step(premise, conclusion, hint)
+    assert found == match_step(_unshared(premise), _unshared(conclusion), hint)
+    if match_step_reference(_unshared(premise), _unshared(conclusion), hint) is not None:
+        assert found is not None
+    if found is None:
+        return False
+    for i in interpretations(atoms(premise) | atoms(conclusion)):
+        assert true_under(premise, i) == true_under(conclusion, i)
+    return True
+
+
+def _check_mutated_proofs(proof: ProofScript, rng, sites: int = 6) -> None:
+    """Change up to ``sites`` entries of ``proof`` one at a time and check each result."""
+    entries = list(proof.entries)
+    copies = [ProofEntry(_unshared(entry.cirquent), entry.hint) for entry in entries]
+    assert check_proof(proof) is None
+    assert check_proof(ProofScript(tuple(copies))) is None
+    for i in rng.sample(range(1, len(entries)), min(sites, len(entries) - 1)):
+        j = i - 1 if i + 1 == len(entries) or rng.random() < 0.5 else i + 1
+        for mutant in _mutants(rng, entries[i].cirquent, entries[j].cirquent):
+            changed = entries[:i] + [ProofEntry(mutant, entries[i].hint)] + entries[i + 1 :]
+            copy = copies[:i] + [ProofEntry(_unshared(mutant), entries[i].hint)] + copies[i + 1 :]
+            assert check_proof(ProofScript(tuple(changed))) == check_proof(ProofScript(tuple(copy)))
+            for k in range(i, min(i + 2, len(entries))):
+                _check_step(changed[k - 1].cirquent, changed[k].cirquent, changed[k].hint)
 
 
 def _stripped(script: ProofScript) -> ProofScript:

@@ -12,6 +12,7 @@ from helpers import (
     assert_summary_matches_walk,
     cirquents,
     cluster_iso_reference,
+    cluster_map_reference,
     cluster_struct_match_reference,
     deep_chain,
     nested_cirquents,
@@ -169,6 +170,37 @@ def comparison_pairs(draw):
     return And(x, y), x, y
 
 
+@st.composite
+def shared_pairs(draw):
+    """``(c, d)``: ``d`` is ``c`` with one subtree swapped out, sharing every other one.
+
+    The swapped-in subtree is the old one, a copy of it renamed by a
+    random, possibly non-injective ID map, or an independent small
+    cirquent.  Then up to two disjunctions of ``d``, inside a shared
+    subtree or not, move to a drawn cluster, each move rebuilding only
+    the path to it.
+    """
+    c = draw(st.one_of(cirquents(max_leaves=10, max_cluster=4), nested_cirquents()))
+    path = draw(st.sampled_from(positions(c)))
+    old = subcirquent_at(c, path)
+    kind = draw(st.sampled_from(("same", "renamed", "random")))
+    if kind == "same":
+        new = old
+    elif kind == "renamed":
+        new = rename_clusters(old, {k: draw(st.integers(1, 6)) for k in range(1, 5)})
+    else:
+        new = draw(cirquents(max_leaves=4, max_cluster=6))
+    d = replace_at(c, path, new)
+    for _ in range(draw(st.integers(0, 2))):
+        hosts = or_positions(d)
+        if not hosts:
+            break
+        where = draw(st.sampled_from(hosts))
+        node = subcirquent_at(d, where)
+        d = replace_at(d, where, Or(draw(st.integers(1, 6)), node.left, node.right))
+    return c, d
+
+
 def _copies_match(require, whole, x, y) -> bool:
     try:
         require(whole, x, y)
@@ -199,6 +231,28 @@ class TestIsomorphism:
         assert _copies_match(ifp.calculus._require_copies, whole, x, y) == _copies_match(
             require_copies_reference, whole, x, y
         )
+
+    def test_a_shared_subtree_maps_its_ids_to_themselves(self):
+        shared = Or(2, P, Q)
+        assert cluster_map(And(Or(1, P, Q), shared), And(Or(3, P, Q), shared)) == {1: 3, 2: 2}
+        assert cluster_map(shared, shared) == {2: 2}
+
+    def test_a_shared_subtree_blocks_moving_its_ids(self):
+        shared = Or(2, P, Q)
+        # The walked pair sends 1 to 2, or 2 to 1, while the shared subtree holds 2.
+        assert cluster_map(And(Or(1, P, Q), shared), And(Or(2, P, Q), shared)) is None
+        assert cluster_map(And(Or(2, P, Q), shared), And(Or(1, P, Q), shared)) is None
+        # Split across both sides, cluster 2 has two members in one and one in the other.
+        left, right = And(Or(2, P, Q), shared), And(Or(3, P, Q), shared)
+        assert not cluster_struct_match(left, right)
+        assert not cluster_struct_match(right, left)
+
+    @given(shared_pairs())
+    def test_shared_subtrees_give_the_full_walks_answer(self, pair):
+        c, d = pair
+        for x, y in ((c, d), (d, c)):
+            assert cluster_map(x, y) == cluster_map_reference(x, y)
+            assert cluster_struct_match(x, y) == cluster_struct_match_reference(x, y)
 
     def test_deep_cirquents_need_no_recursion(self):
         c = deep_chain(5000)
