@@ -25,7 +25,6 @@ from .core import (
     multi_member,
     positions,
     replace_at,
-    singleton_clusters,
     subcirquent_at,
 )
 from .semantics import (

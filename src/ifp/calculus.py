@@ -45,6 +45,7 @@ proofs share nothing, and each step compares whole trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Iterator, Optional
 
 from .core import (
@@ -65,7 +66,6 @@ from .core import (
     members,
     multi_member,
     replace_at,
-    singleton_clusters,
     subcirquent_at,
     walk,
 )
@@ -376,8 +376,7 @@ def _circ_kind(c: Cirquent, n1: Cirquent, n2: Cirquent) -> str:
         raise ConnectiveConstraintError("the displayed connectives differ")
     if n1.cluster == n2.cluster:
         return CLUSTER_OR_KIND
-    singles = singleton_clusters(c)
-    if n1.cluster in singles and n2.cluster in singles:
+    if cluster_size(c, n1.cluster) == 1 and cluster_size(c, n2.cluster) == 1:
         return SINGLETON_OR_KIND
     raise ConnectiveConstraintError(
         "two disjunctions play the shared connective only when they are in "
@@ -393,9 +392,9 @@ def _require_copies(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
     no grouping information.
     """
     mapping = cluster_map(c1, c2)
-    singles = singleton_clusters(c)
     if mapping is None or any(
-        k != m and (k not in singles or m not in singles) for k, m in mapping.items()
+        k != m and (cluster_size(c, k) != 1 or cluster_size(c, m) != 1)
+        for k, m in mapping.items()
     ):
         raise CopyMismatchError("the two copies of the shared operand disagree")
 
@@ -416,33 +415,6 @@ def _merge_forward(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, str]:
     return replace_at(aligned, app.hole_path, joined), kind
 
 
-class _Mint:
-    """Hands out fresh cluster IDs against a conclusion's ID budget.
-
-    Each call to ``fresh`` returns the smallest positive integer not yet
-    in use; the used set only grows, so each scan resumes where the last
-    one stopped.  ``freshen`` copies a subcirquent, renaming every
-    disjunction whose cluster is a singleton of the conclusion, in the
-    order the disjunction signs appear in the text.
-    """
-
-    def __init__(self, conclusion: Cirquent):
-        self.used = set(cluster_ids(conclusion))
-        self.singles = singleton_clusters(conclusion)
-        self.lowest = 1  # no ID below this one is free
-
-    def fresh(self) -> int:
-        n = self.lowest
-        while n in self.used:
-            n += 1
-        self.used.add(n)
-        self.lowest = n + 1
-        return n
-
-    def freshen(self, c: Cirquent) -> Cirquent:
-        return map_clusters(c, lambda k: self.fresh() if k in self.singles else k)
-
-
 def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
     """Rules II and III backward: split o's merged operands and duplicate its copied one.
 
@@ -461,21 +433,25 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
     for merged, operand in ((left_merged, left), (right_merged, right)):
         if merged and not (isinstance(operand, Or) and operand.cluster == app.k):
             raise RuleError(f"rule {app.rule} merges only disjunctions of cluster {app.k}")
+    ids = cluster_ids(conclusion)
+    unused = (n for n in count(1) if n not in ids)
+
+    def freshen(c: Cirquent) -> Cirquent:
+        return map_clusters(c, lambda k: next(unused) if cluster_size(conclusion, k) == 1 else k)
+
     conjunction = isinstance(node, And)
-    # Rule III under a conjunction mints no ID: skip the minter's set-up.
-    mint = None if conjunction and left_merged and right_merged else _Mint(conclusion)
     if conjunction:
         kind = AND_KIND
     else:
-        fresh_ids = node.cluster in mint.singles
+        fresh_ids = cluster_size(conclusion, node.cluster) == 1
         kind = SINGLETON_OR_KIND if fresh_ids else CLUSTER_OR_KIND
-        first_id = mint.fresh() if fresh_ids and left_merged and right_merged else node.cluster
+        first_id = next(unused) if fresh_ids and left_merged and right_merged else node.cluster
     first_left = left.left if left_merged else left
     first_right = right.left if right_merged else right
-    second_left = left.right if left_merged else mint.freshen(left)
+    second_left = left.right if left_merged else freshen(left)
     if not conjunction:
-        second_id = mint.fresh() if fresh_ids else node.cluster
-    second_right = right.right if right_merged else mint.freshen(right)
+        second_id = next(unused) if fresh_ids else node.cluster
+    second_right = right.right if right_merged else freshen(right)
     if conjunction:
         first, second = And(first_left, first_right), And(second_left, second_right)
     else:

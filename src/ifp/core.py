@@ -16,9 +16,9 @@ nesting.  A connective computes its summary on first use and keeps it;
 nodes are immutable and a rewrite shares every subtree it leaves alone,
 so a rebuilt cirquent computes summaries only along the rebuilt spine.
 The summary is this module's private cache: other modules ask
-``cluster_size``, ``cluster_ids``, ``multi_member``,
-``singleton_clusters``, ``is_classical``, ``members`` and
-``first_nested`` instead of reading it.
+``cluster_size``, ``cluster_ids``, ``multi_member``, ``is_classical``,
+``members`` and ``first_nested`` instead of reading it.  The reducer
+lists a cluster's ``members`` once per resolution and keeps the list.
 """
 
 from __future__ import annotations
@@ -189,11 +189,6 @@ def positions(c: Cirquent) -> list[Path]:
     return [p for p, _ in walk(c)]
 
 
-def or_positions(c: Cirquent) -> list[Path]:
-    """Positions of every disjunction node, in path order."""
-    return [p for p, node in walk(c) if isinstance(node, Or)]
-
-
 def clusters(c: Cirquent) -> dict[int, frozenset]:
     """The cluster table: each cluster ID mapped to its set of disjunction positions."""
     table: dict[int, set] = {}
@@ -234,11 +229,6 @@ def cluster_ids(c: Cirquent) -> KeysView[int]:
 def multi_member(c: Cirquent) -> dict[int, int]:
     """Each cluster with more than one member, mapped to its size."""
     return {k: n for k, n in c.summary.counts.items() if n > 1}
-
-
-def singleton_clusters(c: Cirquent) -> set[int]:
-    """IDs of the clusters with exactly one member."""
-    return {k for k, n in c.summary.counts.items() if n == 1}
 
 
 def is_classical(c: Cirquent) -> bool:

@@ -19,7 +19,8 @@ leaves it unchanged, rule III shrinks it by one).  Violations raise
 ReductionInvariantError rather than producing a bad proof.  These checks
 ask ``core``'s cluster queries, which read summaries cached on each
 node, so a step's cost follows the depth of the spine it rebuilt, not
-the size of the residue.
+the size of the residue.  A cluster resolution lists the cluster's
+members once and keeps the list up to date as it merges them.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ def resolve_cluster(
 ) -> tuple[Cirquent, tuple[ReductionStep, ...], tuple[StateTuple, ...]]:
     """Shrink cluster ``k`` to a single member by rules II and III backward.
 
+    The members are listed once and the list is kept across the steps.
     Repeatedly: pick the pair of members whose common ancestor sits
     deepest (ties broken by position), lift each to sit directly under
     that ancestor with rule II, and merge the two with rule III.  The
@@ -184,8 +186,10 @@ def resolve_cluster(
     steps: list[ReductionStep] = []
     trace: list[StateTuple] = []
     current = c
-    while cluster_size(current, k) > 1:
-        a, b, meet = _pick_pair(current, k)
+    found = members(current, k)
+    while len(found) > 1:
+        i, meet = _pick_pair(found)
+        a, b = found[i], found[i + 1]
         trace.append(state_tuple(current, k, a, b))
         while len(a) > len(meet) + 1:
             current, a = _lift_once(current, k, a, steps)
@@ -200,34 +204,43 @@ def resolve_cluster(
             raise ReductionInvariantError("merging must shrink the cluster by one")
         if first_nested(current) is not None:
             raise ReductionInvariantError("merging re-introduced same-cluster nesting")
+        found[i : i + 2] = [meet]
         trace.append(state_tuple(current, k, meet))
     _require_decreasing(trace)
     return current, tuple(steps), tuple(trace)
 
 
-def _pick_pair(c: Cirquent, k: int) -> tuple[Path, Path, Path]:
-    """The pair of members of ``k`` that meet deepest, and their meeting point.
+def _pick_pair(found: list[Path]) -> tuple[int, Path]:
+    """Where in ``found`` the two adjacent members meeting deepest start, and their meet.
 
-    Ties go to the smallest (meet, a, b) by path order.  The returned
-    ``a`` is the member on the left branch below the meet.
+    ``found`` lists a cluster's members in path order, so two of them
+    share no longer a prefix than any adjacent pair between them, and
+    the meets of equally deep adjacent pairs never decrease along the
+    list.  The first adjacent pair meeting deepest is therefore the
+    pair that meets deepest, ties going to the smallest (meet, a, b) by
+    path order; ``a = found[i]`` is on the meet's left branch.
 
-    Members come in path order, so two of them share no longer a prefix
-    than any adjacent pair between them, and the meets of equally deep
-    adjacent pairs never decrease along the list.  The first adjacent
-    pair meeting deepest is therefore the answer.
+    Merging the pair puts one member at the meet, and the caller
+    replaces ``found[i:i + 2]`` by it.  The list stays in path order,
+    because no other member lies at, above or below the meet: one at or
+    above it would have ``a`` nested inside, and a third member below it
+    would share a branch with ``a`` or ``b`` and make an adjacent pair
+    that meets deeper.  So the meet sorts where ``a`` and ``b`` did.
+    Lifting ``a`` and ``b`` to the meet leaves the list stale only at
+    those two entries, which the merge replaces: rule II backward
+    duplicates only a sibling holding no member.
     """
-    found = members(c, k)
     best = None
-    for a, b in zip(found, found[1:]):
+    for i, (a, b) in enumerate(zip(found, found[1:])):
         n = 0
         for x, y in zip(a, b):
             if x != y:
                 break
             n += 1
         if best is None or n > best[0]:
-            best = (n, a, b)
-    n, a, b = best
-    return a, b, a[:n]
+            best = (n, i)
+    n, i = best
+    return i, found[i][:n]
 
 
 def _lift_once(

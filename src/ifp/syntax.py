@@ -44,7 +44,7 @@ from .core import (
     Path,
     RIGHT_STEP,
     format_path,
-    singleton_clusters,
+    multi_member,
 )
 
 
@@ -267,7 +267,7 @@ def print_cirquent(c: Cirquent, *, show_singleton_ids: bool = False) -> str:
     fresh IDs a re-parse assigns change nothing up to cluster
     isomorphism.
     """
-    hidden = set() if show_singleton_ids else singleton_clusters(c)
+    shown = None if show_singleton_ids else multi_member(c)
     pieces = []
     todo: list = [c]  # text, and nodes to render bare; the next one last
     while todo:
@@ -280,7 +280,7 @@ def print_cirquent(c: Cirquent, *, show_singleton_ids: bool = False) -> str:
             bare = isinstance(right, Literal)
             if isinstance(node, And):
                 op = "&"
-            elif node.cluster in hidden:
+            elif shown is not None and node.cluster not in shown:
                 op = "|"
             else:
                 op = f"|{node.cluster} " if bare else f"|{node.cluster}"
@@ -368,16 +368,17 @@ def parse_proof(text: str) -> ProofScript:
     optional annotation.  Entry 1 may be annotated "axiom"; later
     entries may carry "rule=NAME" with optional "path=", "k=" and
     "inner=" fields, in that order.  Entries must be numbered 1, 2, 3,
-    ... in order.  Blank lines and lines starting with "#" are skipped,
-    and the file must be 7-bit ASCII.
+    ... in order.  Blank lines and lines starting with "#" are skipped.
+    The file must be 7-bit ASCII throughout, skipped lines included, so
+    that only ASCII line breaks separate lines.
     """
     entries: list[ProofEntry] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.splitlines(keepends=True), start=1):
+        if not raw_line.isascii():  # before anything is skipped, line break included
+            raise ParseError("proof files are 7-bit ASCII", line=lineno)
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if not line.isascii():
-            raise ParseError("proof files are 7-bit ASCII", line=lineno)
         m = _ENTRY_NUMBER.match(line)
         if m is None:
             raise ParseError("an entry starts with its number and a dot", line=lineno)

@@ -34,13 +34,19 @@ from ifp import (
     parse,
     positions,
     replace_at,
-    singleton_clusters,
     subcirquent_at,
     valid,
 )
 from ifp.calculus import RULES, CopyMismatchError, ShapeMismatchError
-from ifp.core import Cirquent, InvalidPathError, atoms, or_positions
-from ifp.prover import ReductionStep
+from ifp.core import Cirquent, InvalidPathError, Path, atoms, map_clusters, walk
+from ifp.prover import (
+    PreconditionError,
+    ReductionInvariantError,
+    ReductionStep,
+    _lift_once,
+    _require_decreasing,
+    state_tuple,
+)
 from ifp.semantics import MissingAtomError, MissingClusterError, TruthTable
 from ifp.syntax import NegatedIndexedDisjunctionError, NonpositiveClusterIdError
 
@@ -322,6 +328,11 @@ def nested_family(d: int, valid: bool) -> Cirquent:
     return parse(f"({side(False)})|({side(valid)})")
 
 
+def or_positions(c: Cirquent) -> list[Path]:
+    """Positions of every disjunction node, in path order."""
+    return [p for p, node in walk(c) if isinstance(node, Or)]
+
+
 def nested_pairs_reference(c: Cirquent) -> list:
     """Every pair of same-cluster disjunctions, one inside the other, by a double loop."""
     occurrences = [(p, subcirquent_at(c, p).cluster) for p in or_positions(c)]
@@ -347,7 +358,8 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     assert c.summary.nesting_free == (not pairs)
     assert sorted(cluster_ids(c)) == sorted(sizes)
     assert multi_member(c) == {k: n for k, n in sizes.items() if n > 1}
-    assert singleton_clusters(c) == {k for k, n in sizes.items() if n == 1}
+    singles = {k for k in cluster_ids(c) if cluster_size(c, k) == 1}
+    assert singles == {k for k, n in sizes.items() if n == 1}
     assert first_nested(c) == (pairs[0] if pairs else None)
     assert cluster_size(c, max(sizes, default=0) + 1) == 0
     for k, positions_of_k in table.items():
@@ -427,7 +439,7 @@ def cluster_struct_match_reference(c: Cirquent, d: Cirquent) -> bool:
 
 def require_copies_reference(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
     """CopyMismatchError unless c1 and c2 agree node for node, IDs differing only between singletons of c."""
-    singles = singleton_clusters(c)
+    singles = _singles_reference(c)
 
     def matches(x: Cirquent, y: Cirquent) -> bool:
         if isinstance(x, Literal) or isinstance(y, Literal):
@@ -457,6 +469,57 @@ def eliminate_nested_reference(c: Cirquent):
         app = RuleApp(rule, outer, key.cluster, inner_path=inner[len(outer) + 1 :])
         current, completed = apply_rule_backward(current, app)
         steps.append(ReductionStep(completed, current))
+
+
+def resolve_cluster_reference(c: Cirquent, k: int):
+    """``resolve_cluster`` listing the members of ``k`` afresh before every merge.
+
+    The pair is picked by ``_pick_pair_reference`` from a new ``members``
+    walk each round; the lifts, the merge, the invariant checks and the
+    state tuples are the library's.
+    """
+    if first_nested(c) is not None:
+        raise PreconditionError("same-cluster nesting must be eliminated first")
+    if cluster_size(c, k) < 2:
+        raise PreconditionError(f"cluster {k} already has a single member")
+    steps: list[ReductionStep] = []
+    trace: list = []
+    current = c
+    while cluster_size(current, k) > 1:
+        a, b, meet = _pick_pair_reference(current, k)
+        trace.append(state_tuple(current, k, a, b))
+        while len(a) > len(meet) + 1:
+            current, a = _lift_once(current, k, a, steps)
+            trace.append(state_tuple(current, k, a, b))
+        while len(b) > len(meet) + 1:
+            current, b = _lift_once(current, k, b, steps)
+            trace.append(state_tuple(current, k, a, b))
+        size_before = cluster_size(current, k)
+        current, completed = apply_rule_backward(current, RuleApp("III", meet, k))
+        steps.append(ReductionStep(completed, current))
+        if cluster_size(current, k) != size_before - 1:
+            raise ReductionInvariantError("merging must shrink the cluster by one")
+        if first_nested(current) is not None:
+            raise ReductionInvariantError("merging re-introduced same-cluster nesting")
+        trace.append(state_tuple(current, k, meet))
+    _require_decreasing(trace)
+    return current, tuple(steps), tuple(trace)
+
+
+def _pick_pair_reference(c: Cirquent, k: int):
+    """The members of ``k`` that meet deepest, and their meet, from a fresh ``members`` walk."""
+    found = members(c, k)
+    best = None
+    for a, b in zip(found, found[1:]):
+        n = 0
+        for x, y in zip(a, b):
+            if x != y:
+                break
+            n += 1
+        if best is None or n > best[0]:
+            best = (n, a, b)
+    n, a, b = best
+    return a, b, a[:n]
 
 
 def strictly_decreasing(trace) -> bool:
@@ -712,11 +775,43 @@ def _backward_one_reference(conclusion: Cirquent, app: RuleApp):
     return premise, dataclass_replace(app, new_subcirquent=dropped)
 
 
+class MintReference:
+    """Hands out fresh cluster IDs against a conclusion's ID budget.
+
+    Each call to ``fresh`` returns the smallest positive integer not yet
+    in use; the used set only grows, so each scan resumes where the last
+    one stopped.  ``freshen`` copies a subcirquent, renaming every
+    disjunction whose cluster is a singleton of the conclusion, in the
+    order the disjunction signs appear in the text.
+    """
+
+    def __init__(self, conclusion: Cirquent):
+        self.used = set(cluster_ids(conclusion))
+        self.singles = _singles_reference(conclusion)
+        self.lowest = 1  # no ID below this one is free
+
+    def fresh(self) -> int:
+        n = self.lowest
+        while n in self.used:
+            n += 1
+        self.used.add(n)
+        self.lowest = n + 1
+        return n
+
+    def freshen(self, c: Cirquent) -> Cirquent:
+        return map_clusters(c, lambda k: self.fresh() if k in self.singles else k)
+
+
+def _singles_reference(c: Cirquent) -> set[int]:
+    """IDs of the clusters with exactly one member, from the full cluster table."""
+    return {k for k, block in clusters(c).items() if len(block) == 1}
+
+
 def _backward_two_reference(conclusion: Cirquent, app: RuleApp):
     node = subcirquent_at(conclusion, app.hole_path)
     if isinstance(node, Literal):
         raise ShapeMismatchError(f"no connective at {app.hole_path}")
-    mint = calculus._Mint(conclusion)
+    mint = MintReference(conclusion)
     left_form = app.rule == "II-left"
     key_in = node.left if left_form else node.right
     if not isinstance(key_in, Or) or key_in.cluster != app.k:
@@ -763,7 +858,7 @@ def _backward_three_reference(conclusion: Cirquent, app: RuleApp):
         kind = "and"
         parts = And(a, c), And(b, d)
     else:
-        mint = calculus._Mint(conclusion)
+        mint = MintReference(conclusion)
         if node.cluster in mint.singles:
             kind = "singleton-or"
             first, second = mint.fresh(), mint.fresh()

@@ -15,6 +15,7 @@ from helpers import (
     interpretations,
     match_step_reference,
     nested_family,
+    or_positions,
     rand_cirquent,
     rand_rule_instance,
     rand_step_premise,
@@ -33,6 +34,7 @@ from ifp import (
     check_proof,
     cluster_ids,
     cluster_map,
+    cluster_size,
     cluster_struct_match,
     clusters,
     decide,
@@ -56,7 +58,7 @@ from ifp.calculus import (
     ShapeMismatchError,
     is_axiom,
 )
-from ifp.core import InvalidPathError, atoms, map_clusters, or_positions, walk
+from ifp.core import InvalidPathError, atoms, map_clusters, walk
 
 P = Literal("p")
 Q = Literal("q")
@@ -389,16 +391,41 @@ class TestRulesAgainstReference:
 
 
 class TestMint:
+    """Rules II and III backward draw fresh IDs smallest unused first, in text order."""
+
     def test_fresh_returns_the_smallest_unused_id_each_time(self):
         rng = random.Random(43)
         for _ in range(60):
-            conclusion = rand_cirquent(rng, rng.randint(1, 8), max_cluster=9)
-            mint = ifp.calculus._Mint(conclusion)
+            rest = rand_cirquent(rng, rng.randint(1, 8), max_cluster=9)
+            k, m = rng.sample(range(1, 13), 2)
+            if cluster_size(rest, m):
+                continue
+            a, b, c, d = (Literal(name) for name in "abcd")
+            conclusion = And(Or(m, Or(k, a, b), Or(k, c, d)), rest)
             used = set(clusters(conclusion))
-            for _ in range(8):
-                expected = min(set(range(1, len(used) + 2)) - used)
-                assert mint.fresh() == expected
-                used.add(expected)
+            first = min(set(range(1, len(used) + 2)) - used)
+            second = min(set(range(1, len(used) + 3)) - used - {first})
+            premise, completed = apply_rule_backward(conclusion, RuleApp("III", ("L",), k))
+            assert premise == And(Or(k, Or(first, a, c), Or(second, b, d)), rest)
+            assert completed.circ == "singleton-or"
+
+    def test_rule_three_under_a_single_member_or_skips_the_used_ids(self):
+        conclusion = parse("((p|1 q)|2(r|1 s))&(t|4 u)")
+        premise, completed = apply_rule_backward(conclusion, RuleApp("III", ("L",), 1))
+        assert premise == parse("((p|3 r)|1(q|5 s))&(t|4 u)")
+        assert completed.circ == "singleton-or"
+
+    def test_rule_two_freshens_the_copys_single_member_ids_in_text_order(self):
+        conclusion = parse("((p|1 q)&((r|4 s)|2(t|6 u)))|2 v")
+        premise, completed = apply_rule_backward(conclusion, RuleApp("II-left", ("L",), 1))
+        assert premise == parse("((p&((r|4 s)|2(t|6 u)))|1(q&((r|3 s)|2(t|5 u))))|2 v")
+        assert completed.circ == "and"
+
+    def test_a_copy_before_the_connective_is_freshened_first(self):
+        conclusion = parse("((r|4 s)|3(p|1 q))|2(t|2 u)")
+        premise, completed = apply_rule_backward(conclusion, RuleApp("II-right", ("L",), 1))
+        assert premise == parse("(((r|4 s)|3 p)|1((r|5 s)|6 q))|2(t|2 u)")
+        assert completed.circ == "singleton-or"
 
 
 class TestClusterStructMatch:

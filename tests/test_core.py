@@ -16,6 +16,7 @@ from helpers import (
     cluster_struct_match_reference,
     deep_chain,
     nested_cirquents,
+    or_positions,
     rename_clusters,
     require_copies_reference,
 )
@@ -24,15 +25,16 @@ from ifp import (
     Literal,
     Or,
     canonicalize_ids,
+    cluster_ids,
     cluster_iso,
     cluster_map,
     cluster_struct_match,
+    cluster_size,
     clusters,
     members,
     parse,
     positions,
     replace_at,
-    singleton_clusters,
     subcirquent_at,
 )
 from ifp.calculus import CopyMismatchError
@@ -42,7 +44,6 @@ from ifp.core import (
     atoms,
     is_classical,
     node_count,
-    or_positions,
     walk,
 )
 
@@ -130,7 +131,7 @@ class TestClusters:
         }
 
     def test_singleton_clusters(self, e1):
-        assert singleton_clusters(e1) == {2}
+        assert [k for k in cluster_ids(e1) if cluster_size(e1, k) == 1] == [2]
 
     def test_is_classical(self, goal, a0):
         assert not is_classical(goal)

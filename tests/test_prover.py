@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifp.prover
 from conftest import C1_TEXT, GOAL_TEXT
 from helpers import (
     assert_summary_matches_walk,
@@ -14,6 +15,7 @@ from helpers import (
     nested_family,
     nested_pairs_reference,
     rand_cirquent,
+    resolve_cluster_reference,
     strictly_decreasing,
     valid_cirquents,
 )
@@ -27,6 +29,7 @@ from ifp import (
     cluster_ids,
     decide,
     first_nested,
+    members,
     parse,
     parse_proof,
     print_proof,
@@ -114,6 +117,47 @@ class TestResolveCluster:
         _, steps, _ = resolve_cluster(e1, 1)
         for step in steps:
             assert nested_pairs_reference(step.result) == []
+
+
+class TestMemberTracking:
+    """One ``members`` walk per cluster resolution, and the reduction it always gave."""
+
+    @staticmethod
+    def assert_same_reduction(c):
+        derivation = reduce_to_classical(c)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ifp.prover, "resolve_cluster", resolve_cluster_reference)
+            reference = reduce_to_classical(c)
+        assert derivation.steps == reference.steps
+        assert derivation.traces == reference.traces
+
+    @pytest.mark.parametrize("valid", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_the_nested_family_reduces_as_the_reference_does(self, d, valid):
+        self.assert_same_reduction(nested_family(d, valid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(cirquents(), nested_cirquents()))
+    def test_random_cirquents_reduce_as_the_reference_does(self, c):
+        self.assert_same_reduction(c)
+
+    def test_members_runs_once_per_cluster_resolution(self, monkeypatch):
+        calls = []
+
+        def counted(c, k):
+            calls.append(k)
+            return members(c, k)
+
+        monkeypatch.setattr(ifp.prover, "members", counted)
+        goals = [parse(GOAL_TEXT)] + [nested_family(d, v) for d in (1, 2, 3) for v in (False, True)]
+        merges = resolutions = 0
+        for goal in goals:
+            calls.clear()
+            derivation = reduce_to_classical(goal)
+            assert len(calls) == len(derivation.traces)
+            merges += sum(step.app.rule == "III" for step in derivation.steps)
+            resolutions += len(derivation.traces)
+        assert merges > resolutions  # some resolution merges more than once
 
 
 class TestStateTuples:

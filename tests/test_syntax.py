@@ -240,7 +240,9 @@ class TestPrint:
         assert print_cirquent(parse("p|5 q")) == "p|q"
 
     def test_singleton_ids_on_request(self):
-        assert print_cirquent(parse("p|5 q"), show_singleton_ids=True) == "p|5 q"
+        c = parse("p|5 q")
+        assert print_cirquent(c, show_singleton_ids=True) == "p|5 q"
+        assert "summary" not in vars(c)  # printing every ID asks no cluster query
 
     def test_multi_member_ids_always_show(self, goal):
         assert print_cirquent(goal) == GOAL_TEXT
@@ -353,6 +355,27 @@ class TestProofFiles:
     def test_non_ascii_is_rejected(self):
         with pytest.raises(ParseError):
             parse_proof("1. p|~p # axiöm\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1. p|~p axiom\u20282. (p|~p)|q\n", 1),  # a Unicode line separator
+            ("1. p|~p axiom\n2. (p|~p)|q\u0085", 2),  # a C1 next-line control
+            ("# caf\u00e9\n1. p|~p\n", 1),  # in a comment
+            ("1. p|~p\n\u00a0\n", 2),  # a line holding only a no-break space
+            ("1. p|~p\n\n\u3000\n", 3),  # an ideographic space
+        ],
+    )
+    def test_non_ascii_is_rejected_before_lines_are_split_or_skipped(self, text, line):
+        with pytest.raises(ParseError, match="ASCII") as info:
+            parse_proof(text)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_ascii_line_breaks_read_as_before(self, newline):
+        text = newline.join(["# proof", "", "1. p|~p axiom", "2. (p|~p)|q", ""])
+        script = parse_proof(text)
+        assert [entry.cirquent for entry in script] == [parse("p|~p"), parse("(p|~p)|q")]
 
     def test_bad_annotation_is_rejected(self):
         with pytest.raises(ParseError):
