@@ -34,12 +34,13 @@ The checker reads each step's candidates off its conclusion and checks
 rule I by its inverse, rules II and III forward (``match_step`` says
 why).  Single-member IDs are not printed, so no check compares them.
 Each candidate is compared with its proof entry by ``cluster_map``,
-which skips the subtrees both sides share and checks soundly that the
-rest of the walk moved none of their IDs.  A rewrite rebuilds only the
-path to what it changes, so a proof that ``decide`` or ``prove`` builds
-in memory shares every other subtree between neighbouring entries, and
-a step's check walks the rebuilt paths, not the whole tree.  Parsed
-proofs share nothing, and each step compares whole trees.
+which skips the subtrees both sides share, checks soundly that the rest
+of the walk moved none of their IDs, and lists only the IDs it met.  A
+rewrite rebuilds only the path to what it changes, so a proof that
+``decide`` or ``prove`` builds in memory shares every other subtree
+between neighbouring entries, and the comparison walks the rebuilt
+paths, not the whole tree.  Parsed proofs share nothing, and each step
+compares whole trees.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .core import (
     is_classical,
     map_clusters,
     members,
-    multi_member,
     replace_at,
     subcirquent_at,
     walk,
@@ -73,10 +73,6 @@ from .semantics import valid
 
 RULES = ("I-left", "I-right", "II-left", "II-right", "III")
 AXIOM = "axiom"
-
-AND_KIND = "and"
-SINGLETON_OR_KIND = "singleton-or"
-CLUSTER_OR_KIND = "or-in-cluster"
 
 # Rules II and III, by which operands of the displayed connective o the
 # conclusion merges into the key ("A |k B") rather than keeps as one
@@ -109,8 +105,7 @@ class RuleApp:
     Rule I also needs ``inner_path``, the position of the grown
     subcirquent inside the key's operand, and ``new_subcirquent``, the
     disjunct being introduced; applying the rule backward fills the
-    latter in.  ``circ`` records how the shared connective of rules II
-    and III was classified, once known.
+    latter in.
     """
 
     rule: str
@@ -118,7 +113,6 @@ class RuleApp:
     k: int
     inner_path: Optional[Path] = None
     new_subcirquent: Optional[Cirquent] = None
-    circ: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.rule not in RULES:
@@ -176,11 +170,9 @@ class CheckFailure:
     reason: str
 
 
-def is_axiom(
-    c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> bool:
+def is_axiom(c: Cirquent) -> bool:
     """True for a classical cirquent that holds under every interpretation."""
-    return is_classical(c) and valid(c, max_atoms=max_atoms, max_clusters=max_clusters)
+    return is_classical(c) and valid(c)
 
 
 def apply_rule_forward(premise: Cirquent, app: RuleApp) -> Cirquent:
@@ -192,16 +184,27 @@ def apply_rule_forward(premise: Cirquent, app: RuleApp) -> Cirquent:
     first, after moving a single-member disjunction that holds the ID to
     an unused one, which changes nothing up to cluster isomorphism.
     """
-    return _apply_forward(premise, app)[0]
+    if app.rule in _MERGED:
+        return _merge_forward(premise, app)
+    if app.new_subcirquent is None:
+        raise RuleError("rule I needs the disjunct being introduced")
+    aligned, key = _align_key(premise, app)
+    inner, target = _grown_position(key, app)
+    if app.rule == "I-left":
+        grown = Or(app.k, target, app.new_subcirquent)
+    else:
+        grown = Or(app.k, app.new_subcirquent, target)
+    return replace_at(aligned, inner, grown)
 
 
 def apply_rule_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
     """Undo a rule conclusion-to-premise.  ``app.k`` must match exactly.
 
     Returns ``(premise, completed)`` where ``completed`` is the
-    application enriched with everything needed to replay it forward:
-    the deleted disjunct for rule I, the connective classification for
-    rules II and III.
+    application with everything needed to replay it forward: for rule I
+    it records the deleted disjunct; rules II and III need nothing more,
+    so for them it is ``app`` itself.  A position that addresses no node
+    is a RuleError under every rule.
     """
     if app.rule in _MERGED:
         return _merge_backward(conclusion, app)
@@ -233,12 +236,14 @@ def cluster_struct_match(c: Cirquent, d: Cirquent) -> bool:
     proof entry: its summary is cached and serves the next step too,
     while ``c``, the cirquent rebuilt for the comparison, then needs
     none.  The map is a bijection that keeps cluster sizes, so reading
-    them off either side gives the same answer.
+    them off either side gives the same answer.  Only the IDs the map
+    lists are asked about; the others lie in shared subtrees and map to
+    themselves.
     """
     mapping = cluster_map(d, c)
-    if mapping is None:
-        return False
-    return all(mapping[k] == k for k in multi_member(d))
+    return mapping is not None and all(
+        k == m or cluster_size(d, k) == 1 for k, m in mapping.items()
+    )
 
 
 def match_step(
@@ -272,18 +277,14 @@ def match_step(
                 restored, completed = apply_rule_backward(conclusion, app)
                 if cluster_struct_match(restored, premise):
                     return completed
-            else:
-                result, kind = _apply_forward(premise, app)
-                if cluster_struct_match(result, conclusion):
-                    return replace(app, circ=kind)
+            elif cluster_struct_match(apply_rule_forward(premise, app), conclusion):
+                return app
         except RuleError:
             continue
     return None
 
 
-def check_proof(
-    script: ProofScript, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> Optional[CheckFailure]:
+def check_proof(script: ProofScript) -> Optional[CheckFailure]:
     """Verify a proof; None means it checks out.
 
     The first entry must be an axiom and each later entry must follow
@@ -292,7 +293,7 @@ def check_proof(
     reason "not-an-axiom" for entry 1, "no-rule-matches" otherwise.
     """
     first = script.entries[0].cirquent
-    if not is_axiom(first, max_atoms=max_atoms, max_clusters=max_clusters):
+    if not is_axiom(first):
         return CheckFailure(1, "not-an-axiom")
     for i in range(1, len(script.entries)):
         prev = script.entries[i - 1].cirquent
@@ -302,11 +303,16 @@ def check_proof(
     return None
 
 
-def _key_or(c: Cirquent, hole_path: Path) -> Or:
+def _node_at(c: Cirquent, path: Path) -> Cirquent:
+    """The node at ``path``; a path that addresses none is a RuleError."""
     try:
-        node = subcirquent_at(c, hole_path)
+        return subcirquent_at(c, path)
     except InvalidPathError as e:
         raise RuleError(str(e)) from None
+
+
+def _key_or(c: Cirquent, hole_path: Path) -> Or:
+    node = _node_at(c, hole_path)
     if not isinstance(node, Or):
         raise RuleError(f"no disjunction at {format_path(hole_path)}")
     return node
@@ -332,20 +338,6 @@ def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
     return replace_at(premise, app.hole_path, renamed), renamed
 
 
-def _apply_forward(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Optional[str]]:
-    if app.rule in _MERGED:
-        return _merge_forward(premise, app)
-    if app.new_subcirquent is None:
-        raise RuleError("rule I needs the disjunct being introduced")
-    aligned, key = _align_key(premise, app)
-    inner, target = _grown_position(key, app)
-    if app.rule == "I-left":
-        grown = Or(app.k, target, app.new_subcirquent)
-    else:
-        grown = Or(app.k, app.new_subcirquent, target)
-    return replace_at(aligned, inner, grown), None
-
-
 def _grown_position(key: Or, app: RuleApp) -> tuple[Path, Cirquent]:
     """Rule I's inner position, from the root, and the node there.
 
@@ -359,29 +351,23 @@ def _grown_position(key: Or, app: RuleApp) -> tuple[Path, Cirquent]:
         side, host = LEFT_STEP, key.left
     else:
         side, host = RIGHT_STEP, key.right
-    try:
-        node = subcirquent_at(host, app.inner_path)
-    except InvalidPathError as e:
-        raise RuleError(str(e)) from None
+    node = _node_at(host, app.inner_path)
     return app.hole_path + (side,) + app.inner_path, node
 
 
-def _circ_kind(c: Cirquent, n1: Cirquent, n2: Cirquent) -> str:
-    """Classify the two displayed connectives, or reject them."""
+def _require_same_connective(c: Cirquent, n1: Cirquent, n2: Cirquent) -> None:
+    """Check that the two displayed connectives count as one, or reject them."""
     if isinstance(n1, Literal) or isinstance(n2, Literal):
         raise ShapeMismatchError("both operands of the key must be compound")
-    if isinstance(n1, And) and isinstance(n2, And):
-        return AND_KIND
-    if isinstance(n1, And) or isinstance(n2, And):
+    if isinstance(n1, And) != isinstance(n2, And):
         raise ConnectiveConstraintError("the displayed connectives differ")
-    if n1.cluster == n2.cluster:
-        return CLUSTER_OR_KIND
-    if cluster_size(c, n1.cluster) == 1 and cluster_size(c, n2.cluster) == 1:
-        return SINGLETON_OR_KIND
-    raise ConnectiveConstraintError(
-        "two disjunctions play the shared connective only when they are in "
-        "one cluster or each alone in theirs"
-    )
+    if isinstance(n1, Or) and n1.cluster != n2.cluster and not (
+        cluster_size(c, n1.cluster) == 1 and cluster_size(c, n2.cluster) == 1
+    ):
+        raise ConnectiveConstraintError(
+            "two disjunctions play the shared connective only when they are in "
+            "one cluster or each alone in theirs"
+        )
 
 
 def _require_copies(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
@@ -399,11 +385,11 @@ def _require_copies(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
         raise CopyMismatchError("the two copies of the shared operand disagree")
 
 
-def _merge_forward(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, str]:
+def _merge_forward(premise: Cirquent, app: RuleApp) -> Cirquent:
     """Rules II and III forward: one o of the merged operands and the checked copies."""
     aligned, key = _align_key(premise, app)
     n1, n2 = key.left, key.right
-    kind = _circ_kind(aligned, n1, n2)
+    _require_same_connective(aligned, n1, n2)
     pieces = []
     for merged, x, y in zip(_MERGED[app.rule], (n1.left, n1.right), (n2.left, n2.right)):
         if merged:
@@ -411,8 +397,8 @@ def _merge_forward(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, str]:
         else:
             _require_copies(aligned, x, y)
             pieces.append(x)
-    joined = And(*pieces) if kind == AND_KIND else Or(n1.cluster, *pieces)
-    return replace_at(aligned, app.hole_path, joined), kind
+    joined = And(*pieces) if isinstance(n1, And) else Or(n1.cluster, *pieces)
+    return replace_at(aligned, app.hole_path, joined)
 
 
 def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleApp]:
@@ -425,7 +411,7 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
     ID; rule III gives both copies fresh IDs when the node is alone in
     its cluster.
     """
-    node = subcirquent_at(conclusion, app.hole_path)
+    node = _node_at(conclusion, app.hole_path)
     if isinstance(node, Literal):
         raise ShapeMismatchError(f"no connective at {format_path(app.hole_path)}")
     left_merged, right_merged = _MERGED[app.rule]
@@ -440,11 +426,8 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
         return map_clusters(c, lambda k: next(unused) if cluster_size(conclusion, k) == 1 else k)
 
     conjunction = isinstance(node, And)
-    if conjunction:
-        kind = AND_KIND
-    else:
+    if not conjunction:
         fresh_ids = cluster_size(conclusion, node.cluster) == 1
-        kind = SINGLETON_OR_KIND if fresh_ids else CLUSTER_OR_KIND
         first_id = next(unused) if fresh_ids and left_merged and right_merged else node.cluster
     first_left = left.left if left_merged else left
     first_right = right.left if right_merged else right
@@ -458,7 +441,7 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
         first = Or(first_id, first_left, first_right)
         second = Or(second_id, second_left, second_right)
     premise = replace_at(conclusion, app.hole_path, Or(app.k, first, second))
-    return premise, replace(app, circ=kind)
+    return premise, app
 
 
 def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:

@@ -75,9 +75,6 @@ class And(_Connective):
     left: "Cirquent"
     right: "Cirquent"
 
-    def __str__(self) -> str:
-        return f"({self.left}&{self.right})"
-
 
 @dataclass(frozen=True)
 class Or(_Connective):
@@ -88,9 +85,6 @@ class Or(_Connective):
     def __post_init__(self) -> None:
         if not isinstance(self.cluster, int) or self.cluster < 1:
             raise ValueError(f"cluster IDs must be positive integers, got {self.cluster!r}")
-
-    def __str__(self) -> str:
-        return f"({self.left}|{self.cluster}{self.right})"
 
 
 Cirquent = Union[Literal, And, Or]
@@ -152,7 +146,7 @@ def replace_at(c: Cirquent, path: Path, replacement: Cirquent) -> Cirquent:
     node = c
     for step in path:
         if isinstance(node, Literal):
-            raise InvalidPathError(f"path {format_path(path[len(spine):])} steps through the literal {node}")
+            raise InvalidPathError(f"path {format_path(path)} steps through the literal {node}")
         spine.append(node)
         if step == LEFT_STEP:
             node = node.left
@@ -289,9 +283,10 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
     leaves it) matches itself without being entered.  Walked, it would
     map each of its IDs to itself, so it fits unless the rest of the
     walk moved one of its IDs (sent it elsewhere, or sent another ID to
-    it); its cached summary says which IDs it holds.  The result is the
-    full walk's, and comparing a rewrite with its source costs the
-    rebuilt spine, not the whole tree.
+    it); its cached summary says which IDs it holds.  The result lists
+    only the ID pairs the walk met: an ID of ``c`` it does not list lies
+    only in shared subtrees and maps to itself.  So comparing a rewrite
+    with its source costs the rebuilt spine, not the whole tree.
     """
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
@@ -318,8 +313,6 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
         moved = [k for k, m in forward.items() if k != m] + [m for m, k in backward.items() if k != m]
         if any(k in counts for counts in shared for k in moved):
             return None
-        for counts in shared:  # an ID already in forward is one that stayed
-            forward.update(zip(counts, counts))
     return forward
 
 

@@ -354,6 +354,8 @@ def _assignments(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
+# The line breaks of open()'s universal newlines, so a file and stdin read alike.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 _ENTRY_NUMBER = re.compile(r"(\d+)\.")
 _ANNOTATION = re.compile(
     r"axiom|rule=(?P<rule>" + "|".join(re.escape(r) for r in RULES) + r")"
@@ -369,14 +371,15 @@ def parse_proof(text: str) -> ProofScript:
     entries may carry "rule=NAME" with optional "path=", "k=" and
     "inner=" fields, in that order.  Entries must be numbered 1, 2, 3,
     ... in order.  Blank lines and lines starting with "#" are skipped.
-    The file must be 7-bit ASCII throughout, skipped lines included, so
-    that only ASCII line breaks separate lines.
+    A line ends only at "\\n", "\\r\\n" or a lone "\\r"; other control
+    characters, such as a form feed, stay inside the line.  The file
+    must be 7-bit ASCII throughout, skipped lines included.
     """
     entries: list[ProofEntry] = []
-    for lineno, raw_line in enumerate(text.splitlines(keepends=True), start=1):
-        if not raw_line.isascii():  # before anything is skipped, line break included
+    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+        if not line.isascii():  # before anything is skipped
             raise ParseError("proof files are 7-bit ASCII", line=lineno)
-        line = raw_line.strip()
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         m = _ENTRY_NUMBER.match(line)

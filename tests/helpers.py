@@ -582,7 +582,7 @@ def match_step_reference(premise: Cirquent, conclusion: Cirquent, hint=None):
     every position of the grown operand, reading the new disjunct off
     the conclusion.  A candidate fits when replaying it forward gives the
     conclusion up to renaming of single-member clusters.  Returns the
-    candidate without its connective classification, or None.
+    candidate, or None.
     """
     for rule in RULES:
         if hint is not None and hint.rule is not None and hint.rule != rule:
@@ -670,11 +670,11 @@ def forward_steps(rng, premise: Cirquent):
 
 
 def apply_rule_forward_reference(premise: Cirquent, app: RuleApp):
-    """Rules forward as written one function per rule; returns ``(conclusion, circ)``.
+    """Rules forward as written one function per rule; returns the conclusion.
 
     Kept as the reference for the table that defines rules II and III
-    once; it shares the key alignment, the connective classification
-    and the copy check with the library.
+    once; it shares the key alignment, the connective check and the copy
+    check with the library.
     """
     if app.rule in ("I-left", "I-right"):
         return _forward_one_reference(premise, app)
@@ -713,7 +713,7 @@ def _forward_one_reference(premise: Cirquent, app: RuleApp):
         new_key = Or(app.k, new_host, key.right)
     else:
         new_key = Or(app.k, key.left, new_host)
-    return replace_at(aligned, app.hole_path, new_key), None
+    return replace_at(aligned, app.hole_path, new_key)
 
 
 def _like_reference(template: Cirquent, left: Cirquent, right: Cirquent) -> Cirquent:
@@ -726,7 +726,7 @@ def _like_reference(template: Cirquent, left: Cirquent, right: Cirquent) -> Cirq
 def _forward_two_reference(premise: Cirquent, app: RuleApp):
     aligned, key = calculus._align_key(premise, app)
     n1, n2 = key.left, key.right
-    kind = calculus._circ_kind(aligned, n1, n2)
+    calculus._require_same_connective(aligned, n1, n2)
     if app.rule == "II-left":
         a, c1 = n1.left, n1.right
         b, c2 = n2.left, n2.right
@@ -737,17 +737,17 @@ def _forward_two_reference(premise: Cirquent, app: RuleApp):
         c2, b = n2.left, n2.right
         calculus._require_copies(aligned, c1, c2)
         merged = _like_reference(n1, c1, Or(app.k, a, b))
-    return replace_at(aligned, app.hole_path, merged), kind
+    return replace_at(aligned, app.hole_path, merged)
 
 
 def _forward_three_reference(premise: Cirquent, app: RuleApp):
     aligned, key = calculus._align_key(premise, app)
     n1, n2 = key.left, key.right
-    kind = calculus._circ_kind(aligned, n1, n2)
+    calculus._require_same_connective(aligned, n1, n2)
     a, c = n1.left, n1.right
     b, d = n2.left, n2.right
     merged = _like_reference(n1, Or(app.k, a, b), Or(app.k, c, d))
-    return replace_at(aligned, app.hole_path, merged), kind
+    return replace_at(aligned, app.hole_path, merged)
 
 
 def _backward_one_reference(conclusion: Cirquent, app: RuleApp):
@@ -807,10 +807,19 @@ def _singles_reference(c: Cirquent) -> set[int]:
     return {k for k, block in clusters(c).items() if len(block) == 1}
 
 
-def _backward_two_reference(conclusion: Cirquent, app: RuleApp):
-    node = subcirquent_at(conclusion, app.hole_path)
+def _connective_reference(conclusion: Cirquent, app: RuleApp) -> Cirquent:
+    """The connective at the hole; RuleError when there is none."""
+    try:
+        node = subcirquent_at(conclusion, app.hole_path)
+    except InvalidPathError as e:
+        raise RuleError(str(e)) from None
     if isinstance(node, Literal):
         raise ShapeMismatchError(f"no connective at {app.hole_path}")
+    return node
+
+
+def _backward_two_reference(conclusion: Cirquent, app: RuleApp):
+    node = _connective_reference(conclusion, app)
     mint = MintReference(conclusion)
     left_form = app.rule == "II-left"
     key_in = node.left if left_form else node.right
@@ -819,14 +828,12 @@ def _backward_two_reference(conclusion: Cirquent, app: RuleApp):
     a, b = key_in.left, key_in.right
     shared = node.right if left_form else node.left
     if isinstance(node, And):
-        kind = "and"
         if left_form:
             parts = And(a, shared), And(b, mint.freshen(shared))
         else:
             parts = And(shared, a), And(mint.freshen(shared), b)
     else:
         fresh_second = node.cluster in mint.singles
-        kind = "singleton-or" if fresh_second else "or-in-cluster"
         if left_form:
             # Second copy reads "B o C": its connective ID precedes C's.
             second_id = mint.fresh() if fresh_second else node.cluster
@@ -837,13 +844,11 @@ def _backward_two_reference(conclusion: Cirquent, app: RuleApp):
             second_id = mint.fresh() if fresh_second else node.cluster
             parts = Or(node.cluster, shared, a), Or(second_id, copy, b)
     premise = replace_at(conclusion, app.hole_path, Or(app.k, parts[0], parts[1]))
-    return premise, dataclass_replace(app, circ=kind)
+    return premise, app
 
 
 def _backward_three_reference(conclusion: Cirquent, app: RuleApp):
-    node = subcirquent_at(conclusion, app.hole_path)
-    if isinstance(node, Literal):
-        raise ShapeMismatchError(f"no connective at {app.hole_path}")
+    node = _connective_reference(conclusion, app)
     left_or, right_or = node.left, node.right
     if (
         not isinstance(left_or, Or)
@@ -855,19 +860,16 @@ def _backward_three_reference(conclusion: Cirquent, app: RuleApp):
     a, b = left_or.left, left_or.right
     c, d = right_or.left, right_or.right
     if isinstance(node, And):
-        kind = "and"
         parts = And(a, c), And(b, d)
     else:
         mint = MintReference(conclusion)
         if node.cluster in mint.singles:
-            kind = "singleton-or"
             first, second = mint.fresh(), mint.fresh()
             parts = Or(first, a, c), Or(second, b, d)
         else:
-            kind = "or-in-cluster"
             parts = Or(node.cluster, a, c), Or(node.cluster, b, d)
     premise = replace_at(conclusion, app.hole_path, Or(app.k, parts[0], parts[1]))
-    return premise, dataclass_replace(app, circ=kind)
+    return premise, app
 
 
 def interpretations(names):

@@ -282,7 +282,7 @@ class TestDecideBounds:
             decide(c)
         decision = decide(c, max_clusters=100)
         assert isinstance(decision, Valid)
-        assert check_proof(decision.proof, max_clusters=100) is None
+        assert check_proof(decision.proof) is None
 
 
     def test_single_member_clusters_of_the_residue_are_not_counted(self):

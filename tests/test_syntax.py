@@ -377,6 +377,19 @@ class TestProofFiles:
         script = parse_proof(text)
         assert [entry.cirquent for entry in script] == [parse("p|~p"), parse("(p|~p)|q")]
 
+    @pytest.mark.parametrize("control", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+    def test_other_ascii_controls_do_not_end_an_entry(self, control):
+        with pytest.raises(ParseError) as info:
+            parse_proof(f"1. p|~p axiom{control}2. (p|~p)|q\n")
+        assert info.value.line == 1
+
+    def test_a_lone_carriage_return_ends_an_entry(self):
+        script = parse_proof("# proof\r\r1. p|~p axiom\r2. (p|~p)|q\r")
+        assert [entry.cirquent for entry in script] == [parse("p|~p"), parse("(p|~p)|q")]
+        with pytest.raises(ParseError) as info:
+            parse_proof("1. p|~p\r\n\r2. p|0 q")
+        assert info.value.line == 3
+
     def test_bad_annotation_is_rejected(self):
         with pytest.raises(ParseError):
             parse_proof("1. p|~p lemma\n")
