@@ -16,7 +16,6 @@ from .core import (
     Or,
     canonicalize_ids,
     cluster_ids,
-    cluster_iso,
     cluster_map,
     cluster_size,
     clusters,

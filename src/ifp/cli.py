@@ -16,6 +16,7 @@ from .calculus import ProofEntry, ProofScript, RuleError, check_proof
 from .core import InvalidPathError, canonicalize_ids, node_count
 from .prover import Invalid, Valid, decide
 from .semantics import (
+    DEFAULT_MAX_ATOMS,
     MissingAtomError,
     MissingClusterError,
     TooLargeError,
@@ -81,7 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _command(commands, "valid", "Decide validity by exhausting interpretations.")
     p.add_argument(
-        "--max-atoms", type=_bound, help="override the brute-force size bound on atoms"
+        "--max-atoms",
+        type=_bound,
+        default=DEFAULT_MAX_ATOMS,
+        help="the brute-force size bound on atoms (default: %(default)s)",
     )
 
     p = _command(commands, "prove", "Synthesize a checkable proof of a valid formula.")

@@ -69,14 +69,20 @@ class _Connective:
     def summary(self) -> Summary:
         return _summarize(self)
 
+    def __repr__(self) -> str:
+        """The formula with every cluster ID, built without recursion or summaries."""
+        from .syntax import print_cirquent  # syntax imports this module
 
-@dataclass(frozen=True)
+        return print_cirquent(self, show_singleton_ids=True)
+
+
+@dataclass(frozen=True, repr=False)
 class And(_Connective):
     left: "Cirquent"
     right: "Cirquent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Or(_Connective):
     cluster: int
     left: "Cirquent"
@@ -314,11 +320,6 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
         if any(k in counts for counts in shared for k in moved):
             return None
     return forward
-
-
-def cluster_iso(c: Cirquent, d: Cirquent) -> bool:
-    """Equality up to a bijective renaming of cluster IDs."""
-    return cluster_map(c, d) is not None
 
 
 def canonicalize_ids(c: Cirquent) -> Cirquent:

@@ -306,32 +306,28 @@ def _script(derivation: Derivation) -> ProofScript:
     return ProofScript(tuple(entries))
 
 
-def prove(
-    c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> Optional[ProofScript]:
+def prove(c: Cirquent) -> Optional[ProofScript]:
     """A checkable proof of ``c``, or None when there is none.
 
     The emitted script carries a full hint on every entry, so checking
     it never has to search.
     """
-    decision = decide(c, max_atoms=max_atoms, max_clusters=max_clusters)
+    decision = decide(c)
     if isinstance(decision, Valid):
         return decision.proof
     return None
 
 
-def decide(
-    c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> Decision:
+def decide(c: Cirquent) -> Decision:
     """Prove ``c`` or produce a falsifying interpretation.
 
     The countermodel is found against the classical residue, extended
     with False on any atom the reduction deleted, and re-verified
     against the goal before being returned.
     """
-    names = ensure_within_bounds(c, max_atoms, max_clusters)
+    names = ensure_within_bounds(c)
     derivation = reduce_to_classical(c)
-    model = countermodel(derivation.final, max_atoms=max_atoms, max_clusters=max_clusters)
+    model = countermodel(derivation.final)
     if model is None:
         return Valid(_script(derivation), derivation)
     model = dict.fromkeys(names, False) | model

@@ -13,6 +13,10 @@ monotone, so a single-member cluster's choice is just ``|``.  Order is
 fixed: atoms sorted by name (the first is the most significant bit),
 cluster IDs ascending, false before true, "left" before "right", so
 countermodels are deterministic.
+
+Brute force needs fixed bounds: at most 20 atoms and 20 multi-member
+clusters, or TooLargeError.  ``valid(c, max_atoms=N)`` is the only
+override, and only of the atom bound.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ LEFT = "left"
 RIGHT = "right"
 
 DEFAULT_MAX_ATOMS = 20
-DEFAULT_MAX_CLUSTERS = 20
+MAX_CLUSTERS = 20
 _VECTOR_BITS = 20  # a vector holds at most 2**20 bits
 
 Interpretation = dict[str, bool]
@@ -42,23 +46,17 @@ class MissingClusterError(Exception):
 
 
 class TooLargeError(Exception):
-    """The cirquent exceeds the configured brute-force size bound."""
+    """The cirquent exceeds a brute-force size bound."""
 
 
-def ensure_within_bounds(
-    c: Cirquent,
-    max_atoms: int | None = None,
-    max_clusters: int | None = None,
-) -> list[str]:
+def ensure_within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
     """The sorted atoms of ``c``; TooLargeError for too many atoms or multi-member clusters."""
-    atom_bound = DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
-    cluster_bound = DEFAULT_MAX_CLUSTERS if max_clusters is None else max_clusters
     names = sorted(atoms(c))
     n_multi = len(multi_member(c))
-    if len(names) > atom_bound:
-        raise TooLargeError(f"{len(names)} atoms exceeds the bound of {atom_bound}")
-    if n_multi > cluster_bound:
-        raise TooLargeError(f"{n_multi} multi-member clusters exceeds the bound of {cluster_bound}")
+    if len(names) > max_atoms:
+        raise TooLargeError(f"{len(names)} atoms exceeds the bound of {max_atoms}")
+    if n_multi > MAX_CLUSTERS:
+        raise TooLargeError(f"{n_multi} multi-member clusters exceeds the bound of {MAX_CLUSTERS}")
     return names
 
 
@@ -79,16 +77,14 @@ def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
     return not _false_rows(c, (), interpretation, {})[0]
 
 
-def valid(c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None) -> bool:
+def valid(c: Cirquent, *, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """True when the cirquent is true under every interpretation of its atoms."""
-    return countermodel(c, max_atoms=max_atoms, max_clusters=max_clusters) is None
+    return not _false_rows(c, ensure_within_bounds(c, max_atoms), {}, {})[0]
 
 
-def countermodel(
-    c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> Interpretation | None:
+def countermodel(c: Cirquent) -> Interpretation | None:
     """The lexicographically first falsifying interpretation, or None when valid."""
-    names = ensure_within_bounds(c, max_atoms, max_clusters)
+    names = ensure_within_bounds(c)
     false, shift = _false_rows(c, names, {}, {})
     if not false:
         return None
@@ -106,11 +102,9 @@ class TruthTable:
             raise ValueError("a truth table needs one row per assignment")
 
 
-def truth_table(
-    c: Cirquent, *, max_atoms: int | None = None, max_clusters: int | None = None
-) -> TruthTable:
+def truth_table(c: Cirquent) -> TruthTable:
     """Tabulate true_under over every assignment of the cirquent's atoms."""
-    names = ensure_within_bounds(c, max_atoms, max_clusters)
+    names = ensure_within_bounds(c)
     false, shift = _false_rows(c, names, {}, {})
     assignments = product((False, True), repeat=len(names))
     rows = {values: not (false >> (i << shift)) & 1 for i, values in enumerate(assignments)}

@@ -368,9 +368,9 @@ def parse_proof(text: str) -> ProofScript:
 
     One entry per line: the entry number, a dot, the cirquent, and an
     optional annotation.  Entry 1 may be annotated "axiom"; later
-    entries may carry "rule=NAME" with optional "path=", "k=" and
-    "inner=" fields, in that order.  Entries must be numbered 1, 2, 3,
-    ... in order.  Blank lines and lines starting with "#" are skipped.
+    entries may carry "rule=NAME" with optional "path=", "k=" and (for
+    rule I only) "inner=" fields, in that order.  Entries must be
+    numbered 1, 2, 3, ... in order.  Blank lines and lines starting with "#" are skipped.
     A line ends only at "\\n", "\\r\\n" or a lone "\\r"; other control
     characters, such as a form feed, stay inside the line.  The file
     must be 7-bit ASCII throughout, skipped lines included.
@@ -416,6 +416,8 @@ def _parse_annotation(text: str, number: int) -> Optional[RuleHint]:
         return RuleHint(rule=AXIOM)
     if number == 1:
         raise ParseError("the first entry is an axiom, not a rule application")
+    if m.group("inner") is not None and not m.group("rule").startswith("I-"):
+        raise ParseError(f"inner= is for rule I only, not rule {m.group('rule')}")
     k = None
     if m.group("k") is not None:
         k = _number(m.group("k"))

@@ -101,6 +101,22 @@ class TestValidCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text, answer", [("a0|~a0|", (0, "valid\n")), ("", (1, "invalid\n"))], ids=["valid", "invalid"]
+    )
+    def test_an_atom_bound_past_the_vector_width(self, text, answer, capsys, monkeypatch):
+        # 21 atoms: the first is split off, and each half fills a 2**20-bit vector.
+        text += "|".join(f"a{i}" for i in range(21))
+        code, _, err = run(["valid"], capsys, monkeypatch, stdin=text)
+        assert (code, err) == (2, "error: 21 atoms exceeds the bound of 20\n")
+        code, out, err = run(["valid", "--max-atoms", "21"], capsys, monkeypatch, stdin=text)
+        assert (code, out, err) == (*answer, "")
+
+    def test_help_shows_the_default_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["valid", "--help"])
+        assert "(default: 20)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("bound", ["-1", "-20", "x"])
     def test_a_bound_that_is_no_nonnegative_integer_is_a_usage_error(
         self, bound, capsys, monkeypatch

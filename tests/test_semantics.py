@@ -122,7 +122,8 @@ class TestBounds:
         crowded = parse("&".join(f"(p|{k} q)&(q|{k} p)" for k in range(1, 22)))
         with pytest.raises(TooLargeError, match="21 multi-member clusters exceeds the bound of 20"):
             ensure_within_bounds(crowded)
-        ensure_within_bounds(crowded, None, 21)
+        full = parse("&".join(f"(p|{k} q)&(q|{k} p)" for k in range(1, 21)))
+        assert ensure_within_bounds(full) == ["p", "q"]
 
     def test_single_member_clusters_are_not_counted(self):
         tautology = parse("|".join(["p"] * 21 + ["~p"]))
@@ -132,8 +133,10 @@ class TestBounds:
     def test_overrides(self):
         c = parse("p&q&r")
         with pytest.raises(TooLargeError):
-            ensure_within_bounds(c, 2, None)
-        ensure_within_bounds(c, 3, 0)
+            ensure_within_bounds(c, 2)
+        with pytest.raises(TooLargeError, match="3 atoms exceeds the bound of 2"):
+            valid(c, max_atoms=2)
+        assert ensure_within_bounds(c, 3) == ["p", "q", "r"]
 
 
 class TestClassical:
@@ -249,11 +252,14 @@ class TestEvaluator:
             metatrue(c, {"p": True, "q": True}, {1: "left"})
 
     def test_clusters_beyond_one_vector_are_enumerated_in_a_loop(self):
-        # One atom and 21 clusters need 2**22 bits, two more than a vector holds.
-        free = "&".join(f"(a|{k} ~a)&(a|{k} ~a)" for k in range(1, 22))
-        assert valid(parse(free), max_clusters=21)
-        pinned = parse(free + "&(a|1 ~a)&(~a|1 a)")
-        assert countermodel(pinned, max_clusters=21) == {"a": False}
+        # Two atoms and 20 clusters need 2**22 bits, two more than a vector holds:
+        # the first two clusters are enumerated, four blocks of one vector each.
+        free = "&".join(f"({x}|{k} ~{x})&({x}|{k} ~{x})" for k, x in zip(range(1, 21), "ab" * 10))
+        assert valid(parse(free))
+        pinned = parse(free + "&(a|1 ~a)&(~a|1 a)")  # cluster 1 is false either way
+        with mock.patch.object(ifp.semantics, "_false_rows", wraps=ifp.semantics._false_rows) as calls:
+            assert countermodel(pinned) == {"a": False, "b": False}
+        assert calls.call_count == 5
 
     @given(shared_cirquents(), st.randoms(use_true_random=False), st.sampled_from((20, 1, 0)))
     def test_agrees_with_the_reference(self, c, rng, vector_bits):

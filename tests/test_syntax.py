@@ -16,7 +16,7 @@ from ifp import (
     ProofEntry,
     ProofScript,
     canonicalize_ids,
-    cluster_iso,
+    cluster_map,
     clusters,
     decide,
     parse,
@@ -258,7 +258,7 @@ class TestPrint:
 
     @given(cirquents())
     def test_round_trip_is_cluster_isomorphic(self, c):
-        assert cluster_iso(parse(print_cirquent(c)), c)
+        assert cluster_map(parse(print_cirquent(c)), c) is not None
         reparsed = parse(print_cirquent(c, show_singleton_ids=True))
         assert reparsed == c
 
@@ -397,6 +397,15 @@ class TestProofFiles:
     def test_annotation_fields_have_a_fixed_order(self):
         with pytest.raises(ParseError):
             parse_proof("1. p|~p\n2. p|1(q|1 ~p) rule=I-right k=1 path=.\n")
+
+    @pytest.mark.parametrize("rule", ["II-left", "II-right", "III"])
+    def test_inner_path_is_for_rule_one_only(self, rule, worked_proof_text):
+        lines = worked_proof_text.splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if f" rule={rule} " in line)
+        lines[lineno - 1] += " inner=LLLL"
+        with pytest.raises(ParseError, match=f"inner= is for rule I only, not rule {rule} on line") as info:
+            parse_proof("\n".join(lines))
+        assert info.value.line == lineno
 
     def test_formula_errors_carry_the_line_number(self):
         with pytest.raises(ParseError) as info:
