@@ -33,14 +33,19 @@ grouping structure is preserved.
 The checker reads each step's candidates off its conclusion and checks
 rule I by its inverse, rules II and III forward (``match_step`` says
 why).  Single-member IDs are not printed, so no check compares them.
-Each candidate is compared with its proof entry by ``cluster_map``,
-which skips the subtrees both sides share, checks soundly that the rest
-of the walk moved none of their IDs, and lists only the IDs it met.  A
+Unless a hint names the hole, one walk over premise and conclusion
+first finds where they differ, and only the connectives on the path to
+the differences' meet are tried as holes: O(depth) candidates rather
+than one per connective (``_candidates_in`` gives the argument).  Each
+candidate is compared with its proof entry by ``cluster_map``, which
+skips the subtrees both sides share, checks soundly that the rest of
+the walk moved none of their IDs, and lists only the IDs it met.  A
 rewrite rebuilds only the path to what it changes, so a proof that
 ``decide`` or ``prove`` builds in memory shares every other subtree
-between neighbouring entries, and the comparison walks the rebuilt
-paths, not the whole tree.  Parsed proofs share nothing, and each step
-compares whole trees.
+between neighbouring entries, and both the walk and each comparison
+cover the rebuilt paths, not the whole tree.  Parsed proofs share
+nothing: there the walk and each candidate's comparison cover both
+whole trees.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .core import (
     Or,
     Path,
     RIGHT_STEP,
+    ROOT,
     cluster_ids,
     cluster_map,
     cluster_size,
@@ -266,12 +272,25 @@ def match_step(
     sides share a two-member cluster; backward application gives those
     fresh IDs and so cannot produce such premises.
 
+    Without a hinted hole, a hole is tried only when it lies at or above
+    every position where premise and conclusion differ in a way its
+    rule's check cannot forgive: a different node type or literal for
+    every rule; a changed ID of a multi-member cluster of the premise
+    for rule I, which is compared backward, and of the conclusion for
+    rules II and III, which are compared forward.  Rule I's inner
+    position lies on the same path, and without a changed node there is
+    no rule I candidate.  A dropped candidate cannot match and the
+    others keep their order, so the first that matches is the one
+    trying every candidate gives (``_candidates_in`` gives the
+    argument).  When nothing differs for rules II and III, every hole
+    is tried.
+
     A hint restricts the candidates field by field; its k is compared
     only when the key's cluster has more than one member in the
     conclusion, since single-member IDs are not printed.  Returns None
     when nothing fits.
     """
-    for app in _candidates_in(conclusion, hint or RuleHint()):
+    for app in _candidates_in(premise, conclusion, hint or RuleHint()):
         try:
             if app.rule in ("I-left", "I-right"):
                 restored, completed = apply_rule_backward(conclusion, app)
@@ -444,33 +463,79 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
     return premise, app
 
 
-def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
+def _candidates_in(premise: Cirquent, conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
     """The applications ``match_step`` tries, read off the conclusion in its order.
 
     A hinted hole or inner position is looked up by its path, not found
-    by a walk.
+    by a walk.  Without a hinted hole, only the connectives above what
+    the step changed are tried: a rule at hole h leaves everything
+    outside h's subtree as it was, up to what ``cluster_struct_match``
+    forgives.  ``_meets`` finds where premise and conclusion differ, in
+    three kinds of position: two nodes of different types or two unequal
+    literals; two disjunctions whose IDs differ where the premise's
+    cluster has more than one member; the same where the conclusion's
+    cluster has.  A hole must lie at or above every difference that
+    counts for its rule, so on the path to their meet, their longest
+    common prefix:
+
+    - Rules II and III are checked by ``cluster_map(conclusion,
+      forward)``, which must keep the conclusion's multi-member IDs.
+      Outside h the forward result holds the premise's nodes and IDs,
+      except that ``_align_key`` may move the single-member holder of k
+      to an unused ID; the map keeps cluster sizes, so the conclusion's
+      cluster there has one member too.  So the first and third kinds
+      count.  When neither occurs, no hole is ruled out and every
+      connective is tried.
+    - Rule I is checked by ``cluster_map(premise, restored)``, which
+      must keep the premise's multi-member IDs.  ``restored`` is the
+      conclusion with the grown disjunction g replaced by its kept
+      operand; it differs from the conclusion only at g and keeps the
+      conclusion's IDs on the path above.  So the first and second
+      kinds count, and all must lie at or below g.  The conclusion's
+      subtree at g has more nodes than the premise's, so a difference
+      of the first kind lies there: without one, rule I has no
+      candidate; otherwise g lies on the path to the meet, below h, and
+      the inner positions are read off that path.
+
+    Holes and inner positions keep the path order a full walk gives, so
+    the first that matches is the one the full list would give.
     """
     if hint.hole_path is None:
-        nodes = [(hole, node) for hole, node in walk(conclusion) if not isinstance(node, Literal)]
+        meet_one, meet_two = _meets(premise, conclusion)
+        grown = [] if meet_one is None else _spine(conclusion, meet_one)
+        if meet_two is None:
+            keyed = [(hole, node) for hole, node in walk(conclusion) if not isinstance(node, Literal)]
+        else:
+            keyed = grown if meet_two == meet_one else _spine(conclusion, meet_two)
     else:
         node = _at(conclusion, hint.hole_path)
-        nodes = [] if node is None or isinstance(node, Literal) else [(hint.hole_path, node)]
+        grown = keyed = [] if node is None or isinstance(node, Literal) else [(hint.hole_path, node)]
     for rule in RULES:
         if hint.rule not in (None, rule):
             continue
         left_merged, right_merged = _MERGED.get(rule, (None, None))
-        for hole, node in nodes:
+        for hole, node in grown if left_merged is None else keyed:
             if left_merged is None:
                 if not isinstance(node, Or):
                     continue
                 k = node.cluster
                 host = node.left if rule == "I-left" else node.right
-                if hint.inner_path is None:
-                    inners = members(host, k)
-                else:
+                if hint.inner_path is not None:
                     inner = _at(host, hint.inner_path)
                     held = isinstance(inner, Or) and inner.cluster == k
                     inners = [hint.inner_path] if held else []
+                elif hint.hole_path is not None:
+                    inners = members(host, k)
+                else:  # on the path to the meet, inside the grown operand
+                    depth = len(hole) + 1
+                    side = LEFT_STEP if rule == "I-left" else RIGHT_STEP
+                    if meet_one[depth - 1 : depth] != (side,):
+                        continue
+                    inners = [
+                        path[depth:]
+                        for path, below in grown[depth:]
+                        if isinstance(below, Or) and below.cluster == k
+                    ]
             else:
                 key = node.left if left_merged else node.right
                 if not isinstance(key, Or):
@@ -485,6 +550,69 @@ def _candidates_in(conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
                 continue
             for inner in inners:
                 yield RuleApp(rule, hole, k, inner_path=inner)
+
+
+def _meets(premise: Cirquent, conclusion: Cirquent) -> tuple[Optional[Path], Optional[Path]]:
+    """The meet of the differences that count for rule I and that of those for rules II and III.
+
+    The kinds are those ``_candidates_in`` lists.  The first meet is
+    None when no two nodes differ in type or literal, the second when
+    nothing counts for rules II and III.  One walk over both trees finds
+    the differences; a pair that is one object holds none and is not
+    entered.  The walk meets positions in path order, which sorts paths
+    as strings, so the meet of all differences is that of the first and
+    the last.
+    """
+    shaped = False
+    first_one = last_one = first_two = last_two = None  # "one": rule I; "two": rules II and III
+    pairs = [] if premise is conclusion else [(premise, conclusion, ROOT)]
+    while pairs:
+        x, y, path = pairs.pop()
+        if type(x) is not type(y) or isinstance(x, Literal):
+            if x == y:
+                continue
+            shaped = one = two = True
+        else:
+            if x.right is not y.right:
+                pairs.append((x.right, y.right, path + (RIGHT_STEP,)))
+            if x.left is not y.left:
+                pairs.append((x.left, y.left, path + (LEFT_STEP,)))
+            if not isinstance(x, Or) or x.cluster == y.cluster:
+                continue
+            one = cluster_size(premise, x.cluster) > 1
+            two = cluster_size(conclusion, y.cluster) > 1
+        if one:
+            if first_one is None:
+                first_one = path
+            last_one = path
+        if two:
+            if first_two is None:
+                first_two = path
+            last_two = path
+    meet_one = _common_prefix(first_one, last_one) if shaped else None
+    meet_two = None if first_two is None else _common_prefix(first_two, last_two)
+    return meet_one, meet_two
+
+
+def _common_prefix(first: Path, last: Path) -> Path:
+    """The longest common prefix of two paths, ``first`` sorting no later than ``last``."""
+    if first is last:
+        return first
+    n = 0
+    while n < len(first) and first[n] == last[n]:
+        n += 1
+    return first[:n]
+
+
+def _spine(c: Cirquent, meet: Path) -> list[tuple[Path, Cirquent]]:
+    """(path, node) for each connective on the way from the root of ``c`` to ``meet``."""
+    spine = [(ROOT, c)]
+    for depth, step in enumerate(meet, 1):
+        node = spine[-1][1]
+        spine.append((meet[:depth], node.left if step == LEFT_STEP else node.right))
+    if isinstance(spine[-1][1], Literal):
+        spine.pop()
+    return spine
 
 
 def _at(c: Cirquent, path: Path) -> Optional[Cirquent]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, replace as dataclass_replace
+from typing import Iterator
 
 from hypothesis import assume, strategies as st
 
@@ -37,7 +38,7 @@ from ifp import (
     subcirquent_at,
     valid,
 )
-from ifp.calculus import RULES, CopyMismatchError, ShapeMismatchError
+from ifp.calculus import RULES, CopyMismatchError, RuleHint, ShapeMismatchError
 from ifp.core import Cirquent, InvalidPathError, Path, atoms, map_clusters, walk
 from ifp.prover import (
     PreconditionError,
@@ -617,6 +618,66 @@ def match_step_reference(premise: Cirquent, conclusion: Cirquent, hint=None):
                         continue
                     if cluster_struct_match(result, conclusion):
                         return app
+    return None
+
+
+def candidates_reference(conclusion: Cirquent, hint) -> Iterator[RuleApp]:
+    """The candidate list ``match_step`` tried before it localized the hole.
+
+    Every connective of the conclusion is a hole and every disjunction
+    of the key's cluster in the grown operand an inner position, in the
+    order ``match_step`` tries them: rules as in RULES, holes in path
+    order, inner positions in path order.
+    """
+    if hint.hole_path is None:
+        nodes = [(hole, node) for hole, node in walk(conclusion) if not isinstance(node, Literal)]
+    else:
+        node = calculus._at(conclusion, hint.hole_path)
+        nodes = [] if node is None or isinstance(node, Literal) else [(hint.hole_path, node)]
+    for rule in RULES:
+        if hint.rule not in (None, rule):
+            continue
+        left_merged, right_merged = calculus._MERGED.get(rule, (None, None))
+        for hole, node in nodes:
+            if left_merged is None:
+                if not isinstance(node, Or):
+                    continue
+                k = node.cluster
+                host = node.left if rule == "I-left" else node.right
+                if hint.inner_path is None:
+                    inners = members(host, k)
+                else:
+                    inner = calculus._at(host, hint.inner_path)
+                    held = isinstance(inner, Or) and inner.cluster == k
+                    inners = [hint.inner_path] if held else []
+            else:
+                key = node.left if left_merged else node.right
+                if not isinstance(key, Or):
+                    continue
+                k = key.cluster
+                if left_merged and right_merged and not (
+                    isinstance(node.right, Or) and node.right.cluster == k
+                ):
+                    continue
+                inners = [None]
+            if hint.k not in (None, k) and cluster_size(conclusion, k) > 1:
+                continue
+            for inner in inners:
+                yield RuleApp(rule, hole, k, inner_path=inner)
+
+
+def first_match_reference(premise: Cirquent, conclusion: Cirquent, hint=None):
+    """What ``match_step`` returns when it tries every candidate of ``candidates_reference``."""
+    for app in candidates_reference(conclusion, hint or RuleHint()):
+        try:
+            if app.rule in ("I-left", "I-right"):
+                restored, completed = apply_rule_backward(conclusion, app)
+                if cluster_struct_match(restored, premise):
+                    return completed
+            elif cluster_struct_match(apply_rule_forward(premise, app), conclusion):
+                return app
+        except RuleError:
+            continue
     return None
 
 

@@ -10,15 +10,20 @@ from helpers import (
     RULE_FAMILIES,
     apply_rule_backward_reference,
     apply_rule_forward_reference,
+    candidates_reference,
+    cirquents,
     deep_chain,
+    first_match_reference,
     forward_steps,
     interpretations,
     match_step_reference,
+    nested_cirquents,
     nested_family,
     or_positions,
     rand_cirquent,
     rand_rule_instance,
     rand_step_premise,
+    rename_clusters,
     valid_cirquents,
 )
 from ifp import (
@@ -39,6 +44,7 @@ from ifp import (
     clusters,
     decide,
     match_step,
+    members,
     parse,
     positions,
     parse_proof,
@@ -505,6 +511,94 @@ class TestMatchStep:
         assert steps > 2000 and accepted > steps // 2
 
 
+class TestLocalizedHoles:
+    """Without a hinted hole, ``match_step`` tries only the connectives above
+    what the step changed, and returns what trying every candidate returns."""
+
+    def test_a_single_member_id_in_the_premise_may_change_outside_rule_ones_hole(self):
+        # Cluster 7 has two members in the conclusion, so L differs for
+        # rules II and III; cluster 8 has one in the premise, so not for
+        # rule I.  Counting L for every rule would leave only the root.
+        premise, conclusion = parse("(p|8 q)&(r|3 s)"), parse("(p|7 q)&((r|3(t|7 u))|3 s)")
+        assert ifp.calculus._meets(premise, conclusion) == (("R", "L"), ())
+        found = match_step(premise, conclusion)
+        assert found == RuleApp("I-left", ("R",), 3, (), parse("t|7 u"))
+        assert found == first_match_reference(premise, conclusion)
+
+    def test_rule_three_renames_a_single_member_holder_outside_the_hole(self):
+        script = parse_proof(
+            "1. ((p&q)|(~p&~q))|((p&~q)|(~p&q)) axiom\n"
+            "2. ((p|3 ~p)&(q|3 ~q))|((p&~q)|(~p&q))\n"
+        )
+        premise, conclusion = (entry.cirquent for entry in script)
+        assert members(premise, 3) == [("R",)]
+        found = match_step(premise, conclusion)
+        assert found == RuleApp("III", ("L",), 3)
+        assert found == first_match_reference(premise, conclusion)
+        assert check_proof(script) is None
+
+    def test_rule_three_steps_that_change_no_shape(self):
+        unchanged = parse("(p|1 q)|1(q|1 r)")
+        for premise, conclusion in (
+            (parse("(p|2 q)|1(q|2 r)"), parse("(p|1 q)|2(q|1 r)")),  # only IDs change
+            (unchanged, parse("(p|1 q)|1(q|1 r)")),  # nothing changes
+            (unchanged, unchanged),  # nothing changes, and the walk enters nothing
+        ):
+            found = match_step(premise, conclusion)
+            assert found == RuleApp("III", (), 1)
+            assert found == first_match_reference(premise, conclusion)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    def test_proofs_of_the_nested_family(self, d):
+        rng = random.Random(90 + d)
+        proof = decide(nested_family(d, True)).proof
+        for script in (proof, parse_proof(print_proof(proof))):
+            entries = [entry.cirquent for entry in script]
+            for premise, conclusion in zip(entries, entries[1:]):
+                _assert_first_match(premise, conclusion)
+            for premise, conclusion in rng.sample(list(zip(entries, entries[1:])), 4):
+                _assert_first_match(premise, _shuffled_singles(rng, conclusion))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(cirquents(), nested_cirquents()), st.randoms(use_true_random=False))
+    def test_forward_steps(self, premise, rng):
+        for conclusion, _ in forward_steps(rng, premise):
+            _assert_first_match(premise, conclusion)
+            _assert_first_match(premise, _shuffled_singles(rng, conclusion))
+
+    def test_forward_steps_of_displayed_keys(self):
+        rng = random.Random(93)
+        under_or = 0
+        for _ in range(40):
+            premise = rand_step_premise(rng)
+            for conclusion, app in forward_steps(rng, premise):
+                _assert_first_match(premise, conclusion)
+                _assert_first_match(premise, _shuffled_singles(rng, conclusion))
+                _assert_first_match(premise, conclusion, RuleHint(app.rule, None, app.k, app.inner_path))
+                under_or += app.rule == "III" and isinstance(subcirquent_at(conclusion, app.hole_path), Or)
+        assert under_or > 10
+
+    def test_the_nested_family_tries_at_most_a_tenth_of_the_candidates(self):
+        entries = [entry.cirquent for entry in decide(nested_family(4, True)).proof]
+        steps = list(zip(entries, entries[1:]))
+        localized = sum(len(list(ifp.calculus._candidates_in(p, c, RuleHint()))) for p, c in steps)
+        every = sum(len(list(candidates_reference(c, RuleHint()))) for _, c in steps)
+        assert 10 * localized <= every
+
+
+def _assert_first_match(premise, conclusion, hint=None) -> None:
+    assert match_step(premise, conclusion, hint) == first_match_reference(premise, conclusion, hint)
+
+
+def _shuffled_singles(rng, c):
+    """``c`` with its single-member cluster IDs permuted among themselves and unused IDs."""
+    singles = [k for k in cluster_ids(c) if cluster_size(c, k) == 1]
+    pool = singles + [max(cluster_ids(c), default=0) + i for i in range(1, len(singles) + 1)]
+    mapping = {k: k for k in cluster_ids(c)}
+    mapping.update(zip(singles, rng.sample(pool, len(singles))))
+    return rename_clusters(c, mapping)
+
+
 class TestCheckProof:
     def test_the_worked_proof_checks_out(self, worked_proof_text):
         assert check_proof(parse_proof(worked_proof_text)) is None
@@ -570,8 +664,9 @@ class TestSharedSubtrees:
     """Entries that share subtrees, as in-memory proofs do, check as their
     unshared copies do, also when one entry is changed where it shares a
     subtree with its neighbour.  Every step the premise-driven reference
-    accepts is accepted, and every accepted step keeps the truth value
-    under every interpretation."""
+    accepts is accepted, every accepted step keeps the truth value under
+    every interpretation, and without hints every step, accepted or not,
+    matches as when every candidate is tried."""
 
     @settings(max_examples=40, deadline=None)
     @given(valid_cirquents(), st.randoms(use_true_random=False))
@@ -646,6 +741,7 @@ def _mutants(rng, c, neighbour):
 
 def _check_step(premise, conclusion, hint) -> bool:
     """Assert what the class docstring says of one step; return whether it is accepted."""
+    _assert_first_match(premise, conclusion)
     found = match_step(premise, conclusion, hint)
     assert found == match_step(_unshared(premise), _unshared(conclusion), hint)
     if match_step_reference(_unshared(premise), _unshared(conclusion), hint) is not None:
