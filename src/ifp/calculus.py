@@ -36,21 +36,25 @@ why).  Single-member IDs are not printed, so no check compares them.
 Unless a hint names the hole, one walk over premise and conclusion
 first finds where they differ, and only the connectives on the path to
 the differences' meet are tried as holes: O(depth) candidates rather
-than one per connective (``_candidates_in`` gives the argument).  Each
-candidate is compared with its proof entry by ``cluster_map``, which
-skips the subtrees both sides share, checks soundly that the rest of
-the walk moved none of their IDs, and lists only the IDs it met.  A
-rewrite rebuilds only the path to what it changes, so a proof that
-``decide`` or ``prove`` builds in memory shares every other subtree
-between neighbouring entries, and both the walk and each comparison
-cover the rebuilt paths, not the whole tree.  Parsed proofs share
-nothing: there the walk and each candidate's comparison cover both
-whole trees.
+than one per connective (``_candidates_in`` gives the argument).  Node
+counts, cached in each node's summary, then rule out a candidate before
+it is built, since each rule fixes how many nodes it adds: rule I adds
+the grown disjunction and its new disjunct; rule II removes one
+connective and the second copy of the operand the conclusion keeps;
+rule III adds none.  Each candidate that is built is compared with its
+proof entry by ``cluster_map``, which skips the subtrees both sides
+share, checks soundly that the rest of the walk moved none of their
+IDs, and lists only the IDs it met.  A rewrite rebuilds only the path
+to what it changes, so a proof that ``decide`` or ``prove`` builds in
+memory shares every other subtree between neighbouring entries, and
+both the walk and each comparison cover the rebuilt paths, not the
+whole tree.  Parsed proofs share nothing: there the walk and each
+candidate's comparison cover both whole trees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Optional
 
@@ -71,6 +75,7 @@ from .core import (
     is_classical,
     map_clusters,
     members,
+    node_count,
     replace_at,
     subcirquent_at,
     walk,
@@ -226,7 +231,8 @@ def apply_rule_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, R
         kept, dropped = grown.left, grown.right
     else:
         kept, dropped = grown.right, grown.left
-    return replace_at(conclusion, inner, kept), replace(app, new_subcirquent=dropped)
+    completed = RuleApp(app.rule, app.hole_path, app.k, app.inner_path, dropped)
+    return replace_at(conclusion, inner, kept), completed
 
 
 def cluster_struct_match(c: Cirquent, d: Cirquent) -> bool:
@@ -279,8 +285,11 @@ def match_step(
     for rule I, which is compared backward, and of the conclusion for
     rules II and III, which are compared forward.  Rule I's inner
     position lies on the same path, and without a changed node there is
-    no rule I candidate.  A dropped candidate cannot match and the
-    others keep their order, so the first that matches is the one
+    no rule I candidate.  A candidate is also dropped when the number of
+    nodes it would add is not the conclusion's node count less the
+    premise's: 1 + the new disjunct's for rule I, -1 - the kept copy's
+    for rule II, 0 for rule III.  A dropped candidate cannot match and
+    the others keep their order, so the first that matches is the one
     trying every candidate gives (``_candidates_in`` gives the
     argument).  When nothing differs for rules II and III, every hole
     is tried.
@@ -497,10 +506,29 @@ def _candidates_in(premise: Cirquent, conclusion: Cirquent, hint: RuleHint) -> I
       candidate; otherwise g lies on the path to the meet, below h, and
       the inner positions are read off that path.
 
+    Without a hinted hole, node counts drop the candidates that cannot
+    match before they are built.  ``cluster_map`` accepts only trees
+    that match node for node, so both checks, and ``_require_copies``,
+    accept only trees of equal node counts.  With ``grows`` the
+    conclusion's count less the premise's, and o the conclusion's node
+    at the hole (``_growth`` computes each case):
+
+    - III rewrites "(A o C) |k (B o D)" to "(A |k B) o (C |k D)": three
+      connectives either way, so ``grows`` must be 0.
+    - II-left rewrites it to "(A |k B) o C": one connective fewer, and D
+      gone, a copy of C, which is o's right operand; so ``-grows`` must
+      be 1 + the count of o's right operand.  II-right likewise drops B,
+      a copy of A, o's left operand.
+    - I-left and I-right replace a subcirquent A by the grown
+      disjunction "A |k B" or "B |k A", so ``grows`` must be 1 + the
+      count of B, read off the grown disjunction on the path.
+
     Holes and inner positions keep the path order a full walk gives, so
     the first that matches is the one the full list would give.
     """
+    grows = None  # nodes the step adds; counted only without a hinted hole
     if hint.hole_path is None:
+        grows = node_count(conclusion) - node_count(premise)
         meet_one, meet_two = _meets(premise, conclusion)
         grown = [] if meet_one is None else _spine(conclusion, meet_one)
         if meet_two is None:
@@ -521,21 +549,22 @@ def _candidates_in(premise: Cirquent, conclusion: Cirquent, hint: RuleHint) -> I
                 k = node.cluster
                 host = node.left if rule == "I-left" else node.right
                 if hint.inner_path is not None:
-                    inner = _at(host, hint.inner_path)
-                    held = isinstance(inner, Or) and inner.cluster == k
-                    inners = [hint.inner_path] if held else []
+                    held = [(hint.inner_path, _at(host, hint.inner_path))]
                 elif hint.hole_path is not None:
-                    inners = members(host, k)
+                    held = None
                 else:  # on the path to the meet, inside the grown operand
                     depth = len(hole) + 1
                     side = LEFT_STEP if rule == "I-left" else RIGHT_STEP
                     if meet_one[depth - 1 : depth] != (side,):
                         continue
-                    inners = [
-                        path[depth:]
-                        for path, below in grown[depth:]
-                        if isinstance(below, Or) and below.cluster == k
-                    ]
+                    held = [(path[depth:], below) for path, below in grown[depth:]]
+                inners = members(host, k) if held is None else [
+                    inner
+                    for inner, below in held
+                    if isinstance(below, Or)
+                    and below.cluster == k
+                    and (grows is None or grows == _growth(rule, below))
+                ]
             else:
                 key = node.left if left_merged else node.right
                 if not isinstance(key, Or):
@@ -545,11 +574,32 @@ def _candidates_in(premise: Cirquent, conclusion: Cirquent, hint: RuleHint) -> I
                     isinstance(node.right, Or) and node.right.cluster == k
                 ):
                     continue
+                if grows is not None and grows != _growth(rule, node):
+                    continue
                 inners = [None]
             if hint.k not in (None, k) and cluster_size(conclusion, k) > 1:
                 continue
             for inner in inners:
                 yield RuleApp(rule, hole, k, inner_path=inner)
+
+
+def _growth(rule: str, node: Cirquent) -> int:
+    """How many nodes ``rule`` adds, read off the conclusion's node it rewrote.
+
+    For rule I, ``node`` is the grown disjunction: the rule adds it and
+    the new disjunct.  For rules II and III it is the connective o at
+    the hole: rule II removes one connective and the second copy of the
+    operand o keeps; rule III moves nodes but adds none.
+    """
+    if rule == "I-left":
+        return 1 + node_count(node.right)
+    if rule == "I-right":
+        return 1 + node_count(node.left)
+    if rule == "II-left":
+        return -1 - node_count(node.right)
+    if rule == "II-right":
+        return -1 - node_count(node.left)
+    return 0
 
 
 def _meets(premise: Cirquent, conclusion: Cirquent) -> tuple[Optional[Path], Optional[Path]]:

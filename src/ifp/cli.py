@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: parse, eval, valid, prove, check, compile, decide.  Each
-reads one input file, with "-" for standard input.  Exit status 0 means
-the affirmative outcome, 1 the negative one or an input error, and 2 a
-usage error or an input over the brute-force size bound.
+reads one input file, with "-" for standard input, and decodes it as
+UTF-8.  Exit status 0 means the affirmative outcome, 1 the negative one
+or an input error, and 2 a usage error or an input over the brute-force
+size bound.
 """
 
 from __future__ import annotations
@@ -130,10 +131,17 @@ def _bound(text: str) -> int:
 
 
 def _read_source(args) -> str:
+    """The input file, or stdin for "-", decoded as UTF-8 whatever the locale."""
     if args.file == "-":
-        return sys.stdin.read()
-    with open(args.file, encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(args.file, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        offending = f"byte {data[e.start]:#04x} at offset {e.start}"
+        raise ParseError(f"the input is not UTF-8: {offending}") from None
 
 
 def _cmd_parse(args) -> int:

@@ -11,14 +11,15 @@ from the root.  A path may end at any node, literals included, but may not
 step through a literal.
 
 Every node caches a ``summary``: how many disjunctions of each cluster
-lie beneath it (itself included) and whether it is free of same-cluster
-nesting.  A connective computes its summary on first use and keeps it;
-nodes are immutable and a rewrite shares every subtree it leaves alone,
-so a rebuilt cirquent computes summaries only along the rebuilt spine.
-The summary is this module's private cache: other modules ask
-``cluster_size``, ``cluster_ids``, ``multi_member``, ``is_classical``,
-``members`` and ``first_nested`` instead of reading it.  The reducer
-lists a cluster's ``members`` once per resolution and keeps the list.
+lie beneath it (itself included), whether it is free of same-cluster
+nesting, and how many nodes its subtree has.  A connective computes its
+summary on first use and keeps it; nodes are immutable and a rewrite
+shares every subtree it leaves alone, so a rebuilt cirquent computes
+summaries only along the rebuilt spine.  The summary is this module's
+private cache: other modules ask ``cluster_size``, ``cluster_ids``,
+``multi_member``, ``is_classical``, ``members``, ``first_nested`` and
+``node_count`` instead of reading it.  The reducer lists a cluster's
+``members`` once per resolution and keeps the list.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ class Summary(NamedTuple):
 
     ``counts`` maps each cluster ID present to its number of disjunctions;
     ``nesting_free`` is False when some disjunction sits inside another of
-    the same cluster.
+    the same cluster; ``size`` is the number of nodes, literals and
+    connectives alike.
     """
 
     counts: Mapping[int, int]
     nesting_free: bool
+    size: int
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class Literal:
     atom: str
     positive: bool = True
 
-    summary = Summary(MappingProxyType({}), True)
+    summary = Summary(MappingProxyType({}), True, 1)
 
     def __str__(self) -> str:
         return self.atom if self.positive else "~" + self.atom
@@ -127,7 +130,7 @@ def _summarize(root: Cirquent) -> Summary:
             counts = large
         for k, n in small.items():
             counts[k] = counts.get(k, 0) + n
-        node.__dict__["summary"] = Summary(counts, free)
+        node.__dict__["summary"] = Summary(counts, free, left.size + right.size + 1)
     return root.__dict__["summary"]
 
 
@@ -264,8 +267,8 @@ def atoms(c: Cirquent) -> set[str]:
 
 
 def node_count(c: Cirquent) -> int:
-    """Total number of nodes, literals and connectives alike."""
-    return len(_nodes(c))
+    """Total number of nodes, literals and connectives alike, read off the summary."""
+    return c.summary.size
 
 
 def _nodes(c: Cirquent) -> list[Cirquent]:

@@ -39,7 +39,7 @@ from ifp import (
     valid,
 )
 from ifp.calculus import RULES, CopyMismatchError, RuleHint, ShapeMismatchError
-from ifp.core import Cirquent, InvalidPathError, Path, atoms, map_clusters, walk
+from ifp.core import Cirquent, InvalidPathError, Path, atoms, map_clusters, node_count, walk
 from ifp.prover import (
     PreconditionError,
     ReductionInvariantError,
@@ -363,6 +363,7 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     assert singles == {k for k, n in sizes.items() if n == 1}
     assert first_nested(c) == (pairs[0] if pairs else None)
     assert cluster_size(c, max(sizes, default=0) + 1) == 0
+    assert node_count(c) == len(positions(c))
     for k, positions_of_k in table.items():
         assert cluster_size(c, k) == len(positions_of_k)
         assert members(c, k) == sorted(positions_of_k)

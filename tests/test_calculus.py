@@ -578,6 +578,46 @@ class TestLocalizedHoles:
                 under_or += app.rule == "III" and isinstance(subcirquent_at(conclusion, app.hole_path), Or)
         assert under_or > 10
 
+    def test_a_step_that_changes_nothing_is_still_rule_three_at_the_root(self):
+        # Nothing differs, so every connective is a hole; rule III adds no
+        # node, while rule II at the root would drop four.
+        c = parse("(p|1 q)|1(q|1 r)")
+        assert list(ifp.calculus._candidates_in(c, c, RuleHint())) == [RuleApp("III", (), 1)]
+        assert match_step(c, c) == RuleApp("III", (), 1) == first_match_reference(c, c)
+
+    def test_node_counts_drop_a_rule_two_candidate_above_the_meet(self, monkeypatch):
+        # Rule I-left at L grows a into a|2 b, two nodes more; rule II-left
+        # at the root or at L would drop the key's place and a copy of its
+        # right operand, two nodes fewer.
+        premise, conclusion = parse("(a|2 c)&d"), parse("((a|2 b)|2 c)&d")
+        assert ifp.calculus._meets(premise, conclusion) == (("L", "L"), ("L", "L"))
+        hint = RuleHint(rule="II-left")
+        assert list(candidates_reference(conclusion, hint)) == [
+            RuleApp("II-left", (), 2),
+            RuleApp("II-left", ("L",), 2),
+        ]
+        assert list(ifp.calculus._candidates_in(premise, conclusion, hint)) == []
+        applied = []
+        forward = ifp.calculus.apply_rule_forward
+        counted = lambda *a: applied.append(a) or forward(*a)  # noqa: E731
+        monkeypatch.setattr(ifp.calculus, "apply_rule_forward", counted)
+        assert match_step(premise, conclusion) == RuleApp("I-left", ("L",), 2, (), parse("b"))
+        assert match_step(premise, conclusion, hint) is None
+        assert applied == []
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    def test_the_nested_family_applies_one_rule_per_step(self, d, monkeypatch):
+        applied = []
+        for name in ("apply_rule_forward", "apply_rule_backward"):
+            apply = getattr(ifp.calculus, name)
+            counted = lambda *a, apply=apply: applied.append(a) or apply(*a)  # noqa: E731
+            monkeypatch.setattr(ifp.calculus, name, counted)
+        proof = decide(nested_family(d, True)).proof
+        for script in (proof, parse_proof(print_proof(proof))):
+            applied.clear()
+            assert check_proof(_stripped(script)) is None
+            assert len(applied) == len(script) - 1
+
     def test_the_nested_family_tries_at_most_a_tenth_of_the_candidates(self):
         entries = [entry.cirquent for entry in decide(nested_family(4, True)).proof]
         steps = list(zip(entries, entries[1:]))

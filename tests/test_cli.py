@@ -18,8 +18,13 @@ from conftest import GOAL_TEXT, X_TEXT
 from ifp.cli import main
 
 
+def stdin_of(data):
+    """A text stdin whose ``buffer`` holds ``data``, text encoded as UTF-8."""
+    return io.TextIOWrapper(io.BytesIO(data if isinstance(data, bytes) else data.encode("utf-8")))
+
+
 def run(argv, capsys, monkeypatch, stdin=""):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdin", stdin_of(stdin))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -308,7 +313,7 @@ class TestDecideCommand:
 def call(argv, stdin):
     """Run ``main`` on ``stdin`` outside pytest's fixtures; return (code, stdout)."""
     out = io.StringIO()
-    with mock.patch.multiple("sys", stdin=io.StringIO(stdin), stdout=out, stderr=io.StringIO()):
+    with mock.patch.multiple("sys", stdin=stdin_of(stdin), stdout=out, stderr=io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as e:
@@ -341,6 +346,38 @@ class TestGeneratedText:
         for argv in COMMANDS:
             code, _ = call(argv, text)
             assert code in (0, 1, 2), (argv, text)
+
+
+NOT_UTF8 = b"p|\xff q\n"
+
+
+class TestUndecodableInput:
+    """Input that is not UTF-8 gets one ``error:`` line and exit status 1,
+    the same from a file as from stdin, whatever the locale."""
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_from_a_file_and_from_stdin(self, argv, capsys, monkeypatch, tmp_path):
+        source = tmp_path / "input.txt"
+        source.write_bytes(NOT_UTF8)
+        from_file = run(argv + [str(source)], capsys, monkeypatch)
+        from_stdin = run(argv, capsys, monkeypatch, stdin=NOT_UTF8)
+        assert from_file == from_stdin
+        assert from_file == (1, "", "error: the input is not UTF-8: byte 0xff at offset 2\n")
+
+    def test_a_strict_stdin_encoding_changes_nothing(self):
+        src = str(pathlib.Path(ifp.__file__).parents[1])
+        env = dict(
+            os.environ,
+            PYTHONIOENCODING="utf-8:strict",
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        for argv in COMMANDS:
+            done = subprocess.run(
+                [sys.executable, "-m", "ifp.cli", *argv],
+                input=NOT_UTF8, capture_output=True, env=env, timeout=60,
+            )
+            assert (done.returncode, done.stdout) == (1, b""), argv
+            assert done.stderr == b"error: the input is not UTF-8: byte 0xff at offset 2\n", argv
 
 
 def readme_examples():
