@@ -54,7 +54,6 @@ candidate's comparison cover both whole trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Optional
 
@@ -68,6 +67,7 @@ from .core import (
     Path,
     RIGHT_STEP,
     ROOT,
+    _Value,
     cluster_ids,
     cluster_map,
     cluster_size,
@@ -107,8 +107,7 @@ class ConnectiveConstraintError(RuleError):
     """The two displayed connectives do not count as the same connective."""
 
 
-@dataclass(frozen=True)
-class RuleApp:
+class RuleApp(_Value):
     """One rule application, pinned to a position.
 
     ``hole_path`` addresses the key disjunction in the premise (equally:
@@ -119,48 +118,61 @@ class RuleApp:
     latter in.
     """
 
-    rule: str
-    hole_path: Path
-    k: int
-    inner_path: Optional[Path] = None
-    new_subcirquent: Optional[Cirquent] = None
+    __match_args__ = ("rule", "hole_path", "k", "inner_path", "new_subcirquent")
 
-    def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"cluster IDs must be positive integers, got {self.k!r}")
+    def __init__(
+        self,
+        rule: str,
+        hole_path: Path,
+        k: int,
+        inner_path: Optional[Path] = None,
+        new_subcirquent: Optional[Cirquent] = None,
+    ) -> None:
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"cluster IDs must be positive integers, got {k!r}")
+        fields = self.__dict__
+        fields["rule"], fields["hole_path"], fields["k"] = rule, hole_path, k
+        fields["inner_path"], fields["new_subcirquent"] = inner_path, new_subcirquent
 
 
-@dataclass(frozen=True)
-class RuleHint:
+class RuleHint(_Value):
     """Partial information about a step; None fields are unconstrained."""
 
-    rule: Optional[str] = None
-    hole_path: Optional[Path] = None
-    k: Optional[int] = None
-    inner_path: Optional[Path] = None
+    __match_args__ = ("rule", "hole_path", "k", "inner_path")
 
-    def __post_init__(self) -> None:
-        if self.rule is not None and self.rule not in RULES + (AXIOM,):
-            raise ValueError(f"unknown rule {self.rule!r}")
+    def __init__(
+        self,
+        rule: Optional[str] = None,
+        hole_path: Optional[Path] = None,
+        k: Optional[int] = None,
+        inner_path: Optional[Path] = None,
+    ) -> None:
+        if rule is not None and rule not in RULES + (AXIOM,):
+            raise ValueError(f"unknown rule {rule!r}")
+        fields = self.__dict__
+        fields["rule"], fields["hole_path"] = rule, hole_path
+        fields["k"], fields["inner_path"] = k, inner_path
 
 
-@dataclass(frozen=True)
-class ProofEntry:
-    cirquent: Cirquent
-    hint: Optional[RuleHint] = None
+class ProofEntry(_Value):
+    __match_args__ = ("cirquent", "hint")
+
+    def __init__(self, cirquent: Cirquent, hint: Optional[RuleHint] = None) -> None:
+        fields = self.__dict__
+        fields["cirquent"], fields["hint"] = cirquent, hint
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(_Value):
     """A proof candidate: axiom first, goal last."""
 
-    entries: tuple[ProofEntry, ...]
+    __match_args__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: tuple[ProofEntry, ...]) -> None:
+        if not entries:
             raise ValueError("a proof needs at least one entry")
+        self.__dict__["entries"] = entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -173,12 +185,14 @@ class ProofScript:
         return self.entries[-1].cirquent
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(_Value):
     """Why a proof was rejected: the offending entry and a reason code."""
 
-    line: int
-    reason: str
+    __match_args__ = ("line", "reason")
+
+    def __init__(self, line: int, reason: str) -> None:
+        fields = self.__dict__
+        fields["line"], fields["reason"] = line, reason
 
 
 def is_axiom(c: Cirquent) -> bool:

@@ -10,7 +10,6 @@ size bound.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .calculus import ProofEntry, ProofScript, RuleError, check_proof
@@ -217,19 +216,20 @@ def _cmd_compile(args) -> int:
 def _cmd_decide(args) -> int:
     c = parse(_read_source(args))
     decision = decide(c)
-    if isinstance(decision, Valid):
-        if args.json:
-            payload = {"status": "valid", "proof": print_proof(decision.proof).splitlines()}
-            print(json.dumps(payload))
-        else:
-            print(print_proof(decision.proof), end="")
-        return 0
+    proved = isinstance(decision, Valid)
     if args.json:
-        payload = {"status": "invalid", "countermodel": decision.countermodel}
-        print(json.dumps(payload, sort_keys=True))
+        import json  # only --json needs it, and ifp starts faster without it
+
+        if proved:
+            print(json.dumps({"status": "valid", "proof": print_proof(decision.proof).splitlines()}))
+        else:
+            payload = {"status": "invalid", "countermodel": decision.countermodel}
+            print(json.dumps(payload, sort_keys=True))
+    elif proved:
+        print(print_proof(decision.proof), end="")
     else:
         print("countermodel: " + format_interpretation(decision.countermodel))
-    return 1
+    return 0 if proved else 1
 
 
 if __name__ == "__main__":

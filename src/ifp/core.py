@@ -24,7 +24,6 @@ private cache: other modules ask ``cluster_size``, ``cluster_ids``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterator, KeysView, Mapping, NamedTuple, Union
@@ -54,23 +53,102 @@ class Summary(NamedTuple):
     size: int
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: str
-    positive: bool = True
+class _Value:
+    """Base of the immutable nodes and records: equal when their fields are.
 
+    Each subclass lists its fields in ``__match_args__``, and its
+    ``__init__`` stores them straight into ``__dict__``, which then holds
+    exactly the fields; ``Literal``, which never asks for its ``__dict__``,
+    and the connectives, which cache their summary there, compare their
+    own way.
+    Assignment and deletion raise AttributeError.  Pickling and copying
+    call the class on the fields, so they leave any cache behind.
+    """
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set_attribute = object.__setattr__
+
+
+class Literal(_Value):
+    __match_args__ = ("atom", "positive")
     summary = Summary(MappingProxyType({}), True, 1)
+
+    def __init__(self, atom: str, positive: bool = True) -> None:
+        # Literals are read far more often than built, and CPython reads
+        # an object's attributes faster while its __dict__ has never been
+        # asked for, so they are stored the way a plain class stores them.
+        _set_attribute(self, "atom", atom)
+        _set_attribute(self, "positive", positive)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return self.atom == other.atom and self.positive == other.positive
+
+    def __hash__(self) -> int:
+        return hash((self.atom, self.positive))
 
     def __str__(self) -> str:
         return self.atom if self.positive else "~" + self.atom
 
 
-class _Connective:
-    """Base of And and Or: the summary is computed on first use, then kept."""
+class _Connective(_Value):
+    """Base of And and Or: the summary is computed on first use, then kept.
+
+    Equality and hashing do not recurse, so a deep tree costs no stack.
+    """
 
     @cached_property
     def summary(self) -> Summary:
         return _summarize(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            if x.__class__ is not y.__class__:
+                return False
+            if not isinstance(x, _Connective):
+                if x != y:
+                    return False
+            elif isinstance(x, Or) and x.cluster != y.cluster:
+                return False
+            else:
+                pairs += ((x.right, y.right), (x.left, y.left))
+        return True
+
+    def __hash__(self) -> int:
+        """Hashes the nodes in ``_nodes`` order: each literal, each cluster ID, 0 for each ``&``."""
+        nodes = _nodes(self)
+        return hash(tuple([n if isinstance(n, Literal) else getattr(n, "cluster", 0) for n in nodes]))
 
     def __repr__(self) -> str:
         """The formula with every cluster ID, built without recursion or summaries."""
@@ -79,21 +157,22 @@ class _Connective:
         return print_cirquent(self, show_singleton_ids=True)
 
 
-@dataclass(frozen=True, repr=False)
 class And(_Connective):
-    left: "Cirquent"
-    right: "Cirquent"
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Cirquent, right: Cirquent) -> None:
+        fields = self.__dict__
+        fields["left"], fields["right"] = left, right
 
 
-@dataclass(frozen=True, repr=False)
 class Or(_Connective):
-    cluster: int
-    left: "Cirquent"
-    right: "Cirquent"
+    __match_args__ = ("cluster", "left", "right")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.cluster, int) or self.cluster < 1:
-            raise ValueError(f"cluster IDs must be positive integers, got {self.cluster!r}")
+    def __init__(self, cluster: int, left: Cirquent, right: Cirquent) -> None:
+        if not isinstance(cluster, int) or cluster < 1:
+            raise ValueError(f"cluster IDs must be positive integers, got {cluster!r}")
+        fields = self.__dict__
+        fields["cluster"], fields["left"], fields["right"] = cluster, left, right
 
 
 Cirquent = Union[Literal, And, Or]

@@ -25,7 +25,6 @@ members once and keeps the list up to date as it merges them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .calculus import (
@@ -41,6 +40,7 @@ from .core import (
     LEFT_STEP,
     Path,
     RIGHT_STEP,
+    _Value,
     cluster_size,
     first_nested,
     is_classical,
@@ -64,8 +64,7 @@ class ReductionInvariantError(Exception):
     """An internal invariant of the reduction failed to hold."""
 
 
-@dataclass(frozen=True)
-class StateTuple:
+class StateTuple(_Value):
     """Progress measure for resolving one cluster.
 
     While two members are tracked (``tracked`` is 2), ``depth_weight``
@@ -77,11 +76,15 @@ class StateTuple:
     ``measure`` strictly in lexicographic order.
     """
 
-    cluster_size: int
-    pending: int
-    depth_weight: int
-    outside_load: int
-    tracked: int
+    __match_args__ = ("cluster_size", "pending", "depth_weight", "outside_load", "tracked")
+
+    def __init__(
+        self, cluster_size: int, pending: int, depth_weight: int, outside_load: int, tracked: int
+    ) -> None:
+        fields = self.__dict__
+        fields["cluster_size"], fields["pending"] = cluster_size, pending
+        fields["depth_weight"], fields["outside_load"] = depth_weight, outside_load
+        fields["tracked"] = tracked
 
     @property
     def measure(self) -> tuple[int, int, int, int]:
@@ -107,16 +110,17 @@ def state_tuple(c: Cirquent, k: int, a: Path, b: Optional[Path] = None) -> State
     return StateTuple(size, size - tracked, depth, outside, tracked)
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(_Value):
     """One backward rule application and the premise it produced."""
 
-    app: RuleApp
-    result: Cirquent
+    __match_args__ = ("app", "result")
+
+    def __init__(self, app: RuleApp, result: Cirquent) -> None:
+        fields = self.__dict__
+        fields["app"], fields["result"] = app, result
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Value):
     """A complete reduction: the goal, every step, and the classical residue.
 
     ``steps[:lead_in]`` cleared same-cluster nesting; the rest resolved
@@ -124,23 +128,35 @@ class Derivation:
     resolution, in order.
     """
 
-    goal: Cirquent
-    steps: tuple[ReductionStep, ...]
-    final: Cirquent
-    traces: tuple[tuple[StateTuple, ...], ...]
-    lead_in: int
+    __match_args__ = ("goal", "steps", "final", "traces", "lead_in")
+
+    def __init__(
+        self,
+        goal: Cirquent,
+        steps: tuple[ReductionStep, ...],
+        final: Cirquent,
+        traces: tuple[tuple[StateTuple, ...], ...],
+        lead_in: int,
+    ) -> None:
+        fields = self.__dict__
+        fields["goal"], fields["steps"], fields["final"] = goal, steps, final
+        fields["traces"], fields["lead_in"] = traces, lead_in
 
 
-@dataclass(frozen=True)
-class Valid:
-    proof: ProofScript
-    derivation: Derivation
+class Valid(_Value):
+    __match_args__ = ("proof", "derivation")
+
+    def __init__(self, proof: ProofScript, derivation: Derivation) -> None:
+        fields = self.__dict__
+        fields["proof"], fields["derivation"] = proof, derivation
 
 
-@dataclass(frozen=True)
-class Invalid:
-    countermodel: Interpretation
-    derivation: Derivation
+class Invalid(_Value):
+    __match_args__ = ("countermodel", "derivation")
+
+    def __init__(self, countermodel: Interpretation, derivation: Derivation) -> None:
+        fields = self.__dict__
+        fields["countermodel"], fields["derivation"] = countermodel, derivation
 
 
 Decision = Union[Valid, Invalid]

@@ -21,11 +21,10 @@ override, and only of the atom bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .core import And, Cirquent, Literal, Or, atoms, cluster_ids, multi_member
+from .core import And, Cirquent, Literal, Or, _Value, atoms, cluster_ids, multi_member
 
 LEFT = "left"
 RIGHT = "right"
@@ -92,14 +91,15 @@ def countermodel(c: Cirquent) -> Interpretation | None:
     return {name: bool(row >> (len(names) - 1 - j) & 1) for j, name in enumerate(names)}
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    atoms: tuple[str, ...]
-    rows: dict  # full assignment tuple (in atom order) -> bool
+class TruthTable(_Value):
+    __match_args__ = ("atoms", "rows")
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != 2 ** len(self.atoms):
+    def __init__(self, atoms: tuple[str, ...], rows: dict) -> None:
+        """``rows`` maps each full assignment tuple, in atom order, to a bool."""
+        if len(rows) != 2 ** len(atoms):
             raise ValueError("a truth table needs one row per assignment")
+        fields = self.__dict__
+        fields["atoms"], fields["rows"] = atoms, rows
 
 
 def truth_table(c: Cirquent) -> TruthTable:

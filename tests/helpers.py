@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from hypothesis import assume, strategies as st
@@ -834,7 +834,7 @@ def _backward_one_reference(conclusion: Cirquent, app: RuleApp):
     else:
         new_key = Or(app.k, key.left, new_host)
     premise = replace_at(conclusion, app.hole_path, new_key)
-    return premise, dataclass_replace(app, new_subcirquent=dropped)
+    return premise, RuleApp(app.rule, app.hole_path, app.k, app.inner_path, dropped)
 
 
 class MintReference:

@@ -1,6 +1,8 @@
 """Tests for the cirquent tree: paths, clusters, isomorphism."""
 
+import copy
 import pathlib
+import pickle
 import re
 import types
 
@@ -24,19 +26,24 @@ from ifp import (
     And,
     Literal,
     Or,
+    ProofEntry,
+    ProofScript,
+    RuleApp,
     canonicalize_ids,
+    check_proof,
     cluster_ids,
     cluster_map,
     cluster_struct_match,
     cluster_size,
     clusters,
+    decide,
     members,
     parse,
     positions,
     replace_at,
     subcirquent_at,
 )
-from ifp.calculus import CopyMismatchError
+from ifp.calculus import CheckFailure, CopyMismatchError
 from ifp.core import (
     InvalidPathError,
     ROOT,
@@ -65,6 +72,47 @@ class TestNodes:
         assert Or(1, P, Q) == Or(1, P, Q)
         assert Or(1, P, Q) != Or(2, P, Q)
         assert len({And(P, Q), And(P, Q)}) == 1
+
+    def test_deep_trees_compare_and_hash_without_recursion(self):
+        def conjunction_chain(leaf):
+            c = leaf
+            for _ in range(50_000):
+                c = And(c, Q)
+            return c
+
+        a, b = conjunction_chain(P), conjunction_chain(P)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != conjunction_chain(NOT_P)
+        assert deep_chain(50_000) == deep_chain(50_000)
+        assert hash(deep_chain(50_000)) == hash(deep_chain(50_000))
+        assert deep_chain(50_000) != deep_chain(50_000, cluster=7)
+
+
+class TestValueTypes:
+    """Nodes and the records built from them are immutable values."""
+
+    def test_assignment_and_deletion_raise_attribute_error(self):
+        for value, name in (P, "atom"), (Or(1, P, Q), "left"), (RuleApp("III", (), 1), "k"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert value == copy.copy(value)
+
+    def test_records_repr_their_class_and_fields(self):
+        assert repr(P) == "Literal(atom='p', positive=True)"
+        assert repr(CheckFailure(1, "not-an-axiom")) == "CheckFailure(line=1, reason='not-an-axiom')"
+
+    def test_copies_and_pickles_equal_the_original(self):
+        c = parse("((q|1 r)&(p|2 ~p))|1((p|2 ~p)&(s|1 ~q))")
+        decision = decide(c)
+        assert "summary" in vars(c)
+        failure = check_proof(ProofScript((ProofEntry(parse("p|1 q")),)))
+        assert isinstance(failure, CheckFailure)
+        for value in (c, decision, decision.proof, decision.derivation, failure):
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.copy(value) == value
+            assert copy.deepcopy(value) == value
 
 
 class TestPaths:
