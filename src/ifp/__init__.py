@@ -22,7 +22,6 @@ from .core import (
     first_nested,
     members,
     multi_member,
-    positions,
     replace_at,
     subcirquent_at,
 )

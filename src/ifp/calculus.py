@@ -68,6 +68,7 @@ from .core import (
     RIGHT_STEP,
     ROOT,
     _Value,
+    _descend,
     cluster_ids,
     cluster_map,
     cluster_size,
@@ -670,12 +671,11 @@ def _common_prefix(first: Path, last: Path) -> Path:
 
 def _spine(c: Cirquent, meet: Path) -> list[tuple[Path, Cirquent]]:
     """(path, node) for each connective on the way from the root of ``c`` to ``meet``."""
-    spine = [(ROOT, c)]
-    for depth, step in enumerate(meet, 1):
-        node = spine[-1][1]
-        spine.append((meet[:depth], node.left if step == LEFT_STEP else node.right))
-    if isinstance(spine[-1][1], Literal):
+    spine = _descend(c, meet)
+    if isinstance(spine[-1], Literal):
         spine.pop()
+    for depth, node in enumerate(spine):  # in place: cheaper than a comprehension, once per step
+        spine[depth] = (meet[:depth], node)
     return spine
 
 

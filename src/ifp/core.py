@@ -24,6 +24,7 @@ private cache: other modules ask ``cluster_size``, ``cluster_ids``,
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterator, KeysView, Mapping, NamedTuple, Union
@@ -33,6 +34,7 @@ RIGHT_STEP = "R"
 
 Path = tuple[str, ...]  # "L"/"R" steps from the root
 ROOT: Path = ()
+_ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class InvalidPathError(Exception):
@@ -98,6 +100,8 @@ class Literal(_Value):
     summary = Summary(MappingProxyType({}), True, 1)
 
     def __init__(self, atom: str, positive: bool = True) -> None:
+        if not (isinstance(atom, str) and _ATOM_NAME.fullmatch(atom)):
+            raise ValueError(f"atom names are a letter, then letters, digits and underscores, got {atom!r}")
         # Literals are read far more often than built, and CPython reads
         # an object's attributes faster while its __dict__ has never been
         # asked for, so they are stored the way a plain class stores them.
@@ -119,7 +123,7 @@ class Literal(_Value):
 class _Connective(_Value):
     """Base of And and Or: the summary is computed on first use, then kept.
 
-    Equality and hashing do not recurse, so a deep tree costs no stack.
+    Equality goes through ``cluster_map``; nothing recurses, so depth costs no stack.
     """
 
     @cached_property
@@ -129,21 +133,8 @@ class _Connective(_Value):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            x, y = pairs.pop()
-            if x is y:
-                continue
-            if x.__class__ is not y.__class__:
-                return False
-            if not isinstance(x, _Connective):
-                if x != y:
-                    return False
-            elif isinstance(x, Or) and x.cluster != y.cluster:
-                return False
-            else:
-                pairs += ((x.right, y.right), (x.left, y.left))
-        return True
+        mapping = cluster_map(self, other)
+        return mapping is not None and all(k == m for k, m in mapping.items())
 
     def __hash__(self) -> int:
         """Hashes the nodes in ``_nodes`` order: each literal, each cluster ID, 0 for each ``&``."""
@@ -155,6 +146,11 @@ class _Connective(_Value):
         from .syntax import print_cirquent  # syntax imports this module
 
         return print_cirquent(self, show_singleton_ids=True)
+
+    def __reduce__(self) -> tuple:
+        from .syntax import parse
+
+        return parse, (repr(self),)
 
 
 class And(_Connective):
@@ -169,7 +165,7 @@ class Or(_Connective):
     __match_args__ = ("cluster", "left", "right")
 
     def __init__(self, cluster: int, left: Cirquent, right: Cirquent) -> None:
-        if not isinstance(cluster, int) or cluster < 1:
+        if cluster.__class__ is not int or cluster < 1:  # not a bool, which prints as True
             raise ValueError(f"cluster IDs must be positive integers, got {cluster!r}")
         fields = self.__dict__
         fields["cluster"], fields["left"], fields["right"] = cluster, left, right
@@ -214,7 +210,7 @@ def _summarize(root: Cirquent) -> Summary:
 
 
 def subcirquent_at(c: Cirquent, path: Path) -> Cirquent:
-    """Return the subcirquent rooted at ``path``."""
+    """Return the subcirquent rooted at ``path``: ``_descend(c, path)[-1]``, without the list."""
     node = c
     for step in path:
         if isinstance(node, Literal):
@@ -228,20 +224,27 @@ def subcirquent_at(c: Cirquent, path: Path) -> Cirquent:
     return node
 
 
-def replace_at(c: Cirquent, path: Path, replacement: Cirquent) -> Cirquent:
-    """Return a copy of ``c`` with the subcirquent at ``path`` swapped out."""
-    spine = []
+def _descend(c: Cirquent, path: Path) -> list[Cirquent]:
+    """The nodes from the root of ``c`` down to the one at ``path``, root first."""
     node = c
+    nodes = [node]
     for step in path:
         if isinstance(node, Literal):
             raise InvalidPathError(f"path {format_path(path)} steps through the literal {node}")
-        spine.append(node)
         if step == LEFT_STEP:
             node = node.left
         elif step == RIGHT_STEP:
             node = node.right
         else:
             raise InvalidPathError(f"bad path step {step!r}")
+        nodes.append(node)
+    return nodes
+
+
+def replace_at(c: Cirquent, path: Path, replacement: Cirquent) -> Cirquent:
+    """Return a copy of ``c`` with the subcirquent at ``path`` swapped out."""
+    spine = _descend(c, path)
+    spine.pop()
     while spine:  # rebuild the spine, bottom up
         parent = spine.pop()
         if path[len(spine)] == LEFT_STEP:
@@ -264,11 +267,6 @@ def walk(c: Cirquent) -> Iterator[tuple[Path, Cirquent]]:
         if not isinstance(node, Literal):
             stack.append((path + (RIGHT_STEP,), node.right))
             stack.append((path + (LEFT_STEP,), node.left))
-
-
-def positions(c: Cirquent) -> list[Path]:
-    """All node positions, in path order (which is depth-first, left first)."""
-    return [p for p, _ in walk(c)]
 
 
 def clusters(c: Cirquent) -> dict[int, frozenset]:
@@ -371,10 +369,11 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
     leaves it) matches itself without being entered.  Walked, it would
     map each of its IDs to itself, so it fits unless the rest of the
     walk moved one of its IDs (sent it elsewhere, or sent another ID to
-    it); its cached summary says which IDs it holds.  The result lists
-    only the ID pairs the walk met: an ID of ``c`` it does not list lies
-    only in shared subtrees and maps to itself.  So comparing a rewrite
-    with its source costs the rebuilt spine, not the whole tree.
+    it); its summary, read only once the walk moved an ID, says which
+    IDs it holds.  The result lists only the ID pairs the walk met: an
+    ID of ``c`` it does not list lies only in shared subtrees and maps
+    to itself.  So comparing a rewrite with its source costs the
+    rebuilt spine, not the whole tree.
     """
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
@@ -384,7 +383,7 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
         x, y = stack.pop()
         if x is y:
             if not isinstance(x, Literal):
-                shared.append(x.summary.counts)
+                shared.append(x)
             continue
         if type(x) is not type(y):
             return None
@@ -399,7 +398,7 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
         stack += ((x.right, y.right), (x.left, y.left))
     if shared:
         moved = [k for k, m in forward.items() if k != m] + [m for m, k in backward.items() if k != m]
-        if any(k in counts for counts in shared for k in moved):
+        if any(k in node.summary.counts for k in moved for node in shared):
             return None
     return forward
 

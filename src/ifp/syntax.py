@@ -43,6 +43,7 @@ from .core import (
     Or,
     Path,
     RIGHT_STEP,
+    _ATOM_NAME,
     format_path,
     multi_member,
 )
@@ -77,8 +78,7 @@ class DuplicateKeyError(ParseError):
     """The same key is assigned twice in one mapping."""
 
 
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN = re.compile(_NAME.pattern + r"|\d+|->|[()&|~]")
+_TOKEN = re.compile(_ATOM_NAME.pattern + r"|\d+|->|[()&|~]")
 # One match per token; the first unexpected character takes the rest of the text.
 _SCAN = re.compile(_TOKEN.pattern + r"|\S.*", re.S)
 _EXPLICIT_ID = re.compile(r"\|\s*(\d+)")
@@ -310,7 +310,7 @@ def parse_interpretation(text: str) -> dict[str, bool]:
     """Parse "p=1,q=0" (whitespace is free) into an interpretation."""
     result: dict[str, bool] = {}
     for name, value in _assignments(text):
-        if not _NAME.fullmatch(name):
+        if not _ATOM_NAME.fullmatch(name):
             raise ParseError(f"bad atom name {name!r}")
         if value not in ("0", "1"):
             raise ParseError(f"atom values are 0 or 1, got {value!r}")

@@ -33,7 +33,6 @@ from ifp import (
     members,
     multi_member,
     parse,
-    positions,
     replace_at,
     subcirquent_at,
     valid,
@@ -367,6 +366,11 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     for k, positions_of_k in table.items():
         assert cluster_size(c, k) == len(positions_of_k)
         assert members(c, k) == sorted(positions_of_k)
+
+
+def positions(c: Cirquent) -> list[Path]:
+    """All node positions, in path order (which is depth-first, left first)."""
+    return [p for p, _ in walk(c)]
 
 
 def deep_chain(depth: int, cluster: int = 1) -> Cirquent:

@@ -20,6 +20,7 @@ from helpers import (
     nested_cirquents,
     nested_family,
     or_positions,
+    positions,
     rand_cirquent,
     rand_rule_instance,
     rand_step_premise,
@@ -46,7 +47,6 @@ from ifp import (
     match_step,
     members,
     parse,
-    positions,
     parse_proof,
     print_proof,
     prove,

@@ -19,6 +19,7 @@ from helpers import (
     deep_chain,
     nested_cirquents,
     or_positions,
+    positions,
     rename_clusters,
     require_copies_reference,
 )
@@ -39,7 +40,6 @@ from ifp import (
     decide,
     members,
     parse,
-    positions,
     replace_at,
     subcirquent_at,
 )
@@ -63,10 +63,16 @@ class TestNodes:
         assert str(P) == "p"
         assert str(NOT_P) == "~p"
 
-    @pytest.mark.parametrize("bad", [0, -1, "1", 1.5, None])
+    @pytest.mark.parametrize("bad", [0, -1, "1", 1.5, None, True])
     def test_cluster_ids_are_positive_integers(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cluster IDs"):
             Or(bad, P, Q)
+
+    @pytest.mark.parametrize("bad", ["~p", "p q", "", "1p", "p\n", 7])
+    def test_atom_names_follow_the_grammar(self, bad):
+        # Each would print as text that parses to another tree, or to none.
+        with pytest.raises(ValueError, match="atom names"):
+            Literal(bad)
 
     def test_nodes_hash_and_compare_by_value(self):
         assert Or(1, P, Q) == Or(1, P, Q)
@@ -109,7 +115,8 @@ class TestValueTypes:
         assert "summary" in vars(c)
         failure = check_proof(ProofScript((ProofEntry(parse("p|1 q")),)))
         assert isinstance(failure, CheckFailure)
-        for value in (c, decision, decision.proof, decision.derivation, failure):
+        deep = deep_chain(5000)
+        for value in (c, decision, decision.proof, decision.derivation, failure, deep, ProofEntry(deep)):
             assert pickle.loads(pickle.dumps(value)) == value
             assert copy.copy(value) == value
             assert copy.deepcopy(value) == value
@@ -313,6 +320,17 @@ class TestIsomorphism:
                 assert mapping.keys() <= cluster_ids(x)
                 assert {k: mapping.get(k, k) for k in cluster_ids(x)} == full
             assert cluster_struct_match(x, y) == cluster_struct_match_reference(x, y)
+
+    @given(st.one_of(shared_pairs(), st.tuples(*[cirquents(max_leaves=3, atom_names=("p",), max_cluster=2)] * 2)))
+    def test_equal_when_printed_alike_and_computes_no_summary(self, pair):
+        x, y = pair
+        equal = x == y
+        assert equal == (repr(x) == repr(y))
+        # Only a walk that moved an ID reads the summaries of shared subtrees,
+        # and such a pair is unequal.
+        if equal:
+            assert hash(x) == hash(y)
+            assert not any("summary" in vars(node) for c in pair for _, node in walk(c) if not isinstance(node, Literal))
 
     def test_deep_cirquents_need_no_recursion(self):
         c = deep_chain(5000)
