@@ -69,6 +69,7 @@ from .core import (
     ROOT,
     _Value,
     _descend,
+    _require_id,
     cluster_ids,
     cluster_map,
     cluster_size,
@@ -131,8 +132,7 @@ class RuleApp(_Value):
     ) -> None:
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}")
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"cluster IDs must be positive integers, got {k!r}")
+        _require_id(k)
         fields = self.__dict__
         fields["rule"], fields["hole_path"], fields["k"] = rule, hole_path, k
         fields["inner_path"], fields["new_subcirquent"] = inner_path, new_subcirquent
@@ -152,6 +152,8 @@ class RuleHint(_Value):
     ) -> None:
         if rule is not None and rule not in RULES + (AXIOM,):
             raise ValueError(f"unknown rule {rule!r}")
+        if k is not None:
+            _require_id(k)
         fields = self.__dict__
         fields["rule"], fields["hole_path"] = rule, hole_path
         fields["k"], fields["inner_path"] = k, inner_path
@@ -216,10 +218,7 @@ def apply_rule_forward(premise: Cirquent, app: RuleApp) -> Cirquent:
         raise RuleError("rule I needs the disjunct being introduced")
     aligned, key = _align_key(premise, app)
     inner, target = _grown_position(key, app)
-    if app.rule == "I-left":
-        grown = Or(app.k, target, app.new_subcirquent)
-    else:
-        grown = Or(app.k, app.new_subcirquent, target)
+    grown = Or(app.k, *_grown_first(app.rule, target, app.new_subcirquent))
     return replace_at(aligned, inner, grown)
 
 
@@ -242,10 +241,7 @@ def apply_rule_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, R
     inner, grown = _grown_position(key, app)
     if not isinstance(grown, Or) or grown.cluster != app.k:
         raise RuleError("the inner position must hold a disjunction in the key's cluster")
-    if app.rule == "I-left":
-        kept, dropped = grown.left, grown.right
-    else:
-        kept, dropped = grown.right, grown.left
+    kept, dropped = _grown_first(app.rule, grown.left, grown.right)
     completed = RuleApp(app.rule, app.hole_path, app.k, app.inner_path, dropped)
     return replace_at(conclusion, inner, kept), completed
 
@@ -390,12 +386,14 @@ def _grown_position(key: Or, app: RuleApp) -> tuple[Path, Cirquent]:
     """
     if app.inner_path is None:
         raise RuleError("rule I needs an inner position")
-    if app.rule == "I-left":
-        side, host = LEFT_STEP, key.left
-    else:
-        side, host = RIGHT_STEP, key.right
+    (side, host), _ = _grown_first(app.rule, (LEFT_STEP, key.left), (RIGHT_STEP, key.right))
     node = _node_at(host, app.inner_path)
     return app.hole_path + (side,) + app.inner_path, node
+
+
+def _grown_first(rule: str, left: object, right: object) -> tuple:
+    """``(left, right)`` for I-left, ``(right, left)`` for I-right: the side rule I grows comes first."""
+    return (left, right) if rule == "I-left" else (right, left)
 
 
 def _require_same_connective(c: Cirquent, n1: Cirquent, n2: Cirquent) -> None:

@@ -25,6 +25,7 @@ private cache: other modules ask ``cluster_size``, ``cluster_ids``,
 from __future__ import annotations
 
 import re
+import sys
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterator, KeysView, Mapping, NamedTuple, Union
@@ -35,6 +36,10 @@ RIGHT_STEP = "R"
 Path = tuple[str, ...]  # "L"/"R" steps from the root
 ROOT: Path = ()
 _ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# str() and int() refuse an int with more digits than this (0: no limit), so
+# a cluster ID below _ID_LIMIT is one that prints and parses back.
+_ID_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_ID_LIMIT = 10**_ID_DIGITS if _ID_DIGITS else float("inf")
 
 
 class InvalidPathError(Exception):
@@ -102,6 +107,8 @@ class Literal(_Value):
     def __init__(self, atom: str, positive: bool = True) -> None:
         if not (isinstance(atom, str) and _ATOM_NAME.fullmatch(atom)):
             raise ValueError(f"atom names are a letter, then letters, digits and underscores, got {atom!r}")
+        if positive.__class__ is not bool:
+            raise ValueError(f"polarities are True or False, got {positive!r}")
         # Literals are read far more often than built, and CPython reads
         # an object's attributes faster while its __dict__ has never been
         # asked for, so they are stored the way a plain class stores them.
@@ -113,8 +120,7 @@ class Literal(_Value):
             return NotImplemented
         return self.atom == other.atom and self.positive == other.positive
 
-    def __hash__(self) -> int:
-        return hash((self.atom, self.positive))
+    __hash__ = _Value.__hash__  # a class that defines __eq__ loses the hash it inherits
 
     def __str__(self) -> str:
         return self.atom if self.positive else "~" + self.atom
@@ -165,10 +171,22 @@ class Or(_Connective):
     __match_args__ = ("cluster", "left", "right")
 
     def __init__(self, cluster: int, left: Cirquent, right: Cirquent) -> None:
-        if cluster.__class__ is not int or cluster < 1:  # not a bool, which prints as True
-            raise ValueError(f"cluster IDs must be positive integers, got {cluster!r}")
+        # _require_id's test, inlined: Or is the constructor decide calls most.
+        if cluster.__class__ is not int or not 0 < cluster < _ID_LIMIT:
+            _require_id(cluster)
         fields = self.__dict__
         fields["cluster"], fields["left"], fields["right"] = cluster, left, right
+
+
+def _require_id(k: object) -> None:
+    """Raise ValueError unless ``k`` is a cluster ID: a positive ``int`` that prints and parses back.
+
+    A bool is refused, since it prints as True.
+    """
+    if k.__class__ is not int or k < 1:
+        raise ValueError(f"cluster IDs must be positive integers, got {k!r}")
+    if k >= _ID_LIMIT:
+        raise ValueError(f"cluster IDs have at most {_ID_DIGITS} digits")
 
 
 Cirquent = Union[Literal, And, Or]

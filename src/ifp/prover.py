@@ -91,10 +91,7 @@ class StateTuple(_Value):
         return (self.cluster_size, self.pending, self.depth_weight, self.outside_load)
 
     def as_line(self) -> str:
-        return (
-            f"{self.cluster_size} {self.pending} {self.depth_weight} "
-            f"{self.outside_load} {self.tracked}"
-        )
+        return " ".join(map(str, self._values()))
 
 
 def state_tuple(c: Cirquent, k: int, a: Path, b: Optional[Path] = None) -> StateTuple:

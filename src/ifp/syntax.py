@@ -330,15 +330,21 @@ def parse_metaselection(text: str) -> dict[int, str]:
     """Parse "1=left,2=right" into a metaselection."""
     result: dict[int, str] = {}
     for key, value in _assignments(text):
-        cluster = _number(key) if key.isdecimal() else 0
-        if key != str(cluster) or cluster < 1:
-            raise ParseError(f"bad cluster ID {key!r}")
+        cluster = _cluster_id(key)
         if value not in ("left", "right"):
             raise ParseError(f"sides are left or right, got {value!r}")
         if cluster in result:
             raise DuplicateKeyError(f"cluster {cluster} is assigned twice")
         result[cluster] = value
     return result
+
+
+def _cluster_id(text: str) -> int:
+    """The cluster ID ``text`` spells: decimal digits, no leading zero, at least 1."""
+    k = _number(text) if text.isdecimal() else 0
+    if text != str(k) or k < 1:
+        raise ParseError(f"bad cluster ID {text!r}")
+    return k
 
 
 def _assignments(text: str) -> list[tuple[str, str]]:
@@ -418,15 +424,10 @@ def _parse_annotation(text: str, number: int) -> Optional[RuleHint]:
         raise ParseError("the first entry is an axiom, not a rule application")
     if m.group("inner") is not None and not m.group("rule").startswith("I-"):
         raise ParseError(f"inner= is for rule I only, not rule {m.group('rule')}")
-    k = None
-    if m.group("k") is not None:
-        k = _number(m.group("k"))
-        if m.group("k") != str(k) or k < 1:
-            raise ParseError(f"bad cluster ID {m.group('k')!r}")
     return RuleHint(
         rule=m.group("rule"),
         hole_path=parse_path(m.group("path")) if m.group("path") else None,
-        k=k,
+        k=_cluster_id(m.group("k")) if m.group("k") else None,
         inner_path=parse_path(m.group("inner")) if m.group("inner") else None,
     )
 

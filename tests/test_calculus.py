@@ -91,6 +91,19 @@ class TestApplications:
         with pytest.raises(ValueError):
             RuleApp("I-left", (), 0)
 
+    @pytest.mark.parametrize(
+        "k", [True, 0, -3, 10**5000, "1", None], ids=["True", "0", "-3", "5001-digits", "str", "None"]
+    )
+    def test_rules_take_the_ids_or_takes(self, k):
+        # print_proof would write each as k=..., which parse_proof rejects.
+        with pytest.raises(ValueError, match="cluster IDs"):
+            Or(k, P, Q)
+        with pytest.raises(ValueError, match="cluster IDs"):
+            RuleApp("III", (), k)
+        if k is not None:  # a hint may leave k open
+            with pytest.raises(ValueError, match="cluster IDs"):
+                RuleHint("III", (), k)
+
     def test_axiom_is_a_hint_not_a_rule(self):
         RuleHint(rule=AXIOM)
         with pytest.raises(ValueError):
@@ -662,6 +675,22 @@ class TestCheckProof:
             (ProofEntry(parse("p|~p"), None), ProofEntry(parse("p|~p"), None))
         )
         assert check_proof(script) == CheckFailure(2, "no-rule-matches")
+
+    def test_partial_hints_match_as_trying_every_candidate_does(self):
+        # Lines 5 and 6 name rule I's hole without its inner position, which
+        # the matcher then reads off the members of the key's cluster.
+        text = (
+            f"1. {L1} axiom\n2. {L2} rule=III\n3. {L3} rule=II-left path=R\n4. {L4}\n"
+            f"5. {L5} rule=I-right path=. k=1\n6. {L6} rule=I-left path=.\n"
+        )
+        script = parse_proof(text)
+        assert check_proof(script) is None
+        for premise, entry in zip(script.entries, script.entries[1:]):
+            found = match_step(premise.cirquent, entry.cirquent, entry.hint)
+            assert found is not None
+            assert found == first_match_reference(premise.cirquent, entry.cirquent, entry.hint)
+        wrong = parse_proof(text.replace("k=1\n", "k=1 inner=L\n"))
+        assert check_proof(wrong) == CheckFailure(5, "no-rule-matches")
 
     def test_a_wrong_hint_fails_its_line(self, worked_proof_text):
         script = parse_proof(worked_proof_text)

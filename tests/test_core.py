@@ -4,6 +4,7 @@ import copy
 import pathlib
 import pickle
 import re
+import sys
 import types
 
 import pytest
@@ -74,6 +75,19 @@ class TestNodes:
         with pytest.raises(ValueError, match="atom names"):
             Literal(bad)
 
+    @pytest.mark.parametrize("bad", ["yes", "", 1, 0, None])
+    def test_polarities_are_bools(self, bad):
+        # Each would print as p or ~p, which parses back with a bool polarity instead.
+        with pytest.raises(ValueError, match="polarities"):
+            Literal("p", bad)
+
+    def test_cluster_ids_are_short_enough_to_print(self):
+        digits = sys.get_int_max_str_digits()
+        largest = Or(10**digits - 1, P, Q)
+        assert parse(repr(largest)) == largest
+        with pytest.raises(ValueError, match=f"cluster IDs have at most {digits} digits"):
+            Or(10**digits, P, Q)
+
     def test_nodes_hash_and_compare_by_value(self):
         assert Or(1, P, Q) == Or(1, P, Q)
         assert Or(1, P, Q) != Or(2, P, Q)
@@ -104,6 +118,12 @@ class TestValueTypes:
             with pytest.raises(AttributeError):
                 delattr(value, name)
             assert value == copy.copy(value)
+
+    def test_records_of_another_class_are_unequal_and_equal_records_hash_alike(self):
+        assert RuleApp("III", (), 1) != CheckFailure(1, "III")
+        assert CheckFailure(2, "no-rule-matches") == CheckFailure(2, "no-rule-matches")
+        assert hash(RuleApp("III", ("L",), 2)) == hash(RuleApp("III", ("L",), 2))
+        assert hash(NOT_P) == hash(Literal("p", False)) == hash(("p", False))
 
     def test_records_repr_their_class_and_fields(self):
         assert repr(P) == "Literal(atom='p', positive=True)"

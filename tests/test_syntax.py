@@ -292,6 +292,10 @@ class TestValueFormats:
         with pytest.raises(ParseError):
             parse_interpretation("p=2")
 
+    def test_interpretation_atom_names_follow_the_grammar(self):
+        with pytest.raises(ParseError, match="bad atom name '1p'"):
+            parse_interpretation("1p=1")
+
     def test_interpretation_duplicate_atom(self):
         with pytest.raises(DuplicateKeyError):
             parse_interpretation("p=1,p=1")
@@ -393,6 +397,12 @@ class TestProofFiles:
     def test_bad_annotation_is_rejected(self):
         with pytest.raises(ParseError):
             parse_proof("1. p|~p lemma\n")
+
+    @pytest.mark.parametrize("k", ["0", "01"])
+    def test_annotation_cluster_ids_start_at_one_without_a_leading_zero(self, k):
+        with pytest.raises(ParseError, match=f"bad cluster ID '{k}' on line 2") as info:
+            parse_proof(f"1. p|~p axiom\n2. (p|~p)|q rule=I-left path=. k={k}\n")
+        assert info.value.line == 2
 
     def test_annotation_fields_have_a_fixed_order(self):
         with pytest.raises(ParseError):
