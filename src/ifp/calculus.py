@@ -68,6 +68,7 @@ from .core import (
     RIGHT_STEP,
     ROOT,
     _Value,
+    _common_prefix,
     _descend,
     _require_id,
     cluster_ids,
@@ -652,19 +653,9 @@ def _meets(premise: Cirquent, conclusion: Cirquent) -> tuple[Optional[Path], Opt
             if first_two is None:
                 first_two = path
             last_two = path
-    meet_one = _common_prefix(first_one, last_one) if shaped else None
-    meet_two = None if first_two is None else _common_prefix(first_two, last_two)
+    meet_one = first_one[: _common_prefix(first_one, last_one)] if shaped else None
+    meet_two = None if first_two is None else first_two[: _common_prefix(first_two, last_two)]
     return meet_one, meet_two
-
-
-def _common_prefix(first: Path, last: Path) -> Path:
-    """The longest common prefix of two paths, ``first`` sorting no later than ``last``."""
-    if first is last:
-        return first
-    n = 0
-    while n < len(first) and first[n] == last[n]:
-        n += 1
-    return first[:n]
 
 
 def _spine(c: Cirquent, meet: Path) -> list[tuple[Path, Cirquent]]:

@@ -259,6 +259,16 @@ def _descend(c: Cirquent, path: Path) -> list[Cirquent]:
     return nodes
 
 
+def _common_prefix(first: Path, last: Path) -> int:
+    """The length of two paths' longest common prefix, ``first`` sorting no later than ``last``."""
+    if first is last:
+        return len(first)
+    n = 0
+    while n < len(first) and first[n] == last[n]:
+        n += 1
+    return n
+
+
 def replace_at(c: Cirquent, path: Path, replacement: Cirquent) -> Cirquent:
     """Return a copy of ``c`` with the subcirquent at ``path`` swapped out."""
     spine = _descend(c, path)

@@ -20,7 +20,8 @@ ReductionInvariantError rather than producing a bad proof.  These checks
 ask ``core``'s cluster queries, which read summaries cached on each
 node, so a step's cost follows the depth of the spine it rebuilt, not
 the size of the residue.  A cluster resolution lists the cluster's
-members once and keeps the list up to date as it merges them.
+members, and the depths where adjacent ones meet, once, and keeps both
+lists up to date as it merges them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     Path,
     RIGHT_STEP,
     _Value,
+    _common_prefix,
     cluster_size,
     first_nested,
     is_classical,
@@ -184,13 +186,28 @@ def resolve_cluster(
 ) -> tuple[Cirquent, tuple[ReductionStep, ...], tuple[StateTuple, ...]]:
     """Shrink cluster ``k`` to a single member by rules II and III backward.
 
-    The members are listed once and the list is kept across the steps.
     Repeatedly: pick the pair of members whose common ancestor sits
     deepest (ties broken by position), lift each to sit directly under
     that ancestor with rule II, and merge the two with rule III.  The
     cirquent must contain no same-cluster nesting and ``k`` must have at
     least two members.  Returns the result, the steps, and the recorded
     state-tuple trace.
+
+    The members are listed once, in path order, with the length n of
+    each adjacent pair's common prefix.  Two members share no longer a
+    prefix than any adjacent pair between them, and the meets of equally
+    deep adjacent pairs never decrease along the list.  So the first
+    adjacent pair of largest n meets deepest, ties going to the smallest
+    (meet, a, b) by path order; ``a = found[i]`` is on the meet's left.
+
+    The merge puts one member at the meet, which replaces
+    ``found[i:i + 2]`` in path order: a member at or above the meet
+    would have ``a`` nested inside, and a third one below it would make
+    an adjacent pair that meets deeper.  Lifting moves no other member,
+    because rule II backward duplicates only a sibling holding no
+    member.  Only entry i leaves the lengths: the meet is ``a[:n]``,
+    which is ``b[:n]``, so each neighbour's common prefix with it is the
+    one it had with ``a`` or ``b``, already no longer than n.
     """
     if first_nested(c) is not None:
         raise PreconditionError("same-cluster nesting must be eliminated first")
@@ -200,9 +217,11 @@ def resolve_cluster(
     trace: list[StateTuple] = []
     current = c
     found = members(current, k)
-    while len(found) > 1:
-        i, meet = _pick_pair(found)
+    depths = [_common_prefix(a, b) for a, b in zip(found, found[1:])]
+    while depths:
+        i = depths.index(max(depths))
         a, b = found[i], found[i + 1]
+        meet = a[: depths.pop(i)]
         trace.append(state_tuple(current, k, a, b))
         while len(a) > len(meet) + 1:
             current, a = _lift_once(current, k, a, steps)
@@ -221,39 +240,6 @@ def resolve_cluster(
         trace.append(state_tuple(current, k, meet))
     _require_decreasing(trace)
     return current, tuple(steps), tuple(trace)
-
-
-def _pick_pair(found: list[Path]) -> tuple[int, Path]:
-    """Where in ``found`` the two adjacent members meeting deepest start, and their meet.
-
-    ``found`` lists a cluster's members in path order, so two of them
-    share no longer a prefix than any adjacent pair between them, and
-    the meets of equally deep adjacent pairs never decrease along the
-    list.  The first adjacent pair meeting deepest is therefore the
-    pair that meets deepest, ties going to the smallest (meet, a, b) by
-    path order; ``a = found[i]`` is on the meet's left branch.
-
-    Merging the pair puts one member at the meet, and the caller
-    replaces ``found[i:i + 2]`` by it.  The list stays in path order,
-    because no other member lies at, above or below the meet: one at or
-    above it would have ``a`` nested inside, and a third member below it
-    would share a branch with ``a`` or ``b`` and make an adjacent pair
-    that meets deeper.  So the meet sorts where ``a`` and ``b`` did.
-    Lifting ``a`` and ``b`` to the meet leaves the list stale only at
-    those two entries, which the merge replaces: rule II backward
-    duplicates only a sibling holding no member.
-    """
-    best = None
-    for i, (a, b) in enumerate(zip(found, found[1:])):
-        n = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            n += 1
-        if best is None or n > best[0]:
-            best = (n, i)
-    n, i = best
-    return i, found[i][:n]
 
 
 def _lift_once(

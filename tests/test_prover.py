@@ -39,8 +39,20 @@ from ifp import (
     true_under,
     valid,
 )
-from ifp.core import is_classical
-from ifp.prover import PreconditionError, eliminate_nested, state_tuple
+from ifp.core import is_classical, multi_member
+from ifp.prover import (
+    PreconditionError,
+    ReductionInvariantError,
+    _require_decreasing,
+    eliminate_nested,
+    state_tuple,
+)
+
+# One four-member cluster whose two adjacent pairs of depth 1 tie.
+BALANCED_TEXT = "((p|1 q)&(r|1 s))&((t|1 u)&(v|1 w))"
+
+# Two members directly under the root: one merge, no lift.
+SIDE_BY_SIDE_TEXT = "(p|1 q)&(r|1 s)"
 
 
 class TestNestedPairs:
@@ -132,9 +144,17 @@ class TestMemberTracking:
         assert derivation.traces == reference.traces
 
     @pytest.mark.parametrize("valid", [False, True])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_the_nested_family_reduces_as_the_reference_does(self, d, valid):
         self.assert_same_reduction(nested_family(d, valid))
+
+    def test_tied_pairs_merge_leftmost_first(self):
+        c = parse(BALANCED_TEXT)
+        self.assert_same_reduction(c)
+        steps = reduce_to_classical(c).steps
+        assert [(step.app.rule, step.app.hole_path) for step in steps] == [
+            ("III", ("L",)), ("III", ("R",)), ("III", ()),
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(cirquents(), nested_cirquents()))
@@ -158,6 +178,84 @@ class TestMemberTracking:
             merges += sum(step.app.rule == "III" for step in derivation.steps)
             resolutions += len(derivation.traces)
         assert merges > resolutions  # some resolution merges more than once
+
+    def test_one_prefix_per_adjacent_pair_of_members(self, monkeypatch):
+        prefix = ifp.prover._common_prefix
+        calls = []
+
+        def counted(first, last):
+            calls.append((first, last))
+            return prefix(first, last)
+
+        monkeypatch.setattr(ifp.prover, "_common_prefix", counted)
+        goals = [parse(GOAL_TEXT), parse(BALANCED_TEXT)]
+        goals += [nested_family(d, v) for d in (1, 2, 3, 4) for v in (False, True)]
+        widest = 0
+        for goal in goals:
+            current, _ = eliminate_nested(goal)
+            while (k := min(multi_member(current), default=None)) is not None:
+                found = members(current, k)
+                calls.clear()
+                current, _, _ = resolve_cluster(current, k)
+                assert calls == list(zip(found, found[1:]))
+                widest = max(widest, len(found))
+        assert widest >= 4  # some resolution merges more than twice
+
+
+class TestReductionInvariants:
+    """Each of the reducer's own checks raises its message when the step under it goes wrong."""
+
+    @staticmethod
+    def fail_with(message, reduce, *args):
+        with pytest.raises(ReductionInvariantError) as raised:
+            reduce(*args)
+        assert str(raised.value) == message
+
+    @staticmethod
+    def nesting_after_first_call(monkeypatch):
+        calls = []
+
+        def first_nested_after_the_precondition(c):
+            calls.append(c)
+            return None if len(calls) == 1 else ((), ("L",))
+
+        monkeypatch.setattr(ifp.prover, "first_nested", first_nested_after_the_precondition)
+
+    def test_a_merge_that_keeps_the_cluster_size(self, monkeypatch):
+        monkeypatch.setattr(ifp.prover, "apply_rule_backward", lambda c, app: (c, app))
+        c = parse(SIDE_BY_SIDE_TEXT)
+        self.fail_with("merging must shrink the cluster by one", resolve_cluster, c, 1)
+
+    def test_a_merge_that_nests(self, monkeypatch):
+        self.nesting_after_first_call(monkeypatch)
+        c = parse(SIDE_BY_SIDE_TEXT)
+        self.fail_with("merging re-introduced same-cluster nesting", resolve_cluster, c, 1)
+
+    def test_a_lift_that_duplicates_a_member(self, c1, monkeypatch):
+        monkeypatch.setattr(ifp.prover, "members", lambda c, k: [("L", "L"), ("R", "L")])
+        self.fail_with(
+            "the operand being duplicated holds a member of the cluster", resolve_cluster, c1, 2
+        )
+
+    def test_a_lift_that_changes_the_cluster_size(self, c1, monkeypatch):
+        monkeypatch.setattr(ifp.prover, "apply_rule_backward", lambda c, app: (Literal("p"), app))
+        self.fail_with("lifting must leave the cluster size unchanged", resolve_cluster, c1, 2)
+
+    def test_a_lift_that_nests(self, c1, monkeypatch):
+        self.nesting_after_first_call(monkeypatch)
+        self.fail_with("lifting re-introduced same-cluster nesting", resolve_cluster, c1, 2)
+
+    def test_a_measure_that_does_not_decrease(self):
+        trace = [StateTuple(2, 0, 4, 0, 2), StateTuple(2, 0, 4, 0, 2)]
+        self.fail_with("the resolution measure failed to decrease", _require_decreasing, trace)
+
+    def test_a_residue_that_is_not_classical(self, c1, monkeypatch):
+        monkeypatch.setattr(ifp.prover, "is_classical", lambda c: False)
+        self.fail_with("reduction ended on a non-classical cirquent", reduce_to_classical, c1)
+
+    def test_a_countermodel_that_does_not_falsify_the_goal(self, x_pair, monkeypatch):
+        monkeypatch.setattr(ifp.prover, "true_under", lambda c, model: True)
+        self.fail_with("the residue's countermodel does not falsify the goal", decide, x_pair)
 
 
 class TestStateTuples:
