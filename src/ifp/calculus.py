@@ -54,7 +54,6 @@ candidate's comparison cover both whole trees.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterator, Optional
 
 from .core import (
@@ -71,13 +70,14 @@ from .core import (
     _common_prefix,
     _descend,
     _require_id,
-    cluster_ids,
+    _unused_ids,
     cluster_map,
     cluster_size,
     format_path,
     is_classical,
     map_clusters,
     members,
+    multi_member,
     node_count,
     replace_at,
     subcirquent_at,
@@ -371,8 +371,7 @@ def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
     if holders:
         (holder,) = members(premise, app.k)
         moved = subcirquent_at(premise, holder)
-        unused = max(cluster_ids(premise)) + 1
-        premise = replace_at(premise, holder, Or(unused, moved.left, moved.right))
+        premise = replace_at(premise, holder, Or(next(_unused_ids(premise)), moved.left, moved.right))
         key = subcirquent_at(premise, app.hole_path)
     renamed = Or(app.k, key.left, key.right)
     return replace_at(premise, app.hole_path, renamed), renamed
@@ -461,15 +460,15 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
     for merged, operand in ((left_merged, left), (right_merged, right)):
         if merged and not (isinstance(operand, Or) and operand.cluster == app.k):
             raise RuleError(f"rule {app.rule} merges only disjunctions of cluster {app.k}")
-    ids = cluster_ids(conclusion)
-    unused = (n for n in count(1) if n not in ids)
+    unused = _unused_ids(conclusion)
+    multi = multi_member(conclusion)  # every other cluster of the conclusion has one member
 
     def freshen(c: Cirquent) -> Cirquent:
-        return map_clusters(c, lambda k: next(unused) if cluster_size(conclusion, k) == 1 else k)
+        return map_clusters(c, lambda k: k if k in multi else next(unused))
 
     conjunction = isinstance(node, And)
     if not conjunction:
-        fresh_ids = cluster_size(conclusion, node.cluster) == 1
+        fresh_ids = node.cluster not in multi
         first_id = next(unused) if fresh_ids and left_merged and right_merged else node.cluster
     first_left = left.left if left_merged else left
     first_right = right.left if right_merged else right

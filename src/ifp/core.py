@@ -10,9 +10,18 @@ Positions inside a cirquent are addressed by paths: tuples of "L"/"R" steps
 from the root.  A path may end at any node, literals included, but may not
 step through a literal.
 
-Every node caches a ``summary``: how many disjunctions of each cluster
-lie beneath it (itself included), whether it is free of same-cluster
-nesting, and how many nodes its subtree has.  A connective computes its
+Every node caches a ``summary`` of the disjunctions beneath it, itself
+included: ``present``, a bit mask of the clusters there; ``repeated``,
+a bit mask of those with at least two members there; ``counts``, the
+exact number of members of each ``repeated`` cluster and of no other;
+whether it is free of same-cluster nesting; and how many nodes its
+subtree has.  Cluster k's bit is ``_bit(k)``: k itself below a fixed
+bound, ``_BOUND``, and above it the next bit from the bound up,
+handed out in the order the IDs are first seen, so a mask never grows
+with an ID's size.  A single-member cluster costs each node above it
+one bit, and a reducer step, whose copies give single-member clusters
+fresh IDs by the thousand, touches counts only for the few clusters
+with more than one member.  A connective computes its
 summary on first use and keeps it; nodes are immutable and a rewrite
 shares every subtree it leaves alone, so a rebuilt cirquent computes
 summaries only along the rebuilt spine.  The summary is this module's
@@ -27,8 +36,9 @@ from __future__ import annotations
 import re
 import sys
 from functools import cached_property
+from itertools import count
 from types import MappingProxyType
-from typing import Callable, Iterator, KeysView, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 LEFT_STEP = "L"
 RIGHT_STEP = "R"
@@ -46,15 +56,58 @@ class InvalidPathError(Exception):
     """The path does not address a node of the cirquent."""
 
 
+# Cluster k's bit in the summary masks is k below _BOUND.  An ID at or
+# above it takes the next bit from _BOUND up when first seen, so a mask
+# has one bit per cluster ID in use and none for an ID's size: indexed
+# by raw ID, the mask of p|1000000000 q would take 125 MB.  The bound
+# sits above the IDs a residue draws, so drawing a fresh ID is one
+# operation on a mask.
+_BOUND = 1 << 16
+_interned_bits: dict[int, int] = {}  # each ID seen at or above _BOUND: its bit
+_interned_ids: dict[int, int] = {}  # the reverse
+_next_bit = count(_BOUND)
+
+
+def _bit(k: int) -> int:
+    """Cluster ``k``'s bit in the summary masks."""
+    if k < _BOUND:
+        return k
+    bit = _interned_bits.get(k)
+    if bit is None:
+        # next() and setdefault() are atomic, so threads meeting a new ID
+        # at once agree on its bit; the loser's draw stays unused.
+        bit = next(_next_bit)
+        _interned_ids[bit] = k
+        bit = _interned_bits.setdefault(k, bit)
+    return bit
+
+
+def _ids_in(mask: int) -> list[int]:
+    """The IDs whose bits ``mask`` sets, lowest bit first."""
+    found = []
+    while mask:
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        found.append(bit if bit < _BOUND else _interned_ids[bit])
+        mask ^= low
+    return found
+
+
 class Summary(NamedTuple):
     """What a node knows about the disjunctions beneath it, itself included.
 
-    ``counts`` maps each cluster ID present to its number of disjunctions;
-    ``nesting_free`` is False when some disjunction sits inside another of
-    the same cluster; ``size`` is the number of nodes, literals and
-    connectives alike.
+    ``present`` sets the bit ``_bit(k)`` of each cluster k with a
+    disjunction there, and ``repeated`` that of each with at least two;
+    ``counts`` maps exactly the ``repeated`` clusters to their numbers of
+    disjunctions; ``nesting_free`` is False when some disjunction sits
+    inside another of the same cluster; ``size`` is the number of nodes,
+    literals and connectives alike.  Summaries are built with
+    ``tuple.__new__``, which costs a fraction of the generated
+    constructor.
     """
 
+    present: int
+    repeated: int
     counts: Mapping[int, int]
     nesting_free: bool
     size: int
@@ -102,7 +155,7 @@ _set_attribute = object.__setattr__
 
 class Literal(_Value):
     __match_args__ = ("atom", "positive")
-    summary = Summary(MappingProxyType({}), True, 1)
+    summary = Summary(0, 0, MappingProxyType({}), True, 1)
 
     def __init__(self, atom: str, positive: bool = True) -> None:
         if not (isinstance(atom, str) and _ATOM_NAME.fullmatch(atom)):
@@ -206,24 +259,33 @@ def _summarize(root: Cirquent) -> Summary:
         for child in (node.left, node.right):
             if not isinstance(child, Literal) and "summary" not in child.__dict__:
                 pending.append(child)
+    new = tuple.__new__
     for node in reversed(order):
-        left, right = node.left.summary, node.right.summary
-        small, large = left.counts, right.counts
-        if len(small) > len(large):
-            small, large = large, small
-        free = left.nesting_free and right.nesting_free
+        present, repeated, counts, free, size = node.left.summary
+        right_present, right_repeated, right_counts, right_free, right_size = node.right.summary
+        shared = present & right_present
+        if right_present:  # "0 | x" would copy x
+            present = present | right_present if present else right_present
+        repeated |= right_repeated | shared
+        free = free and right_free
+        if shared:  # on both sides: a side without a count holds one
+            left_counts, counts = counts, {**counts, **right_counts}
+            for k in _ids_in(shared):
+                counts[k] = left_counts.get(k, 1) + right_counts.get(k, 1)
+        elif not counts:
+            counts = right_counts
+        elif right_counts:
+            counts = {**counts, **right_counts}
         if isinstance(node, Or):
             k = node.cluster
-            free = free and k not in small and k not in large
-            counts = dict(large)
-            counts[k] = counts.get(k, 0) + 1
-        elif small:
-            counts = dict(large)
-        else:
-            counts = large
-        for k, n in small.items():
-            counts[k] = counts.get(k, 0) + n
-        node.__dict__["summary"] = Summary(counts, free, left.size + right.size + 1)
+            bit = 1 << _bit(k)
+            if present & bit:
+                free = False
+                repeated |= bit
+                counts = {**counts, k: counts.get(k, 1) + 1}
+            else:
+                present |= bit
+        node.__dict__["summary"] = new(Summary, (present, repeated, counts, free, size + right_size + 1))
     return root.__dict__["summary"]
 
 
@@ -309,13 +371,14 @@ def clusters(c: Cirquent) -> dict[int, frozenset]:
 def members(c: Cirquent, k: int) -> list[Path]:
     """Positions of cluster ``k``'s disjunctions, in path order.
 
-    Only subtrees whose summary counts ``k`` are entered.
+    Only subtrees whose summary has ``k``'s bit are entered.
     """
+    bit = 1 << _bit(k)
     found = []
     stack = [(ROOT, c)]
     while stack:
         path, node = stack.pop()
-        if k not in node.summary.counts:
+        if not node.summary.present & bit:
             continue
         if isinstance(node, Or) and node.cluster == k:
             found.append(path)
@@ -326,22 +389,45 @@ def members(c: Cirquent, k: int) -> list[Path]:
 
 def cluster_size(c: Cirquent, k: int) -> int:
     """How many disjunctions of cluster ``k`` ``c`` holds; 0 when none."""
-    return c.summary.counts.get(k, 0)
+    summary = c.summary
+    return summary.counts.get(k) or summary.present >> _bit(k) & 1
 
 
-def cluster_ids(c: Cirquent) -> KeysView[int]:
-    """The IDs of every cluster of ``c``, as a read-only view."""
-    return c.summary.counts.keys()
+def cluster_ids(c: Cirquent) -> frozenset[int]:
+    """The IDs of every cluster of ``c``."""
+    return frozenset(_ids_in(c.summary.present))
 
 
-def multi_member(c: Cirquent) -> dict[int, int]:
-    """Each cluster with more than one member, mapped to its size."""
-    return {k: n for k, n in c.summary.counts.items() if n > 1}
+def multi_member(c: Cirquent) -> Mapping[int, int]:
+    """Each cluster with more than one member, mapped to its size, as a read-only view."""
+    return MappingProxyType(c.summary.counts)
 
 
 def is_classical(c: Cirquent) -> bool:
     """True when every cluster is a singleton, i.e. the cirquent is an ordinary formula."""
-    return all(n == 1 for n in c.summary.counts.values())
+    return not c.summary.repeated
+
+
+def _unused_ids(c: Cirquent) -> Iterator[int]:
+    """The IDs no disjunction of ``c`` holds, lowest first.
+
+    Below ``_BOUND`` each is the lowest bit that neither ``c``'s mask
+    nor an earlier draw sets; only once every ID below is in use are the
+    IDs above tried one by one.
+    """
+    present = c.summary.present
+    taken = present | 1  # bit 0 is no ID
+    while True:
+        low = ~taken & (taken + 1)
+        k = low.bit_length() - 1
+        if k >= _BOUND:
+            break
+        taken |= low
+        yield k
+    for k in count(_BOUND):
+        bit = _interned_bits.get(k)
+        if bit is None or not present >> bit & 1:
+            yield k
 
 
 def first_nested(c: Cirquent) -> tuple[Path, Path] | None:
@@ -350,18 +436,19 @@ def first_nested(c: Cirquent) -> tuple[Path, Path] | None:
     Pairs are ordered by the outer position, then the inner one.  The
     descent follows the cached nesting flags from the root to the first
     disjunction with a member of its own cluster beneath it, then the
-    cached counts to the first such member, so it costs O(depth), and
-    nothing when the root is nesting-free.
+    cached cluster bits to the first such member, so it costs O(depth),
+    and nothing when the root is nesting-free.
     """
     if c.summary.nesting_free:
         return None
     outer, node = [], c
-    while not (isinstance(node, Or) and node.summary.counts[node.cluster] > 1):
+    while not (isinstance(node, Or) and node.cluster in node.summary.counts):
         outer.append(RIGHT_STEP if node.left.summary.nesting_free else LEFT_STEP)
         node = node.right if outer[-1] == RIGHT_STEP else node.left
     k, inner, below = node.cluster, [], node
+    bit = 1 << _bit(k)
     while not inner or not (isinstance(below, Or) and below.cluster == k):
-        inner.append(LEFT_STEP if k in below.left.summary.counts else RIGHT_STEP)
+        inner.append(LEFT_STEP if below.left.summary.present & bit else RIGHT_STEP)
         below = below.left if inner[-1] == LEFT_STEP else below.right
     return tuple(outer), tuple(outer + inner)
 
@@ -425,8 +512,11 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
                 return None
         stack += ((x.right, y.right), (x.left, y.left))
     if shared:
-        moved = [k for k, m in forward.items() if k != m] + [m for m, k in backward.items() if k != m]
-        if any(k in node.summary.counts for k in moved for node in shared):
+        moved = 0  # the bits of every ID the walk moved, and of every ID it moved one to
+        for k, m in forward.items():
+            if k != m:
+                moved |= 1 << _bit(k) | 1 << _bit(m)
+        if moved and any(node.summary.present & moved for node in shared):
             return None
     return forward
 

@@ -16,6 +16,7 @@ from typing import Iterator
 from hypothesis import assume, strategies as st
 
 import ifp.calculus as calculus
+import ifp.core as core
 from ifp import (
     And,
     Literal,
@@ -38,7 +39,7 @@ from ifp import (
     valid,
 )
 from ifp.calculus import RULES, CopyMismatchError, RuleHint, ShapeMismatchError
-from ifp.core import Cirquent, InvalidPathError, Path, atoms, map_clusters, node_count, walk
+from ifp.core import Cirquent, InvalidPathError, Path, atoms, is_classical, map_clusters, node_count, walk
 from ifp.prover import (
     PreconditionError,
     ReductionInvariantError,
@@ -353,11 +354,16 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     """The cached summary and the cluster queries agree with a fresh full walk."""
     table = clusters(c)
     sizes = {k: len(v) for k, v in table.items()}
+    multi = {k: n for k, n in sizes.items() if n > 1}
     pairs = nested_pairs_reference(c)
-    assert dict(c.summary.counts) == sizes
-    assert c.summary.nesting_free == (not pairs)
-    assert sorted(cluster_ids(c)) == sorted(sizes)
-    assert multi_member(c) == {k: n for k, n in sizes.items() if n > 1}
+    summary = c.summary
+    assert summary.present == sum(1 << core._bit(k) for k in sizes)
+    assert summary.repeated == sum(1 << core._bit(k) for k in multi)
+    assert dict(summary.counts) == multi
+    assert summary.nesting_free == (not pairs)
+    assert cluster_ids(c) == frozenset(sizes)
+    assert multi_member(c) == multi
+    assert is_classical(c) == (not multi)
     singles = {k for k in cluster_ids(c) if cluster_size(c, k) == 1}
     assert singles == {k for k, n in sizes.items() if n == 1}
     assert first_nested(c) == (pairs[0] if pairs else None)
@@ -366,6 +372,22 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     for k, positions_of_k in table.items():
         assert cluster_size(c, k) == len(positions_of_k)
         assert members(c, k) == sorted(positions_of_k)
+    assert list(itertools.islice(core._unused_ids(c), 3)) == unused_ids_reference(c, 3)
+
+
+def unused_ids_reference(c: Cirquent, n: int) -> list[int]:
+    """The ``n`` lowest IDs no disjunction of ``c`` holds, by scanning up from 1."""
+    taken = set(clusters(c))
+    return list(itertools.islice((k for k in itertools.count(1) if k not in taken), n))
+
+
+def with_large_ids(c: Cirquent) -> Cirquent:
+    """``c`` with clusters 2, 3 and 4 renamed to IDs at and far above ``core._BOUND``, 2**16.
+
+    Cluster 1 keeps its ID, so small and large IDs meet in one tree.
+    """
+    large = {2: 2**16, 3: 10**9, 4: 10**4000}
+    return map_clusters(c, lambda k: large.get(k, k))
 
 
 def positions(c: Cirquent) -> list[Path]:

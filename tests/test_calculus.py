@@ -144,6 +144,13 @@ class TestRuleOneForward:
         conclusion = apply_rule_forward(parse("(q|1 ~q)|2 r"), app)
         assert conclusion == parse("((q|3 ~q)|1 p)|1 r")
 
+    def test_a_moved_holder_takes_the_lowest_unused_id(self):
+        """Even when the premise holds the largest ID that prints, which has no successor."""
+        app = RuleApp("I-left", (), 1, inner_path=(), new_subcirquent=Literal("p"))
+        largest = 10**4300 - 1
+        conclusion = apply_rule_forward(parse(f"(q|1 ~q)|2(r|{largest} s)"), app)
+        assert conclusion == parse(f"((q|3 ~q)|1 p)|1(r|{largest} s)")
+
     def test_relabeling_a_multi_member_key_is_refused(self, goal):
         app = RuleApp("I-left", (), 9, inner_path=("L",), new_subcirquent=Literal("r"))
         with pytest.raises(RuleError):

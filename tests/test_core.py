@@ -1,16 +1,19 @@
 """Tests for the cirquent tree: paths, clusters, isomorphism."""
 
 import copy
+import itertools
 import pathlib
 import pickle
 import re
 import sys
+import tracemalloc
 import types
 
 import pytest
 from hypothesis import given, strategies as st
 
 import ifp.calculus
+import ifp.core
 from helpers import (
     assert_summary_matches_walk,
     cirquents,
@@ -23,6 +26,8 @@ from helpers import (
     positions,
     rename_clusters,
     require_copies_reference,
+    unused_ids_reference,
+    with_large_ids,
 )
 from ifp import (
     And,
@@ -40,9 +45,12 @@ from ifp import (
     clusters,
     decide,
     members,
+    multi_member,
     parse,
+    print_cirquent,
     replace_at,
     subcirquent_at,
+    valid,
 )
 from ifp.calculus import CheckFailure, CopyMismatchError
 from ifp.core import (
@@ -415,6 +423,20 @@ class TestSummaries:
         assert dict(P.summary.counts) == {}
         assert P.summary.nesting_free
 
+    def test_masks_hold_every_cluster_and_counts_only_the_multi_member_ones(self):
+        c = parse("((p|1 q)|2(r|3 s))&((t|1 u)|4 v)")
+        assert c.summary.present == 0b11110
+        assert c.summary.repeated == 0b10
+        assert dict(c.summary.counts) == {1: 2}
+        assert cluster_ids(c) == frozenset({1, 2, 3, 4})
+        assert [cluster_size(c, k) for k in range(6)] == [0, 2, 1, 1, 1, 0]
+        assert not is_classical(c) and is_classical(c.left)
+
+    def test_multi_member_is_read_only(self, goal):
+        with pytest.raises(TypeError):
+            multi_member(goal)[1] = 0
+        assert multi_member(goal) == {1: 3, 2: 2}
+
     def test_parsing_computes_no_summary(self):
         c = parse("(p|1 q)&(r|1 s)")
         assert "summary" not in vars(c)
@@ -430,6 +452,36 @@ class TestSummaries:
 
     @given(st.one_of(cirquents(max_leaves=8), nested_cirquents()))
     def test_summary_matches_a_fresh_walk(self, c):
+        assert_summary_matches_walk(c)
+
+    @given(st.one_of(cirquents(max_leaves=8, max_cluster=4), nested_cirquents(max_cluster=4)).map(with_large_ids))
+    def test_summary_matches_a_fresh_walk_with_ids_above_the_mask_bound(self, c):
+        assert_summary_matches_walk(c)
+
+    @pytest.mark.parametrize("siblings, bound_mb", [("literals", 2), ("disjunctions", 32)])
+    def test_memory_does_not_grow_with_an_id_s_size(self, siblings, bound_mb):
+        """A mask indexed by raw ID would take 125 MB for the one disjunction's ID alone.
+
+        An ID at or above the bound takes one bit from 2**16 up: a mask
+        above it costs about 8 KB, which the distinct disjunctions in the
+        second chain pay at each of the 2,000 levels.
+        """
+        for query in (decide, valid, print_cirquent):
+            c = Or(1000000000, P, Q)
+            for k in range(1, 2000):
+                c = And(Or(k, P, NOT_P) if siblings == "disjunctions" else P, c)
+            tracemalloc.start()
+            try:
+                query(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mb * 2**20, query.__name__
+
+    def test_fresh_ids_above_a_shrunk_bound_match_the_reference_scan(self, monkeypatch):
+        monkeypatch.setattr(ifp.core, "_BOUND", 4)
+        c = parse("((p|1 q)|2(r|3 s))|4((t|5 u)|7 v)")
+        assert list(itertools.islice(ifp.core._unused_ids(c), 3)) == [6, 8, 9] == unused_ids_reference(c, 3)
         assert_summary_matches_walk(c)
 
 

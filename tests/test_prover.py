@@ -1,10 +1,13 @@
 """Tests for reduction to a classical cirquent and proof synthesis."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifp.calculus
+import ifp.core
 import ifp.prover
 from conftest import C1_TEXT, GOAL_TEXT
 from helpers import (
@@ -18,6 +21,7 @@ from helpers import (
     resolve_cluster_reference,
     strictly_decreasing,
     valid_cirquents,
+    with_large_ids,
 )
 from ifp import (
     Invalid,
@@ -364,13 +368,60 @@ class TestSummariesAlongDerivations:
     @pytest.mark.parametrize(
         "goal",
         [parse(GOAL_TEXT)]
-        + [nested_family(d, valid) for d in (1, 2) for valid in (False, True)],
+        + [nested_family(d, valid) for d in (1, 2) for valid in (False, True)]
+        + [with_large_ids(nested_family(d, valid)) for d in (1, 2) for valid in (False, True)],
     )
     def test_every_intermediate_summary_matches_a_fresh_walk(self, goal):
         derivation = reduce_to_classical(goal)
         assert derivation.steps
         for step in derivation.steps:
             assert_summary_matches_walk(step.result)
+
+
+class TestPerStepCost:
+    @pytest.mark.parametrize("valid", [False, True])
+    def test_no_step_lists_every_cluster(self, valid, monkeypatch):
+        """A reducer step's bookkeeping never asks for all of the residue's thousands of IDs."""
+        expected = _answer(decide(nested_family(5, valid)))
+
+        def refuse(c):
+            raise AssertionError("cluster_ids lists every cluster of the tree")
+
+        monkeypatch.setattr(ifp.core, "cluster_ids", refuse)
+        monkeypatch.setattr(ifp.calculus, "cluster_ids", refuse, raising=False)
+        assert _answer(decide(nested_family(5, valid))) == expected
+
+    @pytest.mark.parametrize("bound", [None, 4])
+    @pytest.mark.parametrize("valid", [False, True])
+    def test_ids_on_both_sides_of_the_mask_bound_keep_the_recorded_answer(self, valid, bound, monkeypatch):
+        """The proof or countermodel, and the trace, recorded before cluster summaries became masks.
+
+        With the bound shrunk to 4, every ID a rule II or III step draws
+        is found by the scan above the bound.
+        """
+        if bound is not None:
+            monkeypatch.setattr(ifp.core, "_BOUND", bound)
+        decision = decide(with_large_ids(nested_family(3, valid)))
+        trace = "".join(state.as_line() + "\n" for t in decision.derivation.traces for state in t)
+        assert hashlib.sha256(_answer(decision).encode()).hexdigest() == _LARGE_IDS_ANSWER_SHA256[valid]
+        assert (
+            hashlib.sha256(trace.encode()).hexdigest()
+            == "aba40bcb94b8a01047213a75dee4a1c117bcba55025cadb24b006fe790810a28"
+        )
+
+
+# The answers to decide(with_large_ids(nested_family(3, valid))).
+_LARGE_IDS_ANSWER_SHA256 = {
+    False: "d84d04a8b59f31fe06eb6115b15bf3581483eafa9105e467201945b2cc494d4e",
+    True: "9d2685cbbde02e80c890f43a4b6ed89f38160ebc7a11c70ef5cf17db08d17560",
+}
+
+
+def _answer(decision) -> str:
+    """The printed proof of a valid decision, or the sorted countermodel of an invalid one."""
+    if isinstance(decision, Valid):
+        return print_proof(decision.proof)
+    return repr(sorted(decision.countermodel.items()))
 
 
 class TestDecideBounds:
