@@ -27,11 +27,9 @@ from .core import (
 )
 from .semantics import (
     TooLargeError,
-    compile_classical,
     countermodel,
     metatrue,
     true_under,
-    truth_table,
     valid,
 )
 from .calculus import (

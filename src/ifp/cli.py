@@ -20,11 +20,10 @@ from .semantics import (
     MissingAtomError,
     MissingClusterError,
     TooLargeError,
-    compile_classical,
+    dnf_text,
     ensure_within_bounds,
     metatrue,
     true_under,
-    truth_table,
     valid,
 )
 from .syntax import (
@@ -203,10 +202,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_compile(args) -> int:
     c = parse(_read_source(args))
-    compiled = compile_classical(truth_table(c))
+    output_nodes, pieces = dnf_text(c)
     input_nodes = node_count(c)
-    output_nodes = 0 if compiled is None else node_count(compiled)
-    print("unsatisfiable" if compiled is None else print_cirquent(compiled))
+    sys.stdout.writelines(pieces)
+    print("" if output_nodes else "unsatisfiable")
     print(f"input-nodes: {input_nodes}")
     print(f"output-nodes: {output_nodes}")
     print(f"ratio: {output_nodes / input_nodes:.2f}")

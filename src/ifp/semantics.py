@@ -1,4 +1,4 @@
-"""Truth for cirquents: metaselections, validity, truth tables, classical compilation.
+"""Truth for cirquents: metaselections, validity, and a truth table's DNF.
 
 An interpretation assigns every atom a boolean.  A metaselection assigns
 every cluster a side, "left" or "right"; all disjunctions in a cluster are
@@ -21,10 +21,10 @@ override, and only of the atom bound.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Mapping, Sequence
+from itertools import chain, product, repeat
+from typing import Iterator, Mapping, Sequence
 
-from .core import And, Cirquent, Literal, Or, _Value, atoms, cluster_ids, multi_member
+from .core import And, Cirquent, Literal, atoms, cluster_ids, multi_member
 
 LEFT = "left"
 RIGHT = "right"
@@ -91,48 +91,28 @@ def countermodel(c: Cirquent) -> Interpretation | None:
     return {name: bool(row >> (len(names) - 1 - j) & 1) for j, name in enumerate(names)}
 
 
-class TruthTable(_Value):
-    __match_args__ = ("atoms", "rows")
+def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
+    """The node count and the printed text, in pieces, of the DNF with ``c``'s truth table.
 
-    def __init__(self, atoms: tuple[str, ...], rows: dict) -> None:
-        """``rows`` maps each full assignment tuple, in atom order, to a bool."""
-        if len(rows) != 2 ** len(atoms):
-            raise ValueError("a truth table needs one row per assignment")
-        fields = self.__dict__
-        fields["atoms"], fields["rows"] = atoms, rows
-
-
-def truth_table(c: Cirquent) -> TruthTable:
-    """Tabulate true_under over every assignment of the cirquent's atoms."""
+    The DNF has one minterm per true row, in lexicographic row order, each
+    a left-nested conjunction of every atom in sorted order; the minterms
+    hang off a left-nested disjunction spine whose clusters are all single.
+    The text is print_cirquent's: compound operands parenthesized, the root
+    bare, no IDs.  With m true rows of n atoms there are m(2n-1) + (m-1)
+    nodes; with none, 0 nodes and no text.
+    """
     names = ensure_within_bounds(c)
     false, shift = _false_rows(c, names, {}, {})
-    assignments = product((False, True), repeat=len(names))
-    rows = {values: not (false >> (i << shift)) & 1 for i, values in enumerate(assignments)}
-    return TruthTable(tuple(names), rows)
-
-
-def compile_classical(table: TruthTable) -> Cirquent | None:
-    """A classical cirquent in disjunctive normal form with the given table.
-
-    Returns None when no row is true.  Every minterm mentions every atom,
-    conjunctions and the disjunction spine both associate to the left, and
-    the singleton cluster IDs come out already canonical.
-    """
-    minterms = []
-    for values, result in table.rows.items():
-        if not result:
-            continue
-        term: Cirquent | None = None
-        for name, value in zip(table.atoms, values):
-            lit = Literal(name, positive=value)
-            term = lit if term is None else And(term, lit)
-        minterms.append(term)
-    if not minterms:
-        return None
-    dnf = minterms[0]
-    for i, term in enumerate(minterms[1:], start=1):
-        dnf = Or(i, dnf, term)
-    return dnf
+    rows = f"{false:0{1 << (len(names) + shift)}b}"[:: -(1 << shift)]  # row i: "0" when true
+    m, n = rows.count("0"), len(names)
+    if not m:
+        return 0, iter(())
+    wrap = n > 1 and m > 1  # a minterm is a compound operand of the spine
+    joints = ["(" * (n - 2 + wrap), "&"] + [")&"] * (n - 2)  # the text before each literal
+    literals = [(f"{joint}~{name}", joint + name) for joint, name in zip(joints, names)]
+    minterms = ("".join(term) + ")" * wrap for row, term in zip(rows, product(*literals)) if row == "0")
+    spine = chain(("(" * (m - 2), "|"), repeat(")|"))
+    return m * (2 * n - 1) + m - 1, map(str.__add__, spine, minterms)
 
 
 def _false_rows(c: Cirquent, names: Sequence[str], values: Mapping, fixed: Mapping) -> tuple:

@@ -44,6 +44,8 @@ from .core import (
     Path,
     RIGHT_STEP,
     _ATOM_NAME,
+    _ID_DIGITS,
+    _ID_LIMIT,
     format_path,
     multi_member,
 )
@@ -127,9 +129,11 @@ def _read(text: str, partial: bool) -> tuple[Cirquent, int]:
         for m in _EXPLICIT_ID.finditer(text, 0, scanned):
             _number(m[1], m.start(1))
         raise
+    if base + len(tokens) >= _ID_LIMIT:  # the largest may lie past the formula: leave room for fresh IDs
+        base = _ID_LIMIT - 1 - len(tokens)
     lefts = _arrow_lefts(tokens) if "->" in text else set()
     c, used, top = _build(tokens, base, lefts, partial, where)
-    if top != base:  # the largest explicit ID lies past the formula: number again
+    if top != base:  # the formula's largest explicit ID is another: number again from it
         c, used, top = _build(tokens[:used], top, lefts, partial, where)
     stop = scanned
     for token in reversed(tokens[used:]):
@@ -146,7 +150,8 @@ def _build(
     None for a conjunction, ~j for a "|k" at token j under negation.  "("
     waits as (0, group polarity, operand polarity); an operand's polarity
     is its group's, flipped on a left operand of "->".  The n-th
-    disjunction written without an ID in the normal form gets ``base + n``.
+    disjunction written without an ID in the normal form gets ``base + n``,
+    or a ParseError when that ID is too long to print.
     """
     n = len(tokens)
     tokens = tokens + [""]  # the end
@@ -219,6 +224,9 @@ def _build(
                 break
             if bare_or:
                 fresh += 1
+                if fresh >= _ID_LIMIT:
+                    message = f"no cluster ID of at most {_ID_DIGITS} digits is left for this disjunction"
+                    raise ParseError(message, where(i))
             ops.append((binding, fresh if bare_or else None))
         i += 1
     if depth:

@@ -34,6 +34,7 @@ from ifp import (
     members,
     multi_member,
     parse,
+    print_cirquent,
     replace_at,
     subcirquent_at,
     valid,
@@ -48,7 +49,7 @@ from ifp.prover import (
     _require_decreasing,
     state_tuple,
 )
-from ifp.semantics import MissingAtomError, MissingClusterError, TruthTable
+from ifp.semantics import MissingAtomError, MissingClusterError, _false_rows, ensure_within_bounds
 from ifp.syntax import NegatedIndexedDisjunctionError, NonpositiveClusterIdError
 
 ATOMS3 = ("p", "q", "r")
@@ -1016,6 +1017,51 @@ def countermodel_reference(c: Cirquent):
     return None
 
 
+@dataclass(frozen=True)
+class TruthTable:
+    """A truth table: ``rows`` maps each full assignment tuple, in ``atoms`` order, to a bool."""
+
+    atoms: tuple[str, ...]
+    rows: dict
+
+    def __post_init__(self) -> None:
+        if len(self.rows) != 2 ** len(self.atoms):
+            raise ValueError("a truth table needs one row per assignment")
+
+
+def truth_table(c: Cirquent) -> TruthTable:
+    """The evaluator's table: ``_false_rows``' bit for every assignment of the atoms."""
+    names = ensure_within_bounds(c)
+    false, shift = _false_rows(c, names, {}, {})
+    assignments = itertools.product((False, True), repeat=len(names))
+    rows = {values: not (false >> (i << shift)) & 1 for i, values in enumerate(assignments)}
+    return TruthTable(tuple(names), rows)
+
+
+def compile_classical(table: TruthTable) -> Cirquent | None:
+    """The DNF tree that ``semantics.dnf_text`` prints, built node by node; None when no row is true.
+
+    Every minterm mentions every atom, conjunctions and the disjunction
+    spine both associate to the left, and the singleton cluster IDs come
+    out already canonical.
+    """
+    minterms = []
+    for values, result in table.rows.items():
+        if not result:
+            continue
+        term: Cirquent | None = None
+        for name, value in zip(table.atoms, values):
+            lit = Literal(name, positive=value)
+            term = lit if term is None else And(term, lit)
+        minterms.append(term)
+    if not minterms:
+        return None
+    dnf = minterms[0]
+    for i, term in enumerate(minterms[1:], start=1):
+        dnf = Or(i, dnf, term)
+    return dnf
+
+
 def truth_table_reference(c: Cirquent) -> TruthTable:
     """``true_under_reference`` at every assignment of the atoms, in lexicographic order."""
     ordered = tuple(sorted(atoms(c)))
@@ -1023,6 +1069,12 @@ def truth_table_reference(c: Cirquent) -> TruthTable:
     for values in itertools.product((False, True), repeat=len(ordered)):
         rows[values] = true_under_reference(c, dict(zip(ordered, values)))
     return TruthTable(ordered, rows)
+
+
+def dnf_reference(table: TruthTable) -> tuple[int, str]:
+    """The node count and printed text of ``compile_classical(table)``; (0, "") when no row is true."""
+    tree = compile_classical(table)
+    return (0, "") if tree is None else (node_count(tree), print_cirquent(tree))
 
 
 def eval_classical_reference(c: Cirquent, interpretation) -> bool:

@@ -14,12 +14,14 @@ from helpers import (
     RULE_FAMILIES,
     all_cirquents,
     classical_tautology_reference,
+    compile_classical,
     interpretations,
     rand_cirquent,
     rand_classical,
     rand_context_instance,
     rand_rule_instance,
     strictly_decreasing,
+    truth_table,
 )
 from ifp import (
     Valid,
@@ -28,7 +30,6 @@ from ifp import (
     check_proof,
     cluster_map,
     clusters,
-    compile_classical,
     decide,
     first_nested,
     metatrue,
@@ -38,7 +39,6 @@ from ifp import (
     print_proof,
     prove,
     true_under,
-    truth_table,
     valid,
 )
 from ifp.calculus import AXIOM

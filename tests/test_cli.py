@@ -11,10 +11,12 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ifp
 from conftest import GOAL_TEXT, X_TEXT
+from helpers import ATOMS4, all_cirquents, cirquents, dnf_reference, eval_classical_reference, truth_table_reference
+from ifp import parse, print_cirquent
 from ifp.cli import main
 
 
@@ -243,6 +245,7 @@ class TestDeepInput:
 
 
 BIG = "1" * 5000  # past Python's 4,300-digit limit on converting text to int
+LARGEST = "9" * 4300  # the largest cluster ID that prints
 
 
 class TestOverlongIntegers:
@@ -261,6 +264,22 @@ class TestOverlongIntegers:
         code, out, err = run(argv, capsys, monkeypatch, stdin=source)
         assert (code, out) == (1, "")
         assert err.startswith("error: a number of 5000 digits is too long")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["parse"], f"(p|{LARGEST} q)|r"),
+            (["valid"], f"(p|{LARGEST} q)|r"),
+            (["compile"], f"(p|{LARGEST} q)|r"),
+            (["check"], f"1. (p|{LARGEST} ~p)|q\n"),
+        ],
+        ids=["parse", "valid", "compile", "check"],
+    )
+    def test_no_fresh_id_past_the_largest_is_an_error(self, argv, source, capsys, monkeypatch):
+        code, out, err = run(argv, capsys, monkeypatch, stdin=source)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no cluster ID of at most 4300 digits is left for this disjunction")
         assert "Traceback" not in err
 
 
@@ -284,6 +303,39 @@ class TestCompileCommand:
             "output-nodes: 0\n"
             "ratio: 0.00\n"
         )
+
+
+class TestCompileAgainstTheReference:
+    """``ifp compile`` writes, byte for byte, the DNF tree that the test helpers
+    build from the reference truth table, and that text has the input's table."""
+
+    @staticmethod
+    def check(c):
+        table = truth_table_reference(c)
+        nodes, text = dnf_reference(table)
+        code, out = call(["compile"], print_cirquent(c, show_singleton_ids=True))
+        assert code == 0
+        first, _, output_nodes, _ = out.splitlines()
+        assert first == (text or "unsatisfiable")
+        assert output_nodes == f"output-nodes: {nodes}"
+        if text:
+            dnf = parse(text)
+            for values, result in table.rows.items():
+                assert eval_classical_reference(dnf, dict(zip(table.atoms, values))) == result
+
+    @settings(deadline=None)
+    @given(cirquents(max_leaves=6, atom_names=ATOMS4))
+    @example(parse("(p|1 q)&(~p|1 ~q)"))  # one multi-member cluster, unsatisfiable
+    @example(parse("((a|1 ~b)&(c|2 b))|1(~a&(c|2 d))"))  # two multi-member clusters
+    @example(parse("p"))
+    @example(parse("p|~p"))  # two one-literal minterms
+    @example(parse("p&~p"))
+    def test_generated_inputs(self, c):
+        self.check(c)
+
+    def test_every_sweep_goal_of_up_to_two_connectives(self):
+        for c in all_cirquents(2):
+            self.check(c)
 
 
 class TestDecideCommand:

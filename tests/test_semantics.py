@@ -8,17 +8,21 @@ from hypothesis import assume, given, strategies as st
 
 import ifp.semantics
 from helpers import (
+    TruthTable,
     cirquents,
     classical_countermodel_reference,
     classical_tautology_reference,
+    compile_classical,
     countermodel_reference,
     deep_chain,
+    dnf_reference,
     eval_classical_reference,
     interpretations,
     metaselections,
     metatrue_reference,
     rand_classical,
     true_under_reference,
+    truth_table,
     truth_table_reference,
     valid_reference,
 )
@@ -28,23 +32,15 @@ from ifp import (
     Or,
     TooLargeError,
     clusters,
-    compile_classical,
     countermodel,
     metatrue,
     parse,
-    print_cirquent,
     true_under,
-    truth_table,
     valid,
 )
 from ifp.calculus import is_axiom
 from ifp.core import atoms
-from ifp.semantics import (
-    MissingAtomError,
-    MissingClusterError,
-    TruthTable,
-    ensure_within_bounds,
-)
+from ifp.semantics import MissingAtomError, MissingClusterError, dnf_text, ensure_within_bounds
 
 P = Literal("p")
 Q = Literal("q")
@@ -184,23 +180,21 @@ class TestTruthTables:
         with pytest.raises(ValueError):
             TruthTable(("p",), {(False,): True})
 
-    def test_compile_exclusive_or(self):
-        table = truth_table(parse("(p|q)&(~p|~q)"))
-        compiled = compile_classical(table)
-        assert print_cirquent(compiled) == "(~p&q)|(p&~q)"
+    def test_dnf_of_exclusive_or(self):
+        nodes, pieces = dnf_text(parse("(p|q)&(~p|~q)"))
+        assert (nodes, "".join(pieces)) == (7, "(~p&q)|(p&~q)")
 
-    def test_compile_unsatisfiable(self, x_pair):
-        assert compile_classical(truth_table(x_pair)) is None
+    def test_dnf_of_an_unsatisfiable_input_is_empty(self, x_pair):
+        nodes, pieces = dnf_text(x_pair)
+        assert (nodes, list(pieces)) == (0, [])
 
-    def test_compile_preserves_the_table(self, goal):
-        table = truth_table(goal)
-        compiled = compile_classical(table)
-        assert truth_table(compiled) == table
+    def test_dnf_preserves_the_table(self, goal):
+        assert truth_table(parse("".join(dnf_text(goal)[1]))) == truth_table(goal)
 
-    def test_compiled_ids_are_canonical_singletons(self):
-        compiled = compile_classical(truth_table(parse("p|q")))
-        recompiled = compile_classical(truth_table(compiled))
-        assert compiled == recompiled
+    def test_dnf_text_parses_to_the_reference_tree_with_its_ids(self):
+        # The parser numbers the bare "|"s 1, 2, ... as the reference spine does.
+        c = parse("p|q")
+        assert parse("".join(dnf_text(c)[1])) == compile_classical(truth_table_reference(c))
 
 
 class TestTruthAgainstBruteForce:
@@ -267,7 +261,10 @@ class TestEvaluator:
         with mock.patch.object(ifp.semantics, "_VECTOR_BITS", vector_bits):
             assert valid(c) == valid_reference(c)
             assert countermodel(c) == countermodel_reference(c)
-            assert truth_table(c) == truth_table_reference(c)
+            table = truth_table_reference(c)
+            assert truth_table(c) == table
+            nodes, pieces = dnf_text(c)
+            assert (nodes, "".join(pieces)) == dnf_reference(table)
             for i in interpretations(atoms(c)):
                 assert true_under(c, i) == true_under_reference(c, i)
                 f = {k: rng.choice(("left", "right")) for k in clusters(c)}
@@ -280,4 +277,7 @@ class TestEvaluator:
         with mock.patch.object(ifp.semantics, "_VECTOR_BITS", 2):
             assert valid(c) == valid_reference(c)
             assert countermodel(c) == countermodel_reference(c)
-            assert truth_table(c) == truth_table_reference(c)
+            table = truth_table_reference(c)
+            assert truth_table(c) == table
+            nodes, pieces = dnf_text(c)
+            assert (nodes, "".join(pieces)) == dnf_reference(table)

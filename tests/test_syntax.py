@@ -131,6 +131,20 @@ class TestParseErrors:
         assert info.value.position == 11
         assert info.value.message == "a number of 5000 digits is too long"
 
+    def test_no_fresh_id_past_the_largest_is_reported_at_its_disjunction(self):
+        largest = "9" * 4300  # the largest ID that prints; the bare "|" would need one more
+        text = f"(p|{largest} q)|r"
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == text.rindex("|")
+        assert info.value.message == "no cluster ID of at most 4300 digits is left for this disjunction"
+        assert parse(f"(p|{largest} q)|1 r").left.cluster == 10**4300 - 1
+        # An ID past the formula leaves its fresh IDs alone.
+        with pytest.raises(ParseError, match="unexpected 'x' after the formula"):
+            parse(f"(p|q) x|{largest} y")
+        with pytest.raises(ParseError, match="bad annotation 'x"):
+            parse_proof(f"1. (p|q) x|{largest} y\n")
+
 
 def _formulas():
     """Well-formed text: every operator, with and without IDs, spaces and groups."""
