@@ -393,6 +393,7 @@ def parse_proof(text: str) -> ProofScript:
     for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
         if not line.isascii():  # before anything is skipped
             raise ParseError("proof files are 7-bit ASCII", line=lineno)
+        indent = len(line) - len(line.lstrip())
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -410,8 +411,9 @@ def parse_proof(text: str) -> ProofScript:
         try:
             cirquent, stop = _parse_prefix(rest)
             hint = _parse_annotation(rest[stop:].strip(), number)
-        except ParseError as e:
-            raise ParseError(e.message, e.position, line=lineno) from None
+        except ParseError as e:  # a column counts from the start of the physical line
+            column = None if e.position is None else indent + m.end() + e.position
+            raise ParseError(e.message, column, line=lineno) from None
         entries.append(ProofEntry(cirquent, hint))
     if not entries:
         raise ParseError("the proof has no entries")

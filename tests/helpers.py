@@ -357,7 +357,7 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     sizes = {k: len(v) for k, v in table.items()}
     multi = {k: n for k, n in sizes.items() if n > 1}
     pairs = nested_pairs_reference(c)
-    summary = c.summary
+    summary = c.summary or core._summarize(c)  # the cached one, if a query made it
     assert summary.present == sum(1 << core._bit(k) for k in sizes)
     assert summary.repeated == sum(1 << core._bit(k) for k in multi)
     assert dict(summary.counts) == multi

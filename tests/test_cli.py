@@ -204,6 +204,14 @@ class TestCheckCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("line, column", [("  1.  p&(q", 11), ("1. p&&q", 6)])
+    def test_proof_syntax_errors_name_the_column_in_the_line(self, capsys, monkeypatch, tmp_path, line, column):
+        proof_file = tmp_path / "proof.ifp"
+        proof_file.write_text(line + "\n")
+        code, out, err = run(["check", str(proof_file)], capsys, monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.endswith(f" on line 1 at column {column}\n")
+
     @pytest.mark.parametrize("goal", ["(((q|2 ~q)|1 p)|1 r)", GOAL_TEXT])
     def test_accepts_what_prove_writes(self, capsys, monkeypatch, tmp_path, goal):
         proof_file = str(tmp_path / "proof.ifp")

@@ -1,6 +1,7 @@
 """Tests for the cirquent tree: paths, clusters, isomorphism."""
 
 import copy
+import gc
 import itertools
 import pathlib
 import pickle
@@ -22,6 +23,7 @@ from helpers import (
     cluster_struct_match_reference,
     deep_chain,
     nested_cirquents,
+    nested_family,
     or_positions,
     positions,
     rename_clusters,
@@ -44,10 +46,13 @@ from ifp import (
     cluster_size,
     clusters,
     decide,
+    first_nested,
     members,
     multi_member,
     parse,
+    parse_proof,
     print_cirquent,
+    print_proof,
     replace_at,
     subcirquent_at,
     valid,
@@ -140,7 +145,7 @@ class TestValueTypes:
     def test_copies_and_pickles_equal_the_original(self):
         c = parse("((q|1 r)&(p|2 ~p))|1((p|2 ~p)&(s|1 ~q))")
         decision = decide(c)
-        assert "summary" in vars(c)
+        assert c.summary is not None
         failure = check_proof(ProofScript((ProofEntry(parse("p|1 q")),)))
         assert isinstance(failure, CheckFailure)
         deep = deep_chain(5000)
@@ -358,7 +363,7 @@ class TestIsomorphism:
         # and such a pair is unequal.
         if equal:
             assert hash(x) == hash(y)
-            assert not any("summary" in vars(node) for c in pair for _, node in walk(c) if not isinstance(node, Literal))
+            assert all(node.summary is None for c in pair for _, node in walk(c) if not isinstance(node, Literal))
 
     def test_deep_cirquents_need_no_recursion(self):
         c = deep_chain(5000)
@@ -372,7 +377,7 @@ class TestIsomorphism:
         text = repr(c)
         assert str(c) == text
         assert cluster_map(parse(text), c) == {1: 1}
-        assert "summary" not in c.__dict__
+        assert c.summary is None
 
     def test_cluster_map_compares_the_partition(self):
         a = And(Or(1, P, Q), Or(1, NOT_P, Q))
@@ -417,17 +422,18 @@ class TestCanonicalize:
 
 class TestSummaries:
     def test_counts_and_nesting_flag(self, goal, c1):
-        assert dict(goal.summary.counts) == {1: 3, 2: 2}
+        assert dict(ifp.core._summarize(goal).counts) == {1: 3, 2: 2}
         assert not goal.summary.nesting_free
-        assert c1.summary.nesting_free
+        assert ifp.core._summarize(c1).nesting_free
         assert dict(P.summary.counts) == {}
         assert P.summary.nesting_free
 
     def test_masks_hold_every_cluster_and_counts_only_the_multi_member_ones(self):
         c = parse("((p|1 q)|2(r|3 s))&((t|1 u)|4 v)")
-        assert c.summary.present == 0b11110
-        assert c.summary.repeated == 0b10
-        assert dict(c.summary.counts) == {1: 2}
+        summary = ifp.core._summarize(c)
+        assert summary.present == 0b11110
+        assert summary.repeated == 0b10
+        assert dict(summary.counts) == {1: 2}
         assert cluster_ids(c) == frozenset({1, 2, 3, 4})
         assert [cluster_size(c, k) for k in range(6)] == [0, 2, 1, 1, 1, 0]
         assert not is_classical(c) and is_classical(c.left)
@@ -439,15 +445,15 @@ class TestSummaries:
 
     def test_parsing_computes_no_summary(self):
         c = parse("(p|1 q)&(r|1 s)")
-        assert "summary" not in vars(c)
-        assert "summary" not in vars(c.left)
+        assert c.summary is None
+        assert c.left.summary is None
 
     def test_rebuilt_spine_shares_untouched_summaries(self, goal):
-        goal.summary
+        ifp.core._summarize(goal)
         rebuilt = replace_at(goal, ("L", "L"), P)
-        assert "summary" not in vars(rebuilt)
+        assert rebuilt.summary is None
         assert rebuilt.right is goal.right
-        assert dict(rebuilt.summary.counts) == {1: 2, 2: 2}
+        assert dict(ifp.core._summarize(rebuilt).counts) == {1: 2, 2: 2}
         assert dict(goal.summary.counts) == {1: 3, 2: 2}
 
     @given(st.one_of(cirquents(max_leaves=8), nested_cirquents()))
@@ -483,6 +489,94 @@ class TestSummaries:
         c = parse("((p|1 q)|2(r|3 s))|4((t|5 u)|7 v)")
         assert list(itertools.islice(ifp.core._unused_ids(c), 3)) == [6, 8, 9] == unused_ids_reference(c, 3)
         assert_summary_matches_walk(c)
+
+
+def _connectives(roots) -> list:
+    """Every connective under ``roots``, each once, however often the trees share it."""
+    seen = {}
+    pending = list(roots)
+    while pending:
+        node = pending.pop()
+        if not isinstance(node, Literal) and id(node) not in seen:
+            seen[id(node)] = node
+            pending += (node.left, node.right)
+    return list(seen.values())
+
+
+class TestNodeLayout:
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="Python 3.10 keeps no attribute values inline: any instance attribute lives in a dict",
+    )
+    def test_connectives_hold_no_dict(self):
+        """Fields in slots, the summary in inline attribute storage: no connective ever asks for its __dict__."""
+        goal = nested_family(4, True)
+        decision = decide(goal)
+        proof = decision.proof
+        text = print_proof(proof)
+        assert check_proof(proof) is None
+        assert check_proof(ProofScript(tuple(ProofEntry(entry.cirquent) for entry in proof))) is None
+        parsed = parse_proof(text)
+        roots = [goal, decision.derivation.final, *(step.result for step in decision.derivation.steps)]
+        roots += [entry.cirquent for script in (proof, parsed) for entry in script]
+        for c in list(roots):
+            twins = [copy.copy(c), pickle.loads(pickle.dumps(c))]
+            for twin in twins:
+                assert twin == c and hash(twin) == hash(c)
+            roots += twins
+        nodes = _connectives(roots)
+        assert len(nodes) > 10_000
+        assert sum(any(isinstance(r, dict) for r in gc.get_referents(node)) for node in nodes) == 0
+
+
+class TestSummaryCache:
+    """A summary stored where readers miss it stays correct, so only a count of the work shows it."""
+
+    @staticmethod
+    def _count_summarized(monkeypatch) -> list:
+        """Wrap ``_summarize``: each call appends the connectives whose summary it stored."""
+        filled = []
+        summarize = ifp.core._summarize
+
+        def counting(c):
+            before = {id(node): node.summary for node in _connectives([c])}
+            summary = summarize(c)
+            filled.append([node for node in _connectives([c]) if node.summary is not before[id(node)]])
+            return summary
+
+        monkeypatch.setattr(ifp.core, "_summarize", counting)
+        return filled
+
+    def test_cluster_queries_after_decide_summarize_nothing(self, monkeypatch):
+        derivation = decide(nested_family(4, True)).derivation
+        intermediates = [derivation.goal, *(step.result for step in derivation.steps)]
+        filled = self._count_summarized(monkeypatch)
+        for previous, c in zip(intermediates, intermediates[1:]):
+            for k in cluster_ids(c):
+                cluster_size(c, k)
+                members(c, k)
+            multi_member(c)
+            is_classical(c)
+            first_nested(c)
+            node_count(c)
+            fresh = ifp.core._unused_ids(c)
+            k, m = next(fresh), next(fresh)
+            assert cluster_map(Or(k, c, P), Or(m, c, P)) == {k: m}  # reads the shared c's summary
+            assert c != previous
+        assert filled == []
+
+    @pytest.mark.parametrize("path", positions(nested_family(2, True)))
+    def test_a_replacement_summarizes_exactly_its_rebuilt_spine(self, path, monkeypatch):
+        c = nested_family(2, True)
+        replacement = parse("(p|1 q)&(r|99 s)")
+        ifp.core._summarize(c)
+        ifp.core._summarize(replacement)
+        rebuilt = replace_at(c, path, replacement)
+        spine = [subcirquent_at(rebuilt, path[:depth]) for depth in range(len(path))]
+        filled = self._count_summarized(monkeypatch)
+        assert cluster_size(rebuilt, 99) == 1
+        assert cluster_size(rebuilt, 99) == 1
+        assert [{id(node) for node in nodes} for nodes in filled] == ([{id(node) for node in spine}] if path else [])
 
 
 class TestPublicApi:

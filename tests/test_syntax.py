@@ -256,7 +256,7 @@ class TestPrint:
     def test_singleton_ids_on_request(self):
         c = parse("p|5 q")
         assert print_cirquent(c, show_singleton_ids=True) == "p|5 q"
-        assert "summary" not in vars(c)  # printing every ID asks no cluster query
+        assert c.summary is None  # printing every ID asks no cluster query
 
     def test_multi_member_ids_always_show(self, goal):
         assert print_cirquent(goal) == GOAL_TEXT
@@ -435,6 +435,19 @@ class TestProofFiles:
         with pytest.raises(ParseError) as info:
             parse_proof("1. p|~p\n2. p|0 q\n")
         assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ("  1.  p&(q", 11),  # one past the line's end, indent and spaces included
+            ("1. p&&q", 6),  # the second "&"
+            ("\t1.\tp|0 q", 7),  # the "0"
+        ],
+    )
+    def test_formula_error_columns_count_from_the_start_of_the_line(self, line, column):
+        with pytest.raises(ParseError, match=f"on line 2 at column {column}$") as info:
+            parse_proof(f"# proof\n{line}\n")
+        assert info.value.position == column - 1
 
     def test_empty_proof_is_rejected(self):
         with pytest.raises(ParseError):
