@@ -239,12 +239,10 @@ def apply_rule_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, R
         raise RuleError(
             f"key at {format_path(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
         )
-    inner, grown = _grown_position(key, app)
+    _, grown = _grown_position(key, app)
     if not isinstance(grown, Or) or grown.cluster != app.k:
         raise RuleError("the inner position must hold a disjunction in the key's cluster")
-    kept, dropped = _grown_first(app.rule, grown.left, grown.right)
-    completed = RuleApp(app.rule, app.hole_path, app.k, app.inner_path, dropped)
-    return replace_at(conclusion, inner, kept), completed
+    return _ungrow(conclusion, app, grown)
 
 
 def cluster_struct_match(c: Cirquent, d: Cirquent) -> bool:
@@ -311,10 +309,10 @@ def match_step(
     conclusion, since single-member IDs are not printed.  Returns None
     when nothing fits.
     """
-    for app in _candidates_in(premise, conclusion, hint or RuleHint()):
+    for app, grown in _candidates_in(premise, conclusion, hint or RuleHint()):
         try:
-            if app.rule in ("I-left", "I-right"):
-                restored, completed = apply_rule_backward(conclusion, app)
+            if grown is not None:  # rule I, undone from the disjunction the candidate found
+                restored, completed = _ungrow(conclusion, app, grown)
                 if cluster_struct_match(restored, premise):
                     return completed
             elif cluster_struct_match(apply_rule_forward(premise, app), conclusion):
@@ -389,6 +387,14 @@ def _grown_position(key: Or, app: RuleApp) -> tuple[Path, Cirquent]:
     (side, host), _ = _grown_first(app.rule, (LEFT_STEP, key.left), (RIGHT_STEP, key.right))
     node = _node_at(host, app.inner_path)
     return app.hole_path + (side,) + app.inner_path, node
+
+
+def _ungrow(conclusion: Cirquent, app: RuleApp, grown: Or) -> tuple[Cirquent, RuleApp]:
+    """``apply_rule_backward`` for rule I, given ``grown``: the checked disjunction at the inner position."""
+    kept, dropped = _grown_first(app.rule, grown.left, grown.right)
+    side = LEFT_STEP if app.rule == "I-left" else RIGHT_STEP
+    completed = RuleApp(app.rule, app.hole_path, app.k, app.inner_path, dropped)
+    return replace_at(conclusion, app.hole_path + (side,) + app.inner_path, kept), completed
 
 
 def _grown_first(rule: str, left: object, right: object) -> tuple:
@@ -485,10 +491,15 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
     return premise, app
 
 
-def _candidates_in(premise: Cirquent, conclusion: Cirquent, hint: RuleHint) -> Iterator[RuleApp]:
+def _candidates_in(
+    premise: Cirquent, conclusion: Cirquent, hint: RuleHint
+) -> Iterator[tuple[RuleApp, Optional[Or]]]:
     """The applications ``match_step`` tries, read off the conclusion in its order.
 
-    A hinted hole or inner position is looked up by its path, not found
+    Each comes with the node rule I grew, the disjunction of the key's
+    cluster at its inner position, or None for rules II and III, so
+    ``match_step`` undoes rule I without looking the node up again.  A
+    hinted hole or inner position is looked up by its path, not found
     by a walk.  Without a hinted hole, only the connectives above what
     the step changed are tried: a rule at hole h leaves everything
     outside h's subtree as it was, up to what ``cluster_struct_match``
@@ -564,15 +575,15 @@ def _candidates_in(premise: Cirquent, conclusion: Cirquent, hint: RuleHint) -> I
                 if hint.inner_path is not None:
                     held = [(hint.inner_path, _at(host, hint.inner_path))]
                 elif hint.hole_path is not None:
-                    held = None
+                    held = [(inner, subcirquent_at(host, inner)) for inner in members(host, k)]
                 else:  # on the path to the meet, inside the grown operand
                     depth = len(hole) + 1
                     side = LEFT_STEP if rule == "I-left" else RIGHT_STEP
                     if meet_one[depth - 1 : depth] != (side,):
                         continue
                     held = [(path[depth:], below) for path, below in grown[depth:]]
-                inners = members(host, k) if held is None else [
-                    inner
+                inners = [
+                    (inner, below)
                     for inner, below in held
                     if isinstance(below, Or)
                     and below.cluster == k
@@ -589,11 +600,11 @@ def _candidates_in(premise: Cirquent, conclusion: Cirquent, hint: RuleHint) -> I
                     continue
                 if grows is not None and grows != _growth(rule, node):
                     continue
-                inners = [None]
+                inners = [(None, None)]
             if hint.k not in (None, k) and cluster_size(conclusion, k) > 1:
                 continue
-            for inner in inners:
-                yield RuleApp(rule, hole, k, inner_path=inner)
+            for inner, below in inners:
+                yield RuleApp(rule, hole, k, inner_path=inner), below
 
 
 def _growth(rule: str, node: Cirquent) -> int:

@@ -20,14 +20,16 @@ from .semantics import (
     MissingAtomError,
     MissingClusterError,
     TooLargeError,
+    _postorder,
+    _true_under,
+    _within_bounds,
     dnf_text,
-    ensure_within_bounds,
     metatrue,
-    true_under,
     valid,
 )
 from .syntax import (
     ParseError,
+    _proof_lines,
     format_interpretation,
     parse,
     parse_interpretation,
@@ -156,8 +158,9 @@ def _cmd_eval(args) -> int:
     if args.metaselection is not None:
         result = metatrue(c, interpretation, parse_metaselection(args.metaselection))
     else:
-        ensure_within_bounds(c)
-        result = true_under(c, interpretation)
+        order = _postorder(c)  # one walk for the bounds check and the evaluation
+        _within_bounds(order)
+        result = _true_under(order, interpretation)
     print("true" if result else "false")
     return 0 if result else 1
 
@@ -179,12 +182,12 @@ def _cmd_prove(args) -> int:
     if isinstance(decision, Invalid):
         print("not provable", file=sys.stderr)
         return 1
-    text = print_proof(decision.proof)
+    lines = _proof_lines(decision.proof)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     else:
-        print(text, end="")
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -225,7 +228,7 @@ def _cmd_decide(args) -> int:
             payload = {"status": "invalid", "countermodel": decision.countermodel}
             print(json.dumps(payload, sort_keys=True))
     elif proved:
-        print(print_proof(decision.proof), end="")
+        sys.stdout.writelines(_proof_lines(decision.proof))
     else:
         print("countermodel: " + format_interpretation(decision.countermodel))
     return 0 if proved else 1

@@ -472,11 +472,6 @@ def first_nested(c: Cirquent) -> tuple[Path, Path] | None:
     return tuple(outer), tuple(outer + inner)
 
 
-def atoms(c: Cirquent) -> set[str]:
-    """The set of atom names occurring in the cirquent."""
-    return {node.atom for node in _nodes(c) if isinstance(node, Literal)}
-
-
 def node_count(c: Cirquent) -> int:
     """Total number of nodes, literals and connectives alike, read off the summary."""
     return (c.summary or _summarize(c)).size

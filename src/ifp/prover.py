@@ -50,12 +50,7 @@ from .core import (
     multi_member,
     subcirquent_at,
 )
-from .semantics import (
-    Interpretation,
-    countermodel,
-    ensure_within_bounds,
-    true_under,
-)
+from .semantics import Interpretation, _postorder, _true_under, _within_bounds, countermodel
 
 
 class PreconditionError(Exception):
@@ -322,15 +317,17 @@ def decide(c: Cirquent) -> Decision:
 
     The countermodel is found against the classical residue, extended
     with False on any atom the reduction deleted, and re-verified
-    against the goal before being returned.
+    against the goal before being returned; the goal's one walk serves
+    both its bounds check and that verification.
     """
-    names = ensure_within_bounds(c)
+    order = _postorder(c)
+    names = _within_bounds(order)
     derivation = reduce_to_classical(c)
     model = countermodel(derivation.final)
     if model is None:
         return Valid(_script(derivation), derivation)
     model = dict.fromkeys(names, False) | model
-    if true_under(c, model):
+    if _true_under(order, model):
         raise ReductionInvariantError(
             "the residue's countermodel does not falsify the goal"
         )

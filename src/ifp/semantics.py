@@ -14,6 +14,11 @@ fixed: atoms sorted by name (the first is the most significant bit),
 cluster IDs ascending, false before true, "left" before "right", so
 countermodels are deterministic.
 
+Each query walks the cirquent once, into a list of its nodes with the
+children first (``_postorder``); the atoms, the bounds check and the
+truth vector are read off that list, and when the rows or clusters
+overflow one vector, every block they are enumerated in reuses it.
+
 Brute force needs fixed bounds: at most 20 atoms and 20 multi-member
 clusters, or TooLargeError.  ``valid(c, max_atoms=N)`` is the only
 override, and only of the atom bound.
@@ -24,7 +29,7 @@ from __future__ import annotations
 from itertools import chain, product, repeat
 from typing import Iterator, Mapping, Sequence
 
-from .core import And, Cirquent, Literal, atoms, cluster_ids, multi_member
+from .core import And, Cirquent, Literal, cluster_ids, multi_member
 
 LEFT = "left"
 RIGHT = "right"
@@ -50,13 +55,7 @@ class TooLargeError(Exception):
 
 def ensure_within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
     """The sorted atoms of ``c``; TooLargeError for too many atoms or multi-member clusters."""
-    names = sorted(atoms(c))
-    n_multi = len(multi_member(c))
-    if len(names) > max_atoms:
-        raise TooLargeError(f"{len(names)} atoms exceeds the bound of {max_atoms}")
-    if n_multi > MAX_CLUSTERS:
-        raise TooLargeError(f"{n_multi} multi-member clusters exceeds the bound of {MAX_CLUSTERS}")
-    return names
+    return _within_bounds(_postorder(c), max_atoms)
 
 
 def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Mapping[int, str]) -> bool:
@@ -68,23 +67,22 @@ def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Map
     missing = cluster_ids(c) - metaselection.keys()
     if missing:
         raise MissingClusterError(f"no side for cluster {min(missing)}")
-    return not _false_rows(c, (), interpretation, metaselection)[0]
+    return not _false_rows(_postorder(c), (), interpretation, metaselection)[0]
 
 
 def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
     """True when some metaselection makes the cirquent metatrue; every atom needs a value."""
-    return not _false_rows(c, (), interpretation, {})[0]
+    return _true_under(_postorder(c), interpretation)
 
 
 def valid(c: Cirquent, *, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """True when the cirquent is true under every interpretation of its atoms."""
-    return not _false_rows(c, ensure_within_bounds(c, max_atoms), {}, {})[0]
+    return not _table(c, max_atoms)[1]
 
 
 def countermodel(c: Cirquent) -> Interpretation | None:
     """The lexicographically first falsifying interpretation, or None when valid."""
-    names = ensure_within_bounds(c)
-    false, shift = _false_rows(c, names, {}, {})
+    names, false, shift = _table(c)
     if not false:
         return None
     row = ((false & -false).bit_length() - 1) >> shift
@@ -101,8 +99,7 @@ def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
     bare, no IDs.  With m true rows of n atoms there are m(2n-1) + (m-1)
     nodes; with none, 0 nodes and no text.
     """
-    names = ensure_within_bounds(c)
-    false, shift = _false_rows(c, names, {}, {})
+    names, false, shift = _table(c)
     rows = f"{false:0{1 << (len(names) + shift)}b}"[:: -(1 << shift)]  # row i: "0" when true
     m, n = rows.count("0"), len(names)
     if not m:
@@ -115,9 +112,50 @@ def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
     return m * (2 * n - 1) + m - 1, map(str.__add__, spine, minterms)
 
 
-def _false_rows(c: Cirquent, names: Sequence[str], values: Mapping, fixed: Mapping) -> tuple:
+def _postorder(c: Cirquent) -> list[Cirquent]:
+    """Every node of ``c``, children first and the left subtree before the right.
+
+    One walk with its own stack, so depth costs no recursion.
+    """
+    order, stack = [], [c]
+    while stack:  # each node, then its right subtree, then its left: the list reversed
+        node = stack.pop()
+        while not isinstance(node, Literal):
+            order.append(node)
+            stack.append(node.left)
+            node = node.right
+        order.append(node)
+    order.reverse()
+    return order
+
+
+def _table(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> tuple:
+    """``(names, bits, shift)``: ``c``'s sorted atoms and ``_false_rows`` over them, from one walk."""
+    order = _postorder(c)
+    names = _within_bounds(order, max_atoms)
+    return (names, *_false_rows(order, names, {}, {}))
+
+
+def _within_bounds(order: list[Cirquent], max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
+    """``ensure_within_bounds`` of the cirquent whose ``_postorder`` is ``order``."""
+    names = sorted({node.atom for node in order if isinstance(node, Literal)})
+    n_multi = len(multi_member(order[-1]))
+    if len(names) > max_atoms:
+        raise TooLargeError(f"{len(names)} atoms exceeds the bound of {max_atoms}")
+    if n_multi > MAX_CLUSTERS:
+        raise TooLargeError(f"{n_multi} multi-member clusters exceeds the bound of {MAX_CLUSTERS}")
+    return names
+
+
+def _true_under(order: list[Cirquent], interpretation: Mapping[str, bool]) -> bool:
+    """``true_under`` of the cirquent whose ``_postorder`` is ``order``."""
+    return not _false_rows(order, (), interpretation, {})[0]
+
+
+def _false_rows(order: list[Cirquent], names: Sequence[str], values: Mapping, fixed: Mapping) -> tuple:
     """``(bits, shift)``, with bit ``i << shift`` set for each falsifying assignment ``i``.
 
+    ``order`` is the cirquent's ``_postorder``, read again for every block.
     ``i`` numbers assignments to ``names`` lexicographically; other atoms take ``values``,
     clusters in ``fixed`` their sides, and other multi-member ones are enumerated.
     """
@@ -126,15 +164,15 @@ def _false_rows(c: Cirquent, names: Sequence[str], values: Mapping, fixed: Mappi
         head, tail = names[:extra], names[extra:]
         false = 0
         for i, head_values in enumerate(product((False, True), repeat=extra)):
-            block, shift = _false_rows(c, tail, {**values, **dict(zip(head, head_values))}, fixed)
+            block, shift = _false_rows(order, tail, {**values, **dict(zip(head, head_values))}, fixed)
             false |= block << (i << (len(tail) + shift))
         return false, shift
-    multi = sorted([k for k in multi_member(c) if k not in fixed])
+    multi = sorted([k for k in multi_member(order[-1]) if k not in fixed])
     cut = min(len(multi), len(names) + len(multi) - _VECTOR_BITS)
     if cut > 0:  # enumerate the first clusters: a row is false if no choice makes it true
         false = -1
         for choice in product((LEFT, RIGHT), repeat=cut):
-            block, shift = _false_rows(c, names, values, {**fixed, **dict(zip(multi, choice))})
+            block, shift = _false_rows(order, names, values, {**fixed, **dict(zip(multi, choice))})
             false &= block
             if not false:
                 break
@@ -149,33 +187,34 @@ def _false_rows(c: Cirquent, names: Sequence[str], values: Mapping, fixed: Mappi
     for k, mask in zip(multi, columns[len(names) :]):
         sides[k] = mask
         false &= ~mask
-    vector = _truth(c, literals, sides, full)
+    vector = _truth(order, literals, sides, full)
     for j in range(len(multi)):
         vector |= vector >> (1 << j)
     return false & ~vector, len(multi)
 
 
-def _truth(c: Cirquent, literals: Mapping[str, int], sides: Mapping[int, int], full: int) -> int:
-    """The truth vector of ``c``; a disjunction's mask in ``sides`` picks its right operand."""
-    results, stack = [], [c]
-    while stack:
-        node = stack.pop()
-        if node is None:  # the connective below has both operands in results
-            node = stack.pop()
-            right, left = results.pop(), results.pop()
-            if isinstance(node, And):
-                results.append(left & right)
-            else:
-                mask = sides.get(node.cluster)
-                results.append(left | right if mask is None else left & ~mask | right & mask)
-        elif isinstance(node, Literal):
+def _truth(order: list[Cirquent], literals: Mapping[str, int], sides: Mapping[int, int], full: int) -> int:
+    """The truth vector of the cirquent whose ``_postorder`` is ``order``.
+
+    A literal pushes its column and a connective combines the top two
+    vectors; a disjunction's mask in ``sides`` picks its right operand.
+    """
+    vectors = []
+    for node in order:
+        if isinstance(node, Literal):
             vector = literals.get(node.atom)
             if vector is None:
                 raise MissingAtomError(f"no value for atom {node.atom!r}")
-            results.append(vector if node.positive else full ^ vector)
+            vectors.append(vector if node.positive else full ^ vector)
         else:
-            stack += (node, None, node.right, node.left)
-    return results[0]
+            right = vectors.pop()
+            if isinstance(node, And):
+                vectors[-1] &= right
+            else:
+                mask = sides.get(node.cluster)
+                left = vectors[-1]
+                vectors[-1] = left | right if mask is None else left & ~mask | right & mask
+    return vectors[0]
 
 
 def _columns(width: int) -> tuple:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .calculus import AXIOM, ProofEntry, ProofScript, RULES, RuleHint
 from .core import (
@@ -444,14 +444,15 @@ def _parse_annotation(text: str, number: int) -> Optional[RuleHint]:
 
 def print_proof(script: ProofScript) -> str:
     """Render a proof script; parse_proof() maps the text back to it."""
-    lines = []
+    return "".join(_proof_lines(script))
+
+
+def _proof_lines(script: ProofScript) -> Iterator[str]:
+    """``print_proof``'s text one numbered line at a time, each with its newline."""
     for number, entry in enumerate(script.entries, start=1):
-        line = f"{number}. {print_cirquent(entry.cirquent)}"
+        cirquent = print_cirquent(entry.cirquent)
         annotation = _format_hint(entry.hint)
-        if annotation:
-            line += " " + annotation
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        yield f"{number}. {cirquent} {annotation}\n" if annotation else f"{number}. {cirquent}\n"
 
 
 def _format_hint(hint: Optional[RuleHint]) -> str:

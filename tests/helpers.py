@@ -8,6 +8,7 @@ library code is compared against.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import re
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from ifp import (
     valid,
 )
 from ifp.calculus import RULES, CopyMismatchError, RuleHint, ShapeMismatchError
-from ifp.core import Cirquent, InvalidPathError, Path, atoms, is_classical, map_clusters, node_count, walk
+from ifp.core import Cirquent, InvalidPathError, Path, is_classical, map_clusters, node_count, walk
 from ifp.prover import (
     PreconditionError,
     ReductionInvariantError,
@@ -49,7 +50,7 @@ from ifp.prover import (
     _require_decreasing,
     state_tuple,
 )
-from ifp.semantics import MissingAtomError, MissingClusterError, _false_rows, ensure_within_bounds
+from ifp.semantics import MissingAtomError, MissingClusterError, _table
 from ifp.syntax import NegatedIndexedDisjunctionError, NonpositiveClusterIdError
 
 ATOMS3 = ("p", "q", "r")
@@ -374,6 +375,54 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
         assert cluster_size(c, k) == len(positions_of_k)
         assert members(c, k) == sorted(positions_of_k)
     assert list(itertools.islice(core._unused_ids(c), 3)) == unused_ids_reference(c, 3)
+
+
+class OperandReads:
+    """Counts the reads of each connective's ``left`` and ``right`` while it is installed.
+
+    A walk reads both operands of a connective each time it visits it, so
+    ``reads`` equals ``visits_once(c)`` exactly when every node of ``c``
+    was visited once.  Summaries are filled by reading operands, so fill
+    them before counting; nothing is counted inside a call wrapped by
+    ``uncounted``.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.reads = collections.Counter()
+        self.paused = False
+        for side in ("left", "right"):
+            slot = core._Connective.__dict__[side]
+            monkeypatch.setattr(core._Connective, side, property(self._reader(side, slot)))
+
+    def _reader(self, side: str, slot):
+        def read(node):
+            if not self.paused:
+                self.reads[id(node), side] += 1
+            return slot.__get__(node)
+
+        return read
+
+    def uncounted(self, function):
+        """``function``, with the count paused while it runs."""
+
+        def call(*args):
+            paused, self.paused = self.paused, True
+            try:
+                return function(*args)
+            finally:
+                self.paused = paused
+
+        return call
+
+
+def visits_once(c: Cirquent) -> collections.Counter:
+    """The operand reads of one visit to every node of ``c``, as ``OperandReads`` counts them.
+
+    Call it before installing ``OperandReads``, whose count would include its own walk.
+    """
+    return collections.Counter(
+        (id(node), side) for _, node in walk(c) if not isinstance(node, Literal) for side in ("left", "right")
+    )
 
 
 def unused_ids_reference(c: Cirquent, n: int) -> list[int]:
@@ -961,6 +1010,11 @@ def _backward_three_reference(conclusion: Cirquent, app: RuleApp):
     return premise, app
 
 
+def atoms(c: Cirquent) -> set[str]:
+    """The set of atom names occurring in the cirquent."""
+    return {node.atom for _, node in walk(c) if isinstance(node, Literal)}
+
+
 def interpretations(names):
     """All assignments over the given atoms, in lexicographic order (false first)."""
     ordered = sorted(names)
@@ -1031,8 +1085,7 @@ class TruthTable:
 
 def truth_table(c: Cirquent) -> TruthTable:
     """The evaluator's table: ``_false_rows``' bit for every assignment of the atoms."""
-    names = ensure_within_bounds(c)
-    false, shift = _false_rows(c, names, {}, {})
+    names, false, shift = _table(c)
     assignments = itertools.product((False, True), repeat=len(names))
     rows = {values: not (false >> (i << shift)) & 1 for i, values in enumerate(assignments)}
     return TruthTable(tuple(names), rows)

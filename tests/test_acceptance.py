@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     RULE_FAMILIES,
     all_cirquents,
+    atoms,
     classical_tautology_reference,
     compile_classical,
     interpretations,
@@ -42,7 +43,7 @@ from ifp import (
     valid,
 )
 from ifp.calculus import AXIOM
-from ifp.core import atoms, node_count
+from ifp.core import node_count
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -15,8 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import ifp
 from conftest import GOAL_TEXT, X_TEXT
-from helpers import ATOMS4, all_cirquents, cirquents, dnf_reference, eval_classical_reference, truth_table_reference
-from ifp import parse, print_cirquent
+from helpers import (
+    ATOMS4,
+    all_cirquents,
+    cirquents,
+    dnf_reference,
+    eval_classical_reference,
+    nested_family,
+    truth_table_reference,
+)
+from ifp import decide, parse, print_cirquent, print_proof
 from ifp.cli import main
 
 
@@ -256,6 +264,13 @@ BIG = "1" * 5000  # past Python's 4,300-digit limit on converting text to int
 LARGEST = "9" * 4300  # the largest cluster ID that prints
 
 
+class TestWideInput:
+    def test_a_hundred_thousand_literals_get_their_answers(self, capsys, monkeypatch):
+        text = "|".join(["p"] * 100_000)
+        assert run(["valid"], capsys, monkeypatch, stdin=text) == (1, "invalid\n", "")
+        assert run(["eval", "--model", "p=1"], capsys, monkeypatch, stdin=text) == (0, "true\n", "")
+
+
 class TestOverlongIntegers:
     @pytest.mark.parametrize(
         "argv, source",
@@ -360,6 +375,17 @@ class TestDecideCommand:
         code, out, _ = run(["decide", "--json"], capsys, monkeypatch, stdin=X_TEXT)
         assert code == 1
         assert out == '{"countermodel": {"p": false, "q": false}, "status": "invalid"}\n'
+
+    @pytest.mark.parametrize(
+        "text", [GOAL_TEXT, print_cirquent(nested_family(3, True))], ids=["worked", "nested3"]
+    )
+    def test_decide_and_prove_write_print_proofs_text(self, text, capsys, monkeypatch, tmp_path):
+        expected = print_proof(decide(parse(text)).proof)
+        for command in (["decide"], ["prove"]):
+            assert run(command, capsys, monkeypatch, stdin=text) == (0, expected, "")
+        proof_file = tmp_path / "proof.ifp"
+        assert run(["prove", "-o", str(proof_file)], capsys, monkeypatch, stdin=text) == (0, "", "")
+        assert proof_file.read_bytes() == expected.encode("utf-8")
 
     def test_json_proof(self, capsys, monkeypatch):
         code, out, _ = run(["decide", "--json"], capsys, monkeypatch, stdin=GOAL_TEXT)

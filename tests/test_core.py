@@ -17,6 +17,7 @@ import ifp.calculus
 import ifp.core
 from helpers import (
     assert_summary_matches_walk,
+    atoms,
     cirquents,
     cluster_iso_reference,
     cluster_map_reference,
@@ -61,7 +62,6 @@ from ifp.calculus import CheckFailure, CopyMismatchError
 from ifp.core import (
     InvalidPathError,
     ROOT,
-    atoms,
     is_classical,
     node_count,
     walk,

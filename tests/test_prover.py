@@ -11,6 +11,7 @@ import ifp.core
 import ifp.prover
 from conftest import C1_TEXT, GOAL_TEXT
 from helpers import (
+    OperandReads,
     assert_summary_matches_walk,
     cirquents,
     eliminate_nested_reference,
@@ -21,6 +22,7 @@ from helpers import (
     resolve_cluster_reference,
     strictly_decreasing,
     valid_cirquents,
+    visits_once,
     with_large_ids,
 )
 from ifp import (
@@ -43,7 +45,7 @@ from ifp import (
     true_under,
     valid,
 )
-from ifp.core import is_classical, multi_member
+from ifp.core import is_classical, multi_member, node_count
 from ifp.prover import (
     PreconditionError,
     ReductionInvariantError,
@@ -258,7 +260,7 @@ class TestReductionInvariants:
         self.fail_with("reduction ended on a non-classical cirquent", reduce_to_classical, c1)
 
     def test_a_countermodel_that_does_not_falsify_the_goal(self, x_pair, monkeypatch):
-        monkeypatch.setattr(ifp.prover, "true_under", lambda c, model: True)
+        monkeypatch.setattr(ifp.prover, "_true_under", lambda order, model: True)
         self.fail_with("the residue's countermodel does not falsify the goal", decide, x_pair)
 
 
@@ -332,6 +334,18 @@ class TestDecide:
     def test_decisions_match_brute_force_on_fixtures(self, goal, e1, e4, x_pair, x_free):
         for c in (goal, e1, e4, x_free, x_pair):
             assert isinstance(decide(c), Valid) == valid(c)
+
+    @pytest.mark.parametrize("d", (1, 2))
+    def test_an_invalid_goal_is_walked_once_for_its_semantics(self, d, monkeypatch):
+        # The bounds check and the countermodel's check against the goal share
+        # one walk; the reduction and the residue's countermodel are not counted.
+        goal = nested_family(d, False)
+        once, _ = visits_once(goal), node_count(goal)
+        reads = OperandReads(monkeypatch)
+        for name in ("reduce_to_classical", "countermodel"):
+            monkeypatch.setattr(ifp.prover, name, reads.uncounted(getattr(ifp.prover, name)))
+        assert isinstance(decide(goal), Invalid)
+        assert reads.reads == once
 
 
 class TestProve:

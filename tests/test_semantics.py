@@ -8,7 +8,9 @@ from hypothesis import assume, given, strategies as st
 
 import ifp.semantics
 from helpers import (
+    OperandReads,
     TruthTable,
+    atoms,
     cirquents,
     classical_countermodel_reference,
     classical_tautology_reference,
@@ -25,6 +27,7 @@ from helpers import (
     truth_table,
     truth_table_reference,
     valid_reference,
+    visits_once,
 )
 from ifp import (
     And,
@@ -39,7 +42,7 @@ from ifp import (
     valid,
 )
 from ifp.calculus import is_axiom
-from ifp.core import atoms
+from ifp.core import node_count
 from ifp.semantics import MissingAtomError, MissingClusterError, dnf_text, ensure_within_bounds
 
 P = Literal("p")
@@ -281,3 +284,46 @@ class TestEvaluator:
             assert truth_table(c) == table
             nodes, pieces = dnf_text(c)
             assert (nodes, "".join(pieces)) == dnf_reference(table)
+
+
+class TestOneWalkPerQuery:
+    """Each query walks its input once, whatever it then reads off the walk."""
+
+    QUERIES = {  # each called with the cirquent, an interpretation and a metaselection
+        "valid": lambda c, i, f: valid(c),
+        "countermodel": lambda c, i, f: countermodel(c),
+        "dnf_text": lambda c, i, f: dnf_text(c),
+        "true_under": lambda c, i, f: true_under(c, i),
+        "metatrue": metatrue,
+    }
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("text", ["((q|1 r)&(p|2 ~p))|1((p|2 ~p)&(s|1 ~q))", "(p|1 q)&(~p|1 ~q)", "p"])
+    def test_every_node_is_visited_once(self, query, text, monkeypatch):
+        c = parse(text)
+        i, f = dict.fromkeys(atoms(c), True), dict.fromkeys(clusters(c), "right")
+        once, _ = visits_once(c), node_count(c)  # node_count fills the summaries
+        reads = OperandReads(monkeypatch)
+        self.QUERIES[query](c, i, f)
+        assert reads.reads == once
+
+    def test_blocks_past_the_vector_width_reuse_the_walk(self, monkeypatch):
+        # Six atoms and two multi-member clusters in 2-bit vectors: 16 atom blocks,
+        # each enumerating clusters, all read off one walk.
+        c = parse("((p|1 q)&(~p|1 ~q))|((r|2 s)&(~t|2 u))|((p&~r)|(s&t))")
+        once, _ = visits_once(c), node_count(c)
+        reads = OperandReads(monkeypatch)
+        calls = mock.patch.object(ifp.semantics, "_false_rows", wraps=ifp.semantics._false_rows)
+        with mock.patch.object(ifp.semantics, "_VECTOR_BITS", 2), calls as false_rows:
+            for query, expected in ((valid, valid_reference(c)), (countermodel, countermodel_reference(c))):
+                reads.reads.clear()
+                assert query(c) == expected
+                assert reads.reads == once
+        assert false_rows.call_count > 2 * 16
+
+    def test_the_leftmost_missing_atom_is_named(self):
+        for c in (parse("(r&p)|q"), parse("(p&(r|~q))&s")):
+            with pytest.raises(MissingAtomError, match="^no value for atom 'r'$"):
+                true_under(c, {"p": True})
+            with pytest.raises(MissingAtomError, match="^no value for atom 'r'$"):
+                metatrue(c, {"p": True}, dict.fromkeys(clusters(c), "left"))
