@@ -10,6 +10,7 @@ size bound.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .calculus import ProofEntry, ProofScript, RuleError, check_proof
@@ -36,11 +37,26 @@ from .syntax import (
     parse_metaselection,
     parse_proof,
     print_cirquent,
-    print_proof,
 )
 
 
 def main(argv=None) -> int:
+    """Run one command; the cycle collector is off meanwhile and the caller's setting restored.
+
+    No ifp tree or record can hold a reference cycle, yet the collector
+    would walk every live node again and again; a run is one short
+    process, and nothing it allocates outlives it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -222,8 +238,11 @@ def _cmd_decide(args) -> int:
     if args.json:
         import json  # only --json needs it, and ifp starts faster without it
 
-        if proved:
-            print(json.dumps({"status": "valid", "proof": print_proof(decision.proof).splitlines()}))
+        if proved:  # json.dumps of the proof's lines, written one line at a time
+            lines = (json.dumps(line[:-1]) for line in _proof_lines(decision.proof))
+            sys.stdout.write('{"status": "valid", "proof": [' + next(lines))
+            sys.stdout.writelines(", " + line for line in lines)
+            sys.stdout.write("]}\n")
         else:
             payload = {"status": "invalid", "countermodel": decision.countermodel}
             print(json.dumps(payload, sort_keys=True))

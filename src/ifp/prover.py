@@ -50,7 +50,15 @@ from .core import (
     multi_member,
     subcirquent_at,
 )
-from .semantics import Interpretation, _postorder, _true_under, _within_bounds, countermodel
+from .semantics import (
+    Interpretation,
+    _false_rows,
+    _first_false,
+    _postorder,
+    _true_under,
+    _within_bounds,
+    countermodel,
+)
 
 
 class PreconditionError(Exception):
@@ -318,12 +326,17 @@ def decide(c: Cirquent) -> Decision:
     The countermodel is found against the classical residue, extended
     with False on any atom the reduction deleted, and re-verified
     against the goal before being returned; the goal's one walk serves
-    both its bounds check and that verification.
+    both its bounds check and that verification.  When no step changed
+    the goal (the reduction hands back ``c`` itself), the goal is its
+    own residue, and its truth table is read off that same walk.
     """
     order = _postorder(c)
     names = _within_bounds(order)
     derivation = reduce_to_classical(c)
-    model = countermodel(derivation.final)
+    if derivation.final is c:
+        model = _first_false(names, *_false_rows(order, names, {}, {}))
+    else:
+        model = countermodel(derivation.final)
     if model is None:
         return Valid(_script(derivation), derivation)
     model = dict.fromkeys(names, False) | model

@@ -53,11 +53,6 @@ class TooLargeError(Exception):
     """The cirquent exceeds a brute-force size bound."""
 
 
-def ensure_within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
-    """The sorted atoms of ``c``; TooLargeError for too many atoms or multi-member clusters."""
-    return _within_bounds(_postorder(c), max_atoms)
-
-
 def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Mapping[int, str]) -> bool:
     """Evaluate with every clustered disjunction resolved by the metaselection.
 
@@ -82,11 +77,7 @@ def valid(c: Cirquent, *, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
 
 def countermodel(c: Cirquent) -> Interpretation | None:
     """The lexicographically first falsifying interpretation, or None when valid."""
-    names, false, shift = _table(c)
-    if not false:
-        return None
-    row = ((false & -false).bit_length() - 1) >> shift
-    return {name: bool(row >> (len(names) - 1 - j) & 1) for j, name in enumerate(names)}
+    return _first_false(*_table(c))
 
 
 def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
@@ -136,8 +127,19 @@ def _table(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> tuple:
     return (names, *_false_rows(order, names, {}, {}))
 
 
+def _first_false(names: Sequence[str], false: int, shift: int) -> Interpretation | None:
+    """The interpretation of ``_false_rows``' first set bit over ``names``, or None when none is set."""
+    if not false:
+        return None
+    row = ((false & -false).bit_length() - 1) >> shift
+    return {name: bool(row >> (len(names) - 1 - j) & 1) for j, name in enumerate(names)}
+
+
 def _within_bounds(order: list[Cirquent], max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
-    """``ensure_within_bounds`` of the cirquent whose ``_postorder`` is ``order``."""
+    """The sorted atoms of the cirquent whose ``_postorder`` is ``order``.
+
+    TooLargeError for too many atoms or multi-member clusters.
+    """
     names = sorted({node.atom for node in order if isinstance(node, Literal)})
     n_multi = len(multi_member(order[-1]))
     if len(names) > max_atoms:

@@ -106,13 +106,18 @@ def parse(text: str) -> Cirquent:
     return _read(text, partial=False)[0]
 
 
-def _parse_prefix(text: str) -> tuple[Cirquent, int]:
+def _parse_prefix(text: str, literals: Optional[tuple[dict, dict]] = None) -> tuple[Cirquent, int]:
     """Parse the longest formula prefix; also report where it stopped."""
-    return _read(text, partial=True)
+    return _read(text, partial=True, literals=literals)
 
 
-def _read(text: str, partial: bool) -> tuple[Cirquent, int]:
-    """Scan once, then build; in partial mode, stop quietly at the first alien character."""
+def _read(text: str, partial: bool, literals: Optional[tuple[dict, dict]] = None) -> tuple[Cirquent, int]:
+    """Scan once, then build; in partial mode, stop quietly at the first alien character.
+
+    ``literals`` is the table ``_build`` shares literals through; a fresh one when None.
+    """
+    if literals is None:
+        literals = ({}, {})
     tokens = _SCAN.findall(text)
     scanned = len(text)
     if tokens and not _TOKEN.fullmatch(tokens[-1]):
@@ -132,9 +137,9 @@ def _read(text: str, partial: bool) -> tuple[Cirquent, int]:
     if base + len(tokens) >= _ID_LIMIT:  # the largest may lie past the formula: leave room for fresh IDs
         base = _ID_LIMIT - 1 - len(tokens)
     lefts = _arrow_lefts(tokens) if "->" in text else set()
-    c, used, top = _build(tokens, base, lefts, partial, where)
+    c, used, top = _build(tokens, base, lefts, partial, where, literals)
     if top != base:  # the formula's largest explicit ID is another: number again from it
-        c, used, top = _build(tokens[:used], top, lefts, partial, where)
+        c, used, top = _build(tokens[:used], top, lefts, partial, where, literals)
     stop = scanned
     for token in reversed(tokens[used:]):
         stop = text.rfind(token, 0, stop)
@@ -142,7 +147,12 @@ def _read(text: str, partial: bool) -> tuple[Cirquent, int]:
 
 
 def _build(
-    tokens: list[str], base: int, lefts: set[int], partial: bool, where: Callable[[int], int]
+    tokens: list[str],
+    base: int,
+    lefts: set[int],
+    partial: bool,
+    where: Callable[[int], int],
+    literals: tuple[dict, dict],
 ) -> tuple[Cirquent, int, int]:
     """The formula heading ``tokens``, the tokens it used, and its largest explicit ID.
 
@@ -151,11 +161,11 @@ def _build(
     waits as (0, group polarity, operand polarity); an operand's polarity
     is its group's, flipped on a left operand of "->".  The n-th
     disjunction written without an ID in the normal form gets ``base + n``,
-    or a ParseError when that ID is too long to print.
+    or a ParseError when that ID is too long to print.  Literals come from
+    ``literals``, negative then positive by name, and new ones go into it.
     """
     n = len(tokens)
     tokens = tokens + [""]  # the end
-    literals: tuple[dict, dict] = ({}, {})  # negative, positive
     values: list[Cirquent] = []
     ops: list[tuple] = [(0, True, True)]
     group = True
@@ -390,6 +400,7 @@ def parse_proof(text: str) -> ProofScript:
     must be 7-bit ASCII throughout, skipped lines included.
     """
     entries: list[ProofEntry] = []
+    literals: tuple[dict, dict] = ({}, {})  # one table for every line: literals are immutable
     for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
         if not line.isascii():  # before anything is skipped
             raise ParseError("proof files are 7-bit ASCII", line=lineno)
@@ -409,7 +420,7 @@ def parse_proof(text: str) -> ProofScript:
             )
         rest = line[m.end():]
         try:
-            cirquent, stop = _parse_prefix(rest)
+            cirquent, stop = _parse_prefix(rest, literals)
             hint = _parse_annotation(rest[stop:].strip(), number)
         except ParseError as e:  # a column counts from the start of the physical line
             column = None if e.position is None else indent + m.end() + e.position

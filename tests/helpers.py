@@ -50,7 +50,14 @@ from ifp.prover import (
     _require_decreasing,
     state_tuple,
 )
-from ifp.semantics import MissingAtomError, MissingClusterError, _table
+from ifp.semantics import (
+    DEFAULT_MAX_ATOMS,
+    MissingAtomError,
+    MissingClusterError,
+    _postorder,
+    _table,
+    _within_bounds,
+)
 from ifp.syntax import NegatedIndexedDisjunctionError, NonpositiveClusterIdError
 
 ATOMS3 = ("p", "q", "r")
@@ -1015,6 +1022,11 @@ def atoms(c: Cirquent) -> set[str]:
     return {node.atom for _, node in walk(c) if isinstance(node, Literal)}
 
 
+def ensure_within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
+    """The sorted atoms of ``c``; TooLargeError for too many atoms or multi-member clusters."""
+    return _within_bounds(_postorder(c), max_atoms)
+
+
 def interpretations(names):
     """All assignments over the given atoms, in lexicographic order (false first)."""
     ordered = sorted(names)
@@ -1278,8 +1290,11 @@ def parse_reference(text: str) -> Cirquent:
     return _reference_finish(raw, parser.max_id)
 
 
-def parse_prefix_reference(text: str) -> tuple[Cirquent, int]:
-    """``ifp.syntax._parse_prefix`` as the recursive-descent parser computed it."""
+def parse_prefix_reference(text: str, literals=None) -> tuple[Cirquent, int]:
+    """``ifp.syntax._parse_prefix`` as the recursive-descent parser computed it.
+
+    ``literals``, the parser's shared literal table, is accepted and ignored.
+    """
     tokens, scanned = _reference_tokenize(text, partial=True)
     parser = _ReferenceParser(tokens)
     raw = parser.impl()

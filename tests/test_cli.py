@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs and exit codes."""
 
+import gc
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ifp
+import ifp.cli
 from conftest import GOAL_TEXT, X_TEXT
 from helpers import (
     ATOMS4,
@@ -395,6 +397,14 @@ class TestDecideCommand:
         assert len(payload["proof"]) == 6
         assert payload["proof"][0].endswith("axiom")
 
+    @pytest.mark.parametrize(
+        "text", [GOAL_TEXT, print_cirquent(nested_family(3, True))], ids=["worked", "nested3"]
+    )
+    def test_streamed_json_proof_is_what_json_dumps_writes(self, text, capsys, monkeypatch):
+        lines = print_proof(decide(parse(text)).proof).splitlines()
+        expected = json.dumps({"status": "valid", "proof": lines}) + "\n"
+        assert run(["decide", "--json"], capsys, monkeypatch, stdin=text) == (0, expected, "")
+
 
 def call(argv, stdin):
     """Run ``main`` on ``stdin`` outside pytest's fixtures; return (code, stdout)."""
@@ -405,6 +415,85 @@ def call(argv, stdin):
         except SystemExit as e:
             code = e.code
     return code, out.getvalue()
+
+
+class TestCycleCollector:
+    """``main`` runs with the cycle collector off and leaves the caller's setting as it found it."""
+
+    @pytest.mark.parametrize("enabled", (True, False), ids=("enabled", "disabled"))
+    @pytest.mark.parametrize(
+        "argv, stdin, code",
+        [
+            (["decide"], GOAL_TEXT, 0),
+            (["decide"], X_TEXT, 1),
+            (["parse"], "p|0 q", 1),
+            (["valid"], "&".join(f"a{i}" for i in range(21)), 2),
+            ([], "", 2),
+        ],
+        ids=("valid", "invalid", "parse-error", "too-large", "usage"),
+    )
+    def test_restores_the_callers_setting(self, enabled, argv, stdin, code, monkeypatch):
+        during = []
+        read_source = ifp.cli._read_source
+        spy = lambda args: during.append(gc.isenabled()) or read_source(args)  # noqa: E731
+        monkeypatch.setattr(ifp.cli, "_read_source", spy)
+        assert self._call_with(enabled, argv, stdin) == ((code, mock.ANY), enabled)
+        assert during == ([] if argv == [] else [False])
+
+    @pytest.mark.parametrize("enabled", (True, False), ids=("enabled", "disabled"))
+    def test_restores_it_when_an_exception_escapes(self, enabled, monkeypatch):
+        monkeypatch.setattr(ifp.cli, "_read_source", mock.Mock(side_effect=KeyboardInterrupt))
+        assert self._call_with(enabled, ["parse"], "") == (KeyboardInterrupt, enabled)
+
+    def test_no_ifp_object_is_left_in_a_cycle(self, tmp_path):
+        # argparse's parser graph holds cycles of its own; only ifp's types count.
+        proof_file = tmp_path / "proof.ifp"
+        runs = [
+            (["parse", "--canonical"], GOAL_TEXT),
+            (["eval", "--model", "p=1,q=0,r=1,s=0"], GOAL_TEXT),
+            (["valid"], GOAL_TEXT),
+            (["compile"], GOAL_TEXT),
+            (["decide"], X_TEXT),
+            (["decide", "--json"], GOAL_TEXT),
+            (["prove", "-o", str(proof_file)], print_cirquent(nested_family(3, True))),
+            (["check", str(proof_file)], ""),
+            (["check", "--infer", str(proof_file)], ""),
+            (["parse"], "p|0 q"),
+            (["check"], "1. p|~p axiom\n2. p|q\n"),
+        ]
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv, stdin in runs:
+                call(argv, stdin)
+            gc.collect()
+            found = sorted({type(o).__qualname__ for o in gc.garbage if type(o).__module__.startswith("ifp")})
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(debug)
+            if enabled:
+                gc.enable()
+        assert found == []
+
+    @staticmethod
+    def _call_with(enabled, argv, stdin):
+        """``call(argv, stdin)`` with the collector set to ``enabled``.
+
+        Returns its result, or KeyboardInterrupt when that escaped it, and
+        whether the collector was enabled right after it.
+        """
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                result = call(argv, stdin)
+            except KeyboardInterrupt:
+                result = KeyboardInterrupt
+            return result, gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 # Formula tokens over three atoms, and the pieces of a proof file's lines.

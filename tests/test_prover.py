@@ -1,5 +1,7 @@
 """Tests for reduction to a classical cirquent and proof synthesis."""
 
+import collections
+import gc
 import hashlib
 import random
 
@@ -9,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 import ifp.calculus
 import ifp.core
 import ifp.prover
+import ifp.semantics
 from conftest import C1_TEXT, GOAL_TEXT
 from helpers import (
     OperandReads,
     assert_summary_matches_walk,
+    atoms,
     cirquents,
     eliminate_nested_reference,
     nested_cirquents,
@@ -33,6 +37,7 @@ from ifp import (
     Valid,
     check_proof,
     cluster_ids,
+    countermodel,
     decide,
     first_nested,
     members,
@@ -45,6 +50,7 @@ from ifp import (
     true_under,
     valid,
 )
+from ifp.calculus import ProofEntry, ProofScript
 from ifp.core import is_classical, multi_member, node_count
 from ifp.prover import (
     PreconditionError,
@@ -346,6 +352,72 @@ class TestDecide:
             monkeypatch.setattr(ifp.prover, name, reads.uncounted(getattr(ifp.prover, name)))
         assert isinstance(decide(goal), Invalid)
         assert reads.reads == once
+
+    @pytest.mark.parametrize("text", ["p|~p", "p|q", "(p|3 q)&~r"])
+    def test_a_goal_no_step_changes_is_walked_once(self, text, monkeypatch):
+        # The goal is its own residue: its table comes off the bounds check's walk.
+        goal = parse(text)
+        expected = countermodel(goal)
+        calls = collections.Counter()
+        for name in ("_postorder", "_within_bounds"):
+            original = getattr(ifp.semantics, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ifp.semantics, name, counted)
+            monkeypatch.setattr(ifp.prover, name, counted)
+        decision = decide(goal)
+        assert decision.derivation.final is goal
+        assert calls == {"_postorder": 1, "_within_bounds": 1}
+        assert isinstance(decision, Valid) == (expected is None)
+        if expected is not None:
+            assert decision.countermodel == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(p|1 q)&(~p|1 ~q)", "p|1(q|1 r)", "(p|1 q)&((r|1 s)&q)", "((p|1 q)|1 r)&(s|2 ~t)&(t|2 u)"],
+    )
+    def test_a_goal_that_takes_steps_is_refuted_by_its_residue(self, text):
+        self._assert_refuted_by_the_residue(parse(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cirquents(max_leaves=7))
+    def test_random_goals_that_take_steps_are_refuted_by_their_residues(self, c):
+        self._assert_refuted_by_the_residue(c)
+
+    @staticmethod
+    def _assert_refuted_by_the_residue(goal):
+        decision = decide(goal)
+        residue = decision.derivation.final
+        expected = countermodel(residue)
+        if expected is not None:
+            expected = dict.fromkeys(sorted(atoms(goal)), False) | expected
+        assert (residue is goal) == (not decision.derivation.steps)
+        assert (decision.countermodel if isinstance(decision, Invalid) else None) == expected
+
+
+class TestNoReferenceCycles:
+    """No ifp tree or record holds a reference cycle, so the cycle collector has nothing to find."""
+
+    @pytest.mark.parametrize("d", (4, 5))
+    def test_library_calls_leave_nothing_unreachable(self, d):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for valid_form in (True, False):
+                decide(nested_family(d, valid_form))
+            proof = decide(nested_family(d, True)).proof
+            parsed = parse_proof(print_proof(proof))
+            assert check_proof(parsed) is None
+            assert check_proof(ProofScript(tuple(ProofEntry(e.cirquent, None) for e in parsed.entries))) is None
+            del proof, parsed
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestProve:

@@ -18,6 +18,7 @@ from helpers import (
     countermodel_reference,
     deep_chain,
     dnf_reference,
+    ensure_within_bounds,
     eval_classical_reference,
     interpretations,
     metaselections,
@@ -43,7 +44,7 @@ from ifp import (
 )
 from ifp.calculus import is_axiom
 from ifp.core import node_count
-from ifp.semantics import MissingAtomError, MissingClusterError, dnf_text, ensure_within_bounds
+from ifp.semantics import MissingAtomError, MissingClusterError, dnf_text
 
 P = Literal("p")
 Q = Literal("q")

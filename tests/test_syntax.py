@@ -28,7 +28,7 @@ from ifp import (
     valid,
 )
 from ifp.calculus import AXIOM, RuleHint
-from ifp.core import format_path
+from ifp.core import format_path, walk
 from ifp.syntax import (
     DuplicateKeyError,
     NegatedIndexedDisjunctionError,
@@ -452,6 +452,14 @@ class TestProofFiles:
     def test_empty_proof_is_rejected(self):
         with pytest.raises(ParseError):
             parse_proof("# nothing here\n")
+
+    def test_entries_share_one_literal_table(self, worked_proof_text):
+        script = parse_proof(worked_proof_text)
+        first, second = (
+            {id(node) for _, node in walk(entry.cirquent) if node == Literal("p")} for entry in script.entries[:2]
+        )
+        assert len(first) == 1
+        assert first == second
 
     def test_print_proof_round_trips(self, worked_proof_text):
         script = parse_proof(worked_proof_text)
