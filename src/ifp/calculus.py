@@ -66,6 +66,7 @@ from .core import (
     Path,
     RIGHT_STEP,
     ROOT,
+    RuleError,
     _Value,
     _common_prefix,
     _descend,
@@ -92,10 +93,6 @@ AXIOM = "axiom"
 # conclusion merges into the key ("A |k B") rather than keeps as one
 # shared copy: (left operand merged, right operand merged).
 _MERGED = {"II-left": (True, False), "II-right": (False, True), "III": (True, True)}
-
-
-class RuleError(Exception):
-    """The rule application does not fit the given cirquent."""
 
 
 class ShapeMismatchError(RuleError):

@@ -5,6 +5,11 @@ reads one input file, with "-" for standard input, and decodes it as
 UTF-8.  Exit status 0 means the affirmative outcome, 1 the negative one
 or an input error, and 2 a usage error or an input over the brute-force
 size bound.
+
+Each process loads only the modules its command runs: ``core``,
+``semantics`` and ``syntax`` at import, the calculus in ``check``, and
+the calculus and the prover in ``prove`` and ``decide``, each from
+inside its handler.
 """
 
 from __future__ import annotations
@@ -13,9 +18,7 @@ import argparse
 import gc
 import sys
 
-from .calculus import ProofEntry, ProofScript, RuleError, check_proof
-from .core import InvalidPathError, canonicalize_ids, node_count
-from .prover import Invalid, Valid, decide
+from .core import InvalidPathError, RuleError, canonicalize_ids, node_count
 from .semantics import (
     DEFAULT_MAX_ATOMS,
     MissingAtomError,
@@ -189,6 +192,8 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .prover import Invalid, decide
+
     c = parse(_read_source(args))
     decision = decide(c)
     if args.trace:
@@ -208,6 +213,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .calculus import ProofEntry, ProofScript, check_proof
+
     script = parse_proof(_read_source(args))
     if args.infer:
         script = ProofScript(tuple(ProofEntry(e.cirquent, None) for e in script.entries))
@@ -232,6 +239,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    from .prover import Valid, decide
+
     c = parse(_read_source(args))
     decision = decide(c)
     proved = isinstance(decision, Valid)

@@ -62,6 +62,14 @@ class InvalidPathError(Exception):
     """The path does not address a node of the cirquent."""
 
 
+class RuleError(Exception):
+    """The rule application does not fit the given cirquent.
+
+    Defined here, not in ``ifp.calculus`` where the rules raise it, so
+    that the command line can report it without loading the calculus.
+    """
+
+
 # Cluster k's bit in the summary masks is k below _BOUND.  An ID at or
 # above it takes the next bit from _BOUND up when first seen, so a mask
 # has one bit per cluster ID in use and none for an ID's size: indexed

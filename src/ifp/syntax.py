@@ -31,10 +31,10 @@ cluster isomorphism.  Neither it nor the parser recurses.
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from .calculus import AXIOM, ProofEntry, ProofScript, RULES, RuleHint
 from .core import (
     And,
     Cirquent,
@@ -49,6 +49,9 @@ from .core import (
     format_path,
     multi_member,
 )
+
+if TYPE_CHECKING:  # proof files need the calculus's records; formulas alone never load it
+    from .calculus import ProofEntry, ProofScript, RuleHint
 
 
 class ParseError(Exception):
@@ -381,10 +384,17 @@ def _assignments(text: str) -> list[tuple[str, str]]:
 # The line breaks of open()'s universal newlines, so a file and stdin read alike.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 _ENTRY_NUMBER = re.compile(r"(\d+)\.")
-_ANNOTATION = re.compile(
-    r"axiom|rule=(?P<rule>" + "|".join(re.escape(r) for r in RULES) + r")"
-    r"(?: +path=(?P<path>\S+))?(?: +k=(?P<k>\d+))?(?: +inner=(?P<inner>\S+))?"
-)
+
+
+@cache
+def _annotation() -> re.Pattern:
+    """The annotation grammar, built on first use from the calculus's rule names."""
+    from .calculus import AXIOM, RULES
+
+    return re.compile(
+        re.escape(AXIOM) + r"|rule=(?P<rule>" + "|".join(re.escape(r) for r in RULES) + r")"
+        r"(?: +path=(?P<path>\S+))?(?: +k=(?P<k>\d+))?(?: +inner=(?P<inner>\S+))?"
+    )
 
 
 def parse_proof(text: str) -> ProofScript:
@@ -399,6 +409,8 @@ def parse_proof(text: str) -> ProofScript:
     characters, such as a form feed, stay inside the line.  The file
     must be 7-bit ASCII throughout, skipped lines included.
     """
+    from . import calculus  # once per file, for its records
+
     entries: list[ProofEntry] = []
     literals: tuple[dict, dict] = ({}, {})  # one table for every line: literals are immutable
     for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
@@ -421,31 +433,32 @@ def parse_proof(text: str) -> ProofScript:
         rest = line[m.end():]
         try:
             cirquent, stop = _parse_prefix(rest, literals)
-            hint = _parse_annotation(rest[stop:].strip(), number)
+            hint = _parse_annotation(rest[stop:].strip(), number, calculus)
         except ParseError as e:  # a column counts from the start of the physical line
             column = None if e.position is None else indent + m.end() + e.position
             raise ParseError(e.message, column, line=lineno) from None
-        entries.append(ProofEntry(cirquent, hint))
+        entries.append(calculus.ProofEntry(cirquent, hint))
     if not entries:
         raise ParseError("the proof has no entries")
-    return ProofScript(tuple(entries))
+    return calculus.ProofScript(tuple(entries))
 
 
-def _parse_annotation(text: str, number: int) -> Optional[RuleHint]:
+def _parse_annotation(text: str, number: int, calculus) -> Optional[RuleHint]:
+    """The hint an entry's annotation gives; ``calculus`` is the module of its records."""
     if not text:
         return None
-    m = _ANNOTATION.fullmatch(text)
+    m = _annotation().fullmatch(text)
     if m is None:
         raise ParseError(f"bad annotation {text!r}")
     if m.group("rule") is None:
         if number != 1:
             raise ParseError("only the first entry can be marked axiom")
-        return RuleHint(rule=AXIOM)
+        return calculus.RuleHint(rule=calculus.AXIOM)
     if number == 1:
         raise ParseError("the first entry is an axiom, not a rule application")
     if m.group("inner") is not None and not m.group("rule").startswith("I-"):
         raise ParseError(f"inner= is for rule I only, not rule {m.group('rule')}")
-    return RuleHint(
+    return calculus.RuleHint(
         rule=m.group("rule"),
         hole_path=parse_path(m.group("path")) if m.group("path") else None,
         k=_cluster_id(m.group("k")) if m.group("k") else None,
@@ -460,17 +473,20 @@ def print_proof(script: ProofScript) -> str:
 
 def _proof_lines(script: ProofScript) -> Iterator[str]:
     """``print_proof``'s text one numbered line at a time, each with its newline."""
+    from .calculus import AXIOM  # once per proof
+
     for number, entry in enumerate(script.entries, start=1):
         cirquent = print_cirquent(entry.cirquent)
-        annotation = _format_hint(entry.hint)
+        annotation = _format_hint(entry.hint, AXIOM)
         yield f"{number}. {cirquent} {annotation}\n" if annotation else f"{number}. {cirquent}\n"
 
 
-def _format_hint(hint: Optional[RuleHint]) -> str:
+def _format_hint(hint: Optional[RuleHint], axiom: str) -> str:
+    """An entry's annotation; ``axiom`` is the calculus's name for the axiom's."""
     if hint is None or hint.rule is None:
         return ""
-    if hint.rule == AXIOM:
-        return AXIOM
+    if hint.rule == axiom:
+        return axiom
     parts = [f"rule={hint.rule}"]
     if hint.hole_path is not None:
         parts.append(f"path={format_path(hint.hole_path)}")

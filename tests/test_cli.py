@@ -26,8 +26,12 @@ from helpers import (
     nested_family,
     truth_table_reference,
 )
-from ifp import decide, parse, print_cirquent, print_proof
+from ifp import RuleError, TooLargeError, decide, parse, print_cirquent, print_proof
+from ifp.calculus import ShapeMismatchError
 from ifp.cli import main
+from ifp.core import InvalidPathError
+from ifp.semantics import MissingAtomError, MissingClusterError
+from ifp.syntax import ParseError
 
 
 def stdin_of(data):
@@ -553,6 +557,68 @@ class TestUndecodableInput:
             )
             assert (done.returncode, done.stdout) == (1, b""), argv
             assert done.stderr == b"error: the input is not UTF-8: byte 0xff at offset 2\n", argv
+
+
+class TestErrorMapping:
+    """An error escaping a handler prints ``error: ...``: exit 2 for a bound exceeded, 1 for the rest."""
+
+    ERRORS = (
+        (ParseError("bad text"), 1),
+        (RuleError("no rule fits"), 1),
+        (ShapeMismatchError("a literal where a connective is needed"), 1),
+        (InvalidPathError("bad path step 'X'"), 1),
+        (MissingAtomError("no value for atom p"), 1),
+        (MissingClusterError("no side for cluster 1"), 1),
+        (FileNotFoundError(2, "No such file or directory"), 1),
+        (TooLargeError("21 atoms exceed the bound of 20"), 2),
+    )
+
+    @pytest.mark.parametrize("error, code", ERRORS, ids=[type(e).__name__ for e, _ in ERRORS])
+    def test_prints_the_error_and_exits(self, error, code, capsys, monkeypatch):
+        monkeypatch.setattr(ifp.cli, "_read_source", mock.Mock(side_effect=error))
+        assert run(["parse"], capsys, monkeypatch) == (code, "", f"error: {error}\n")
+
+    def test_the_calculus_raises_the_error_the_command_line_maps(self):
+        assert ifp.calculus.RuleError is ifp.core.RuleError is RuleError
+
+
+class TestLoadedModules:
+    """In a fresh interpreter, each command loads only the ifp modules it runs."""
+
+    @staticmethod
+    def loaded(code: str, *args: str, stdin: str = "") -> tuple[int, list[str]]:
+        """Run ``code`` in a fresh interpreter; its exit status and the ifp modules it loaded."""
+        src = str(pathlib.Path(ifp.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        report = "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'ifp'), file=sys.stderr)"
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys\ntry:\n {code}\nfinally:\n {report}", *args],
+            input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        )
+        return done.returncode, done.stderr.split()
+
+    def test_importing_the_package_loads_no_submodule(self):
+        assert self.loaded("import ifp") == (0, ["ifp"])
+
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [
+            (["parse"], ()),
+            (["eval", "--model", "p=1,q=0,r=0,s=0"], ()),
+            (["valid"], ()),
+            (["compile"], ()),
+            (["check"], ("calculus",)),
+            (["check", "--infer"], ("calculus",)),
+            (["prove"], ("calculus", "prover")),
+            (["decide"], ("calculus", "prover")),
+        ],
+        ids=["parse", "eval", "valid", "compile", "check", "check-infer", "prove", "decide"],
+    )
+    def test_a_command_loads_what_it_runs(self, argv, runs, worked_proof_text):
+        stdin = worked_proof_text if argv[0] == "check" else GOAL_TEXT
+        code = "import ifp.cli; sys.exit(ifp.cli.main(sys.argv[1:]))"
+        expected = ["ifp", "ifp.cli", *(f"ifp.{m}" for m in ("core", "semantics", "syntax", *runs))]
+        assert self.loaded(code, *argv, stdin=stdin) == (0, sorted(expected))
 
 
 def readme_examples():

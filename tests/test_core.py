@@ -581,15 +581,34 @@ class TestSummaryCache:
 
 class TestPublicApi:
     def test_the_package_exports_what_the_readme_documents(self):
-        """Documented: a library name in backticks, bare or called, in README's Library section."""
+        """Documented: a library name in backticks, bare or called, in README's Library section.
+
+        The package loads a name on first use, so ``vars(ifp)`` holds only
+        the names used so far; ``dir(ifp)`` lists every one of them.
+        """
         readme = pathlib.Path(__file__).parents[1] / "README.md"
         library = readme.read_text(encoding="utf-8").split("## Library")[1].split("\n## ")[0]
         documented = set(re.findall(r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", library))
+        modules = (ifp.core, ifp.semantics, ifp.calculus, ifp.syntax, ifp.prover)
+        library_names = {name for module in modules for name in vars(module)}
         exported = {
+            name
+            for name in dir(ifp)
+            if not name.startswith("_") and not isinstance(getattr(ifp, name), types.ModuleType)
+        }
+        assert exported == documented & library_names
+        assert set(ifp.__all__) == exported
+        for name in exported:  # the defining submodule's own object, kept after first use
+            value = getattr(ifp, name)
+            assert value.__module__.startswith("ifp.")
+            assert value is getattr(sys.modules[value.__module__], name), name
+        # Every name is now used: the package's globals hold exactly them.
+        kept = {
             name
             for name, value in vars(ifp).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
-        modules = (ifp.core, ifp.semantics, ifp.calculus, ifp.syntax, ifp.prover)
-        library_names = {name for module in modules for name in vars(module)}
-        assert exported == documented & library_names
+        assert kept == exported
+        star: dict = {}
+        exec("from ifp import *", star)
+        assert star.keys() - {"__builtins__"} == documented & library_names
