@@ -28,10 +28,10 @@ _EXPORTS = {
         ("semantics", "TooLargeError countermodel metatrue true_under valid"),
         (
             "calculus",
-            "ProofEntry ProofScript RuleApp apply_rule_backward "
-            "apply_rule_forward check_proof cluster_struct_match match_step",
+            "RuleApp apply_rule_backward apply_rule_forward check_proof "
+            "cluster_struct_match match_step",
         ),
-        ("syntax", "ParseError parse parse_proof print_cirquent print_proof"),
+        ("syntax", "ParseError ProofEntry ProofScript parse parse_proof print_cirquent print_proof"),
         (
             "prover",
             "Derivation Invalid StateTuple Valid decide prove reduce_to_classical "

@@ -54,7 +54,7 @@ candidate's comparison cover both whole trees.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     And,
@@ -85,9 +85,7 @@ from .core import (
     walk,
 )
 from .semantics import valid
-
-RULES = ("I-left", "I-right", "II-left", "II-right", "III")
-AXIOM = "axiom"
+from .syntax import AXIOM, RULES, ProofEntry, ProofScript, RuleHint  # the proof file's records, named here too
 
 # Rules II and III, by which operands of the displayed connective o the
 # conclusion merges into the key ("A |k B") rather than keeps as one
@@ -134,56 +132,6 @@ class RuleApp(_Value):
         fields = self.__dict__
         fields["rule"], fields["hole_path"], fields["k"] = rule, hole_path, k
         fields["inner_path"], fields["new_subcirquent"] = inner_path, new_subcirquent
-
-
-class RuleHint(_Value):
-    """Partial information about a step; None fields are unconstrained."""
-
-    __match_args__ = ("rule", "hole_path", "k", "inner_path")
-
-    def __init__(
-        self,
-        rule: Optional[str] = None,
-        hole_path: Optional[Path] = None,
-        k: Optional[int] = None,
-        inner_path: Optional[Path] = None,
-    ) -> None:
-        if rule is not None and rule not in RULES + (AXIOM,):
-            raise ValueError(f"unknown rule {rule!r}")
-        if k is not None:
-            _require_id(k)
-        fields = self.__dict__
-        fields["rule"], fields["hole_path"] = rule, hole_path
-        fields["k"], fields["inner_path"] = k, inner_path
-
-
-class ProofEntry(_Value):
-    __match_args__ = ("cirquent", "hint")
-
-    def __init__(self, cirquent: Cirquent, hint: Optional[RuleHint] = None) -> None:
-        fields = self.__dict__
-        fields["cirquent"], fields["hint"] = cirquent, hint
-
-
-class ProofScript(_Value):
-    """A proof candidate: axiom first, goal last."""
-
-    __match_args__ = ("entries",)
-
-    def __init__(self, entries: tuple[ProofEntry, ...]) -> None:
-        if not entries:
-            raise ValueError("a proof needs at least one entry")
-        self.__dict__["entries"] = entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[ProofEntry]:
-        return iter(self.entries)
-
-    @property
-    def conclusion(self) -> Cirquent:
-        return self.entries[-1].cirquent
 
 
 class CheckFailure(_Value):
@@ -319,22 +267,28 @@ def match_step(
     return None
 
 
-def check_proof(script: ProofScript) -> Optional[CheckFailure]:
-    """Verify a proof; None means it checks out.
+def check_proof(entries: Iterable[ProofEntry]) -> Optional[CheckFailure]:
+    """Verify a proof, given as any iterable of its entries; None means it checks out.
 
     The first entry must be an axiom and each later entry must follow
     from its predecessor by one rule, honoring that entry's hint when
     present.  On failure, the returned value names the first bad entry:
     reason "not-an-axiom" for entry 1, "no-rule-matches" otherwise.
+    Only the previous entry's cirquent is kept, so a stream of entries,
+    such as ``syntax.proof_entries`` reads, is checked as it is read; no
+    entry past the first bad one is asked for.  No entry at all is a
+    ValueError.
     """
-    first = script.entries[0].cirquent
-    if not is_axiom(first):
-        return CheckFailure(1, "not-an-axiom")
-    for i in range(1, len(script.entries)):
-        prev = script.entries[i - 1].cirquent
-        entry = script.entries[i]
-        if match_step(prev, entry.cirquent, entry.hint) is None:
-            return CheckFailure(i + 1, "no-rule-matches")
+    premise = None
+    for line, entry in enumerate(entries, start=1):
+        if premise is None:
+            if not is_axiom(entry.cirquent):
+                return CheckFailure(1, "not-an-axiom")
+        elif match_step(premise, entry.cirquent, entry.hint) is None:
+            return CheckFailure(line, "no-rule-matches")
+        premise = entry.cirquent
+    if premise is None:
+        raise ValueError("a proof needs at least one entry")
     return None
 
 

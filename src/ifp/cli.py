@@ -33,13 +33,14 @@ from .semantics import (
 )
 from .syntax import (
     ParseError,
+    ProofEntry,
     _proof_lines,
     format_interpretation,
     parse,
     parse_interpretation,
     parse_metaselection,
-    parse_proof,
     print_cirquent,
+    proof_entries,
 )
 
 
@@ -213,12 +214,14 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .calculus import ProofEntry, ProofScript, check_proof
+    from .calculus import check_proof
 
-    script = parse_proof(_read_source(args))
-    if args.infer:
-        script = ProofScript(tuple(ProofEntry(e.cirquent, None) for e in script.entries))
-    failure = check_proof(script)
+    entries = proof_entries(_read_source(args))
+    try:
+        failure = check_proof((ProofEntry(e.cirquent) for e in entries) if args.infer else entries)
+    finally:  # the rest of the file: a syntax error anywhere is reported first
+        for _ in entries:
+            pass
     if failure is None:
         print("ok")
         return 0

@@ -11,12 +11,11 @@ from the root.  A path may end at any node, literals included, but may not
 step through a literal.
 
 Every node caches a ``summary`` of the disjunctions beneath it, itself
-included: ``present``, a bit mask of the clusters there; ``repeated``,
-a bit mask of those with at least two members there; ``counts``, the
-exact number of members of each ``repeated`` cluster and of no other;
-whether it is free of same-cluster nesting; and how many nodes its
-subtree has.  Cluster k's bit is ``_bit(k)``: k itself below a fixed
-bound, ``_BOUND``, and above it the next bit from the bound up,
+included: ``present``, a bit mask of the clusters there; ``counts``,
+the exact number of members of each cluster with at least two there
+and of no other; whether it is free of same-cluster nesting; and how
+many nodes its subtree has.  Cluster k's bit is ``_bit(k)``: k itself
+below a fixed bound, ``_BOUND``, and above it the next bit from the bound up,
 handed out in the order the IDs are first seen, so a mask never grows
 with an ID's size.  A single-member cluster costs each node above it
 one bit, and a reducer step, whose copies give single-member clusters
@@ -111,17 +110,15 @@ class Summary(NamedTuple):
     """What a node knows about the disjunctions beneath it, itself included.
 
     ``present`` sets the bit ``_bit(k)`` of each cluster k with a
-    disjunction there, and ``repeated`` that of each with at least two;
-    ``counts`` maps exactly the ``repeated`` clusters to their numbers of
-    disjunctions; ``nesting_free`` is False when some disjunction sits
-    inside another of the same cluster; ``size`` is the number of nodes,
+    disjunction there; ``counts`` maps exactly the clusters with at least
+    two to their numbers of disjunctions; ``nesting_free`` is False when
+    some disjunction sits inside another of the same cluster; ``size`` is the number of nodes,
     literals and connectives alike.  Summaries are built with
     ``tuple.__new__``, which costs a fraction of the generated
     constructor.
     """
 
     present: int
-    repeated: int
     counts: Mapping[int, int]
     nesting_free: bool
     size: int
@@ -169,7 +166,7 @@ _set_attribute = object.__setattr__
 
 class Literal(_Value):
     __match_args__ = ("atom", "positive")
-    summary = Summary(0, 0, MappingProxyType({}), True, 1)
+    summary = Summary(0, MappingProxyType({}), True, 1)
 
     def __init__(self, atom: str, positive: bool = True) -> None:
         if not (isinstance(atom, str) and _ATOM_NAME.fullmatch(atom)):
@@ -211,8 +208,8 @@ class _Connective(_Value):
         return mapping is not None and all(k == m for k, m in mapping.items())
 
     def __hash__(self) -> int:
-        """Hashes the nodes in ``_nodes`` order: each literal, each cluster ID, 0 for each ``&``."""
-        nodes = _nodes(self)
+        """Hashes the nodes in ``_postorder``: each literal, each cluster ID, 0 for each ``&``."""
+        nodes = _postorder(self)
         return hash(tuple([n if isinstance(n, Literal) else getattr(n, "cluster", 0) for n in nodes]))
 
     def __repr__(self) -> str:
@@ -288,12 +285,11 @@ def _summarize(root: Cirquent) -> Summary:
                 pending.append(child)
     new = tuple.__new__
     for node in reversed(order):
-        present, repeated, counts, free, size = node.left.summary
-        right_present, right_repeated, right_counts, right_free, right_size = node.right.summary
+        present, counts, free, size = node.left.summary
+        right_present, right_counts, right_free, right_size = node.right.summary
         shared = present & right_present
         if right_present:  # "0 | x" would copy x
             present = present | right_present if present else right_present
-        repeated |= right_repeated | shared
         free = free and right_free
         if shared:  # on both sides: a side without a count holds one
             left_counts, counts = counts, {**counts, **right_counts}
@@ -308,11 +304,10 @@ def _summarize(root: Cirquent) -> Summary:
             bit = 1 << _bit(k)
             if present & bit:
                 free = False
-                repeated |= bit
                 counts = {**counts, k: counts.get(k, 1) + 1}
             else:
                 present |= bit
-        _set_attribute(node, "summary", new(Summary, (present, repeated, counts, free, size + right_size + 1)))
+        _set_attribute(node, "summary", new(Summary, (present, counts, free, size + right_size + 1)))
     return root.summary
 
 
@@ -432,7 +427,7 @@ def multi_member(c: Cirquent) -> Mapping[int, int]:
 
 def is_classical(c: Cirquent) -> bool:
     """True when every cluster is a singleton, i.e. the cirquent is an ordinary formula."""
-    return not (c.summary or _summarize(c)).repeated
+    return not (c.summary or _summarize(c)).counts
 
 
 def _unused_ids(c: Cirquent) -> Iterator[int]:
@@ -485,13 +480,21 @@ def node_count(c: Cirquent) -> int:
     return (c.summary or _summarize(c)).size
 
 
-def _nodes(c: Cirquent) -> list[Cirquent]:
-    """Every node, parents before children, without building paths."""
-    nodes = [c]
-    for node in nodes:  # also visits the children appended below
-        if not isinstance(node, Literal):
-            nodes += (node.left, node.right)
-    return nodes
+def _postorder(c: Cirquent) -> list[Cirquent]:
+    """Every node of ``c``, children first and the left subtree before the right.
+
+    One walk with its own stack, so depth costs no recursion.
+    """
+    order, stack = [], [c]
+    while stack:  # each node, then its right subtree, then its left: the list reversed
+        node = stack.pop()
+        while not isinstance(node, Literal):
+            order.append(node)
+            stack.append(node.left)
+            node = node.right
+        order.append(node)
+    order.reverse()
+    return order
 
 
 def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:

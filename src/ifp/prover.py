@@ -28,14 +28,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .calculus import (
-    AXIOM,
-    ProofEntry,
-    ProofScript,
-    RuleApp,
-    RuleHint,
-    apply_rule_backward,
-)
+from .calculus import RuleApp, apply_rule_backward
 from .core import (
     Cirquent,
     LEFT_STEP,
@@ -59,6 +52,7 @@ from .semantics import (
     _within_bounds,
     countermodel,
 )
+from .syntax import AXIOM, ProofEntry, ProofScript, RuleHint
 
 
 class PreconditionError(Exception):

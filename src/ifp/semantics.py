@@ -15,7 +15,7 @@ cluster IDs ascending, false before true, "left" before "right", so
 countermodels are deterministic.
 
 Each query walks the cirquent once, into a list of its nodes with the
-children first (``_postorder``); the atoms, the bounds check and the
+children first (``core._postorder``); the atoms, the bounds check and the
 truth vector are read off that list, and when the rows or clusters
 overflow one vector, every block they are enumerated in reuses it.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import chain, product, repeat
 from typing import Iterator, Mapping, Sequence
 
-from .core import And, Cirquent, Literal, cluster_ids, multi_member
+from .core import And, Cirquent, Literal, _postorder, cluster_ids, multi_member
 
 LEFT = "left"
 RIGHT = "right"
@@ -101,23 +101,6 @@ def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
     minterms = ("".join(term) + ")" * wrap for row, term in zip(rows, product(*literals)) if row == "0")
     spine = chain(("(" * (m - 2), "|"), repeat(")|"))
     return m * (2 * n - 1) + m - 1, map(str.__add__, spine, minterms)
-
-
-def _postorder(c: Cirquent) -> list[Cirquent]:
-    """Every node of ``c``, children first and the left subtree before the right.
-
-    One walk with its own stack, so depth costs no recursion.
-    """
-    order, stack = [], [c]
-    while stack:  # each node, then its right subtree, then its left: the list reversed
-        node = stack.pop()
-        while not isinstance(node, Literal):
-            order.append(node)
-            stack.append(node.left)
-            node = node.right
-        order.append(node)
-    order.reverse()
-    return order
 
 
 def _table(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> tuple:

@@ -1,4 +1,4 @@
-"""Concrete syntax: formulas, proof files, interpretations, paths.
+"""Concrete syntax: formulas, proof files and their records, interpretations, paths.
 
 Formula grammar, loosest binding first ("->" is right-associative, "&"
 and "|" are left-associative, "~" binds tightest):
@@ -26,14 +26,20 @@ The printer parenthesizes every compound operand, leaves the root bare,
 and omits the IDs of single-member clusters (unless asked not to): any
 reassignment of those IDs on re-parse leaves the cirquent the same up to
 cluster isomorphism.  Neither it nor the parser recurses.
+
+A proof file holds one entry per line; ``proof_entries`` reads them one
+line at a time, as a checker asks for them, and ``parse_proof`` keeps
+them all.  The records a proof is made of, ``ProofEntry``,
+``ProofScript`` and the ``RuleHint`` an annotation gives, are defined
+here, with the rule names an annotation may carry; the calculus
+imports them.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cache
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     And,
@@ -46,12 +52,11 @@ from .core import (
     _ATOM_NAME,
     _ID_DIGITS,
     _ID_LIMIT,
+    _Value,
+    _require_id,
     format_path,
     multi_member,
 )
-
-if TYPE_CHECKING:  # proof files need the calculus's records; formulas alone never load it
-    from .calculus import ProofEntry, ProofScript, RuleHint
 
 
 class ParseError(Exception):
@@ -381,24 +386,79 @@ def _assignments(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-# The line breaks of open()'s universal newlines, so a file and stdin read alike.
-_LINE_BREAK = re.compile(r"\r\n?|\n")
+RULES = ("I-left", "I-right", "II-left", "II-right", "III")
+AXIOM = "axiom"
+
+
+class RuleHint(_Value):
+    """Partial information about a step; None fields are unconstrained."""
+
+    __match_args__ = ("rule", "hole_path", "k", "inner_path")
+
+    def __init__(
+        self,
+        rule: Optional[str] = None,
+        hole_path: Optional[Path] = None,
+        k: Optional[int] = None,
+        inner_path: Optional[Path] = None,
+    ) -> None:
+        if rule is not None and rule not in RULES + (AXIOM,):
+            raise ValueError(f"unknown rule {rule!r}")
+        if k is not None:
+            _require_id(k)
+        fields = self.__dict__
+        fields["rule"], fields["hole_path"] = rule, hole_path
+        fields["k"], fields["inner_path"] = k, inner_path
+
+
+class ProofEntry(_Value):
+    __match_args__ = ("cirquent", "hint")
+
+    def __init__(self, cirquent: Cirquent, hint: Optional[RuleHint] = None) -> None:
+        fields = self.__dict__
+        fields["cirquent"], fields["hint"] = cirquent, hint
+
+
+class ProofScript(_Value):
+    """A proof candidate: axiom first, goal last.  The entries are kept as a tuple."""
+
+    __match_args__ = ("entries",)
+
+    def __init__(self, entries: Iterable[ProofEntry]) -> None:
+        entries = tuple(entries)
+        if not entries:
+            raise ValueError("a proof needs at least one entry")
+        self.__dict__["entries"] = entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self) -> Iterator[ProofEntry]:
+        return iter(self.entries)
+
+    @property
+    def conclusion(self) -> Cirquent:
+        return self.entries[-1].cirquent
+
+
+# One match per line, without its line break: those of open()'s universal
+# newlines, so a file and stdin read alike.  After the last line comes one
+# empty match, which, like any blank line, is skipped.
+_LINE = re.compile(r"([^\r\n]*)(?:\r\n?|\n|\Z)")
 _ENTRY_NUMBER = re.compile(r"(\d+)\.")
-
-
-@cache
-def _annotation() -> re.Pattern:
-    """The annotation grammar, built on first use from the calculus's rule names."""
-    from .calculus import AXIOM, RULES
-
-    return re.compile(
-        re.escape(AXIOM) + r"|rule=(?P<rule>" + "|".join(re.escape(r) for r in RULES) + r")"
-        r"(?: +path=(?P<path>\S+))?(?: +k=(?P<k>\d+))?(?: +inner=(?P<inner>\S+))?"
-    )
+_ANNOTATION = re.compile(
+    re.escape(AXIOM) + r"|rule=(?P<rule>" + "|".join(re.escape(r) for r in RULES) + r")"
+    r"(?: +path=(?P<path>\S+))?(?: +k=(?P<k>\d+))?(?: +inner=(?P<inner>\S+))?"
+)
 
 
 def parse_proof(text: str) -> ProofScript:
-    """Parse a proof file.
+    """Parse a proof file into a script of all its entries (see ``proof_entries``)."""
+    return ProofScript(proof_entries(text))
+
+
+def proof_entries(text: str) -> Iterator[ProofEntry]:
+    """A proof file's entries, each parsed from its line as it is asked for.
 
     One entry per line: the entry number, a dot, the cirquent, and an
     optional annotation.  Entry 1 may be annotated "axiom"; later
@@ -407,13 +467,13 @@ def parse_proof(text: str) -> ProofScript:
     numbered 1, 2, 3, ... in order.  Blank lines and lines starting with "#" are skipped.
     A line ends only at "\\n", "\\r\\n" or a lone "\\r"; other control
     characters, such as a form feed, stay inside the line.  The file
-    must be 7-bit ASCII throughout, skipped lines included.
+    must be 7-bit ASCII throughout, skipped lines included.  A file
+    without entries is a ParseError once the last line is read.
     """
-    from . import calculus  # once per file, for its records
-
-    entries: list[ProofEntry] = []
     literals: tuple[dict, dict] = ({}, {})  # one table for every line: literals are immutable
-    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+    number = 0  # of the last entry
+    for lineno, match in enumerate(_LINE.finditer(text), start=1):
+        line = match[1]
         if not line.isascii():  # before anything is skipped
             raise ParseError("proof files are 7-bit ASCII", line=lineno)
         indent = len(line) - len(line.lstrip())
@@ -423,42 +483,40 @@ def parse_proof(text: str) -> ProofScript:
         m = _ENTRY_NUMBER.match(line)
         if m is None:
             raise ParseError("an entry starts with its number and a dot", line=lineno)
-        number = _number(m.group(1), line=lineno)
-        if m.group(1) != str(number):
+        found = _number(m.group(1), line=lineno)
+        if m.group(1) != str(found):
             raise ParseError("entry numbers may not have leading zeros", line=lineno)
-        if number != len(entries) + 1:
-            raise ParseError(
-                f"expected entry {len(entries) + 1}, found {number}", line=lineno
-            )
+        number += 1
+        if found != number:
+            raise ParseError(f"expected entry {number}, found {found}", line=lineno)
         rest = line[m.end():]
         try:
             cirquent, stop = _parse_prefix(rest, literals)
-            hint = _parse_annotation(rest[stop:].strip(), number, calculus)
+            hint = _parse_annotation(rest[stop:].strip(), number)
         except ParseError as e:  # a column counts from the start of the physical line
             column = None if e.position is None else indent + m.end() + e.position
             raise ParseError(e.message, column, line=lineno) from None
-        entries.append(calculus.ProofEntry(cirquent, hint))
-    if not entries:
+        yield ProofEntry(cirquent, hint)
+    if not number:
         raise ParseError("the proof has no entries")
-    return calculus.ProofScript(tuple(entries))
 
 
-def _parse_annotation(text: str, number: int, calculus) -> Optional[RuleHint]:
-    """The hint an entry's annotation gives; ``calculus`` is the module of its records."""
+def _parse_annotation(text: str, number: int) -> Optional[RuleHint]:
+    """The hint an entry's annotation gives."""
     if not text:
         return None
-    m = _annotation().fullmatch(text)
+    m = _ANNOTATION.fullmatch(text)
     if m is None:
         raise ParseError(f"bad annotation {text!r}")
     if m.group("rule") is None:
         if number != 1:
             raise ParseError("only the first entry can be marked axiom")
-        return calculus.RuleHint(rule=calculus.AXIOM)
+        return RuleHint(rule=AXIOM)
     if number == 1:
         raise ParseError("the first entry is an axiom, not a rule application")
     if m.group("inner") is not None and not m.group("rule").startswith("I-"):
         raise ParseError(f"inner= is for rule I only, not rule {m.group('rule')}")
-    return calculus.RuleHint(
+    return RuleHint(
         rule=m.group("rule"),
         hole_path=parse_path(m.group("path")) if m.group("path") else None,
         k=_cluster_id(m.group("k")) if m.group("k") else None,
@@ -473,20 +531,18 @@ def print_proof(script: ProofScript) -> str:
 
 def _proof_lines(script: ProofScript) -> Iterator[str]:
     """``print_proof``'s text one numbered line at a time, each with its newline."""
-    from .calculus import AXIOM  # once per proof
-
     for number, entry in enumerate(script.entries, start=1):
         cirquent = print_cirquent(entry.cirquent)
-        annotation = _format_hint(entry.hint, AXIOM)
+        annotation = _format_hint(entry.hint)
         yield f"{number}. {cirquent} {annotation}\n" if annotation else f"{number}. {cirquent}\n"
 
 
-def _format_hint(hint: Optional[RuleHint], axiom: str) -> str:
-    """An entry's annotation; ``axiom`` is the calculus's name for the axiom's."""
+def _format_hint(hint: Optional[RuleHint]) -> str:
+    """An entry's annotation."""
     if hint is None or hint.rule is None:
         return ""
-    if hint.rule == axiom:
-        return axiom
+    if hint.rule == AXIOM:
+        return AXIOM
     parts = [f"rule={hint.rule}"]
     if hint.hole_path is not None:
         parts.append(f"path={format_path(hint.hole_path)}")

@@ -367,7 +367,6 @@ def assert_summary_matches_walk(c: Cirquent) -> None:
     pairs = nested_pairs_reference(c)
     summary = c.summary or core._summarize(c)  # the cached one, if a query made it
     assert summary.present == sum(1 << core._bit(k) for k in sizes)
-    assert summary.repeated == sum(1 << core._bit(k) for k in multi)
     assert dict(summary.counts) == multi
     assert summary.nesting_free == (not pairs)
     assert cluster_ids(c) == frozenset(sizes)

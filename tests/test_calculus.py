@@ -736,6 +736,30 @@ class TestCheckProof:
         with pytest.raises(ValueError):
             ProofScript(())
 
+    def test_no_entries_are_no_proof(self):
+        with pytest.raises(ValueError):
+            check_proof([])
+
+    def test_no_entry_past_the_first_bad_one_is_read(self):
+        def entries():
+            yield ProofEntry(parse("p|~p"))
+            yield ProofEntry(parse("p|q"))
+            raise AssertionError("read past the failing entry")
+
+        assert check_proof(entries()) == CheckFailure(2, "no-rule-matches")
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_cirquents(), st.randoms(use_true_random=False))
+    def test_a_stream_of_entries_checks_as_its_script_does(self, goal, rng):
+        entries = list(decide(goal).proof)
+        for script in (
+            ProofScript(entries),
+            ProofScript(rng.sample(entries, len(entries))),  # fails at some line, unless it is the proof
+            _stripped(ProofScript(entries)),
+            ProofScript(entries[1:] or entries),  # no axiom, unless the goal is one
+        ):
+            assert check_proof(iter(script)) == check_proof(script)
+
 
 class TestSharedSubtrees:
     """Entries that share subtrees, as in-memory proofs do, check as their

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from unittest import mock
 
 import pytest
@@ -26,7 +27,7 @@ from helpers import (
     nested_family,
     truth_table_reference,
 )
-from ifp import RuleError, TooLargeError, decide, parse, print_cirquent, print_proof
+from ifp import ProofEntry, RuleError, TooLargeError, decide, parse, print_cirquent, print_proof
 from ifp.calculus import ShapeMismatchError
 from ifp.cli import main
 from ifp.core import InvalidPathError
@@ -236,6 +237,71 @@ class TestCheckCommand:
         ):
             code, _, err = run(argv, capsys, monkeypatch, stdin=goal)
             assert (code, err) == (0, "")
+
+
+ATOMS21 = "|".join(["a0", "~a0"] + [f"a{i}" for i in range(1, 21)])  # a tautology over 21 atoms
+
+# Proof files with errors of more than one kind, with the exit status and
+# the error text ``ifp check`` gives: a syntax error anywhere comes first,
+# then a size bound exceeded or a failed step, whichever comes first.
+ERROR_ORDER = {
+    "failed step, then a syntax error": (
+        "1. p|~p axiom\n2. p|q\n3. p|q\n4. p&&q\n",
+        1,
+        "error: expected a formula, found '&' on line 4 at column 6\n",
+    ),
+    "failed step, then a non-ASCII comment": (
+        "1. p|~p axiom\n2. p|q\n# caf\u00e9\n",
+        1,
+        "error: proof files are 7-bit ASCII on line 3\n",
+    ),
+    "failed step": ("1. p|~p axiom\n2. p|q\n3. p&q\n", 1, "line 2: no-rule-matches\n"),
+    "no axiom, then a syntax error": (
+        "1. p\n2. p|\n",
+        1,
+        "error: expected a formula, found the end of the input on line 2 at column 6\n",
+    ),
+    "21-atom axiom, then a syntax error": (
+        f"1. {ATOMS21}\n2. p&&q\n",
+        1,
+        "error: expected a formula, found '&' on line 2 at column 6\n",
+    ),
+    "21-atom axiom, then a misnumbered entry": (
+        f"1. {ATOMS21}\n3. p\n",
+        1,
+        "error: expected entry 2, found 3 on line 2\n",
+    ),
+    "21-atom axiom": (f"1. {ATOMS21}\n2. {ATOMS21}\n", 2, "error: 21 atoms exceeds the bound of 20\n"),
+    "empty": ("", 1, "error: the proof has no entries\n"),
+    "comments only": ("# a\n\n   \n# b\r\n", 1, "error: the proof has no entries\n"),
+}
+
+
+class TestStreamedCheck:
+    """``ifp check`` checks each entry as it reads it, and reports errors in the order it always has."""
+
+    @pytest.mark.parametrize("argv", [["check"], ["check", "--infer"]], ids=" ".join)
+    def test_at_most_three_entries_are_alive_at_once(self, argv, tmp_path, monkeypatch):
+        proof_file = tmp_path / "proof.ifp"
+        proof_file.write_text(print_proof(decide(nested_family(3, True)).proof))
+        made = []  # a weak reference to each entry made, which reads None once it is gone
+        most = 0
+        init = ProofEntry.__init__
+
+        def counted(entry, *args):
+            nonlocal most
+            init(entry, *args)
+            made.append(weakref.ref(entry))
+            most = max(most, sum(ref() is not None for ref in made))
+
+        monkeypatch.setattr(ProofEntry, "__init__", counted)
+        assert call(argv + [str(proof_file)], "") == (0, "ok\n")
+        assert len(made) > 10 and most <= 3
+
+    @pytest.mark.parametrize("flags", [[], ["--infer"]], ids=["hints", "infer"])
+    @pytest.mark.parametrize("text, code, err", ERROR_ORDER.values(), ids=ERROR_ORDER)
+    def test_errors_come_in_their_order(self, text, code, err, flags, capsys, monkeypatch):
+        assert run(["check", *flags], capsys, monkeypatch, stdin=text) == (code, "", err)
 
 
 class TestDeepInput:

@@ -432,7 +432,6 @@ class TestSummaries:
         c = parse("((p|1 q)|2(r|3 s))&((t|1 u)|4 v)")
         summary = ifp.core._summarize(c)
         assert summary.present == 0b11110
-        assert summary.repeated == 0b10
         assert dict(summary.counts) == {1: 2}
         assert cluster_ids(c) == frozenset({1, 2, 3, 4})
         assert [cluster_size(c, k) for k in range(6)] == [0, 2, 1, 1, 1, 0]

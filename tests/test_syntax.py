@@ -1,5 +1,9 @@
 """Tests for parsing, printing, and the textual value formats."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import E1_TEXT, GOAL_TEXT
 from helpers import cirquents, parse_prefix_reference, parse_reference, valid_cirquents
+import ifp
 from ifp import (
     And,
     Invalid,
@@ -484,3 +489,30 @@ class TestProofFiles:
     def test_printed_proofs_omit_singleton_ids(self):
         script = ProofScript((ProofEntry(parse("p|7 q"), None),))
         assert print_proof(script) == "1. p|q\n"
+
+    def test_a_script_keeps_any_iterable_of_entries_as_a_tuple(self):
+        entries = (ProofEntry(parse("p|~p"), RuleHint(rule=AXIOM)), ProofEntry(parse("(p|~p)|q")))
+        script = ProofScript(entries)
+        for given_entries in (list(entries), (entry for entry in entries)):
+            built = ProofScript(given_entries)
+            assert type(built.entries) is tuple
+            assert built == script and hash(built) == hash(script)
+
+    def test_entries_are_read_one_line_at_a_time(self):
+        # Each entry comes out before a later line is read, so a syntax error waits its turn.
+        stream = syntax.proof_entries("1. p|~p axiom\n2. (p|~p)|q\n3. p&&q\n")
+        assert next(stream) == ProofEntry(parse("p|~p"), RuleHint(rule=AXIOM))
+        assert next(stream) == ProofEntry(parse("(p|~p)|q"))
+        with pytest.raises(ParseError, match="on line 3 at column 6$"):
+            next(stream)
+
+    def test_reading_a_proof_loads_only_the_syntax(self):
+        src = str(pathlib.Path(ifp.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys, ifp.syntax\n"
+            "ifp.syntax.parse_proof('1. p|~p axiom\\n2. (p|~p)|q rule=I-left path=. k=1 inner=.\\n')\n"
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'ifp'))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout.split()) == (0, ["ifp", "ifp.core", "ifp.syntax"])
