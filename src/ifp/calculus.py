@@ -16,12 +16,12 @@ either merged into the key ("A | k B") or kept as a shared copy (A, which
 B must copy), and likewise its right operand.  II-left merges the left
 and copies the right, concluding "(A | k B) o C"; II-right copies the
 left and merges the right; III merges both, concluding
-"(A | k B) o (C | k D)".  One table, ``_MERGED``, says which; the
-forward and the backward rewrite both read it.  The displayed
-connective o must be the same on both sides: both conjunctions, or both
-disjunctions in one cluster, or two disjunctions that are each alone in
-their clusters.  The conclusion's o keeps the left occurrence's cluster
-ID.
+"(A | k B) o (C | k D)".  ``_MERGED`` says which, and ``_grown_first``
+which operand rule I grows; no other code here spells a rule's name.
+The displayed connective o must be the same on both sides: both
+conjunctions, or both disjunctions in one cluster, or two disjunctions
+that are each alone in their clusters (``_one_cluster``).  The
+conclusion's o keeps the left occurrence's cluster ID.
 
 Applied backward (conclusion to premise), rule I deletes a disjunct,
 and rules II and III split each merged operand apart and duplicate each
@@ -113,7 +113,8 @@ class RuleApp(_Value):
     Rule I also needs ``inner_path``, the position of the grown
     subcirquent inside the key's operand, and ``new_subcirquent``, the
     disjunct being introduced; applying the rule backward fills the
-    latter in.
+    latter in.  A bad rule or ID, or a path that is not a tuple, is a
+    ValueError; a path's steps are checked where it is used.
     """
 
     __match_args__ = ("rule", "hole_path", "k", "inner_path", "new_subcirquent")
@@ -129,6 +130,10 @@ class RuleApp(_Value):
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}")
         _require_id(k)
+        if hole_path.__class__ is not tuple:
+            raise ValueError(f"paths must be tuples of steps, got {hole_path!r}")
+        if inner_path is not None and inner_path.__class__ is not tuple:
+            raise ValueError(f"paths must be tuples of steps, got {inner_path!r}")
         fields = self.__dict__
         fields["rule"], fields["hole_path"], fields["k"] = rule, hole_path, k
         fields["inner_path"], fields["new_subcirquent"] = inner_path, new_subcirquent
@@ -179,11 +184,7 @@ def apply_rule_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, R
     """
     if app.rule in _MERGED:
         return _merge_backward(conclusion, app)
-    key = _key_or(conclusion, app.hole_path)
-    if key.cluster != app.k:
-        raise RuleError(
-            f"key at {format_path(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
-        )
+    _, key = _align_key(conclusion, app, renames=False)
     _, grown = _grown_position(key, app)
     if not isinstance(grown, Or) or grown.cluster != app.k:
         raise RuleError("the inner position must hold a disjunction in the key's cluster")
@@ -307,16 +308,14 @@ def _key_or(c: Cirquent, hole_path: Path) -> Or:
     return node
 
 
-def _align_key(premise: Cirquent, app: RuleApp) -> tuple[Cirquent, Or]:
-    """Rename the key to ``app.k`` as ``apply_rule_forward`` allows, or fail."""
+def _align_key(premise: Cirquent, app: RuleApp, renames: bool = True) -> tuple[Cirquent, Or]:
+    """Rename the key to ``app.k`` as ``apply_rule_forward`` allows (only with ``renames``), or fail."""
     key = _key_or(premise, app.hole_path)
     if key.cluster == app.k:
         return premise, key
     holders = cluster_size(premise, app.k)
-    if holders > 1 or cluster_size(premise, key.cluster) > 1:
-        raise RuleError(
-            f"key at {format_path(app.hole_path)} is in cluster {key.cluster}, not {app.k}"
-        )
+    if not renames or holders > 1 or cluster_size(premise, key.cluster) > 1:
+        raise RuleError(f"key at {format_path(app.hole_path)} is in cluster {key.cluster}, not {app.k}")
     if holders:
         (holder,) = members(premise, app.k)
         moved = subcirquent_at(premise, holder)
@@ -342,8 +341,7 @@ def _grown_position(key: Or, app: RuleApp) -> tuple[Path, Cirquent]:
 
 def _ungrow(conclusion: Cirquent, app: RuleApp, grown: Or) -> tuple[Cirquent, RuleApp]:
     """``apply_rule_backward`` for rule I, given ``grown``: the checked disjunction at the inner position."""
-    kept, dropped = _grown_first(app.rule, grown.left, grown.right)
-    side = LEFT_STEP if app.rule == "I-left" else RIGHT_STEP
+    (side, kept), (_, dropped) = _grown_first(app.rule, (LEFT_STEP, grown.left), (RIGHT_STEP, grown.right))
     completed = RuleApp(app.rule, app.hole_path, app.k, app.inner_path, dropped)
     return replace_at(conclusion, app.hole_path + (side,) + app.inner_path, kept), completed
 
@@ -353,15 +351,21 @@ def _grown_first(rule: str, left: object, right: object) -> tuple:
     return (left, right) if rule == "I-left" else (right, left)
 
 
+def _one_cluster(c: Cirquent, k: int, m: int) -> bool:
+    """Whether IDs k and m of ``c`` count as one cluster: equal, or each alone in its cluster.
+
+    A single-member cluster's ID carries no grouping information.
+    """
+    return k == m or (cluster_size(c, k) == 1 and cluster_size(c, m) == 1)
+
+
 def _require_same_connective(c: Cirquent, n1: Cirquent, n2: Cirquent) -> None:
     """Check that the two displayed connectives count as one, or reject them."""
     if isinstance(n1, Literal) or isinstance(n2, Literal):
         raise ShapeMismatchError("both operands of the key must be compound")
     if isinstance(n1, And) != isinstance(n2, And):
         raise ConnectiveConstraintError("the displayed connectives differ")
-    if isinstance(n1, Or) and n1.cluster != n2.cluster and not (
-        cluster_size(c, n1.cluster) == 1 and cluster_size(c, n2.cluster) == 1
-    ):
+    if isinstance(n1, Or) and not _one_cluster(c, n1.cluster, n2.cluster):
         raise ConnectiveConstraintError(
             "two disjunctions play the shared connective only when they are in "
             "one cluster or each alone in theirs"
@@ -369,17 +373,9 @@ def _require_same_connective(c: Cirquent, n1: Cirquent, n2: Cirquent) -> None:
 
 
 def _require_copies(c: Cirquent, c1: Cirquent, c2: Cirquent) -> None:
-    """Check that c1 and c2 are copies of the same operand.
-
-    Copies must agree node for node; disjunctions may differ in cluster
-    ID only when both are alone in their clusters, since such IDs carry
-    no grouping information.
-    """
+    """Check that c1 and c2 are copies of one operand: node for node, IDs as ``_one_cluster`` allows."""
     mapping = cluster_map(c1, c2)
-    if mapping is None or any(
-        k != m and (cluster_size(c, k) != 1 or cluster_size(c, m) != 1)
-        for k, m in mapping.items()
-    ):
+    if mapping is None or not all(_one_cluster(c, k, m) for k, m in mapping.items()):
         raise CopyMismatchError("the two copies of the shared operand disagree")
 
 
@@ -420,24 +416,22 @@ def _merge_backward(conclusion: Cirquent, app: RuleApp) -> tuple[Cirquent, RuleA
     unused = _unused_ids(conclusion)
     multi = multi_member(conclusion)  # every other cluster of the conclusion has one member
 
-    def freshen(c: Cirquent) -> Cirquent:
-        return map_clusters(c, lambda k: k if k in multi else next(unused))
+    def second_of(merged: bool, operand: Cirquent) -> Cirquent:
+        """A merged operand's right side, or a copied operand with fresh IDs."""
+        return operand.right if merged else map_clusters(operand, lambda k: k if k in multi else next(unused))
 
-    conjunction = isinstance(node, And)
-    if not conjunction:
-        fresh_ids = node.cluster not in multi
-        first_id = next(unused) if fresh_ids and left_merged and right_merged else node.cluster
     first_left = left.left if left_merged else left
     first_right = right.left if right_merged else right
-    second_left = left.right if left_merged else freshen(left)
-    if not conjunction:
-        second_id = next(unused) if fresh_ids else node.cluster
-    second_right = right.right if right_merged else freshen(right)
-    if conjunction:
-        first, second = And(first_left, first_right), And(second_left, second_right)
+    if isinstance(node, And):
+        first = And(first_left, first_right)
+        second = And(second_of(left_merged, left), second_of(right_merged, right))
     else:
+        fresh_ids = node.cluster not in multi
+        first_id = next(unused) if fresh_ids and left_merged and right_merged else node.cluster
         first = Or(first_id, first_left, first_right)
-        second = Or(second_id, second_left, second_right)
+        second_left = second_of(left_merged, left)  # its fresh IDs come before second_id's in the text
+        second_id = next(unused) if fresh_ids else node.cluster
+        second = Or(second_id, second_left, second_of(right_merged, right))
     premise = replace_at(conclusion, app.hole_path, Or(app.k, first, second))
     return premise, app
 
@@ -517,19 +511,20 @@ def _candidates_in(
         if hint.rule not in (None, rule):
             continue
         left_merged, right_merged = _MERGED.get(rule, (None, None))
+        if left_merged is None:
+            side = _grown_first(rule, LEFT_STEP, RIGHT_STEP)[0]  # the operand rule I grows
         for hole, node in grown if left_merged is None else keyed:
             if left_merged is None:
                 if not isinstance(node, Or):
                     continue
                 k = node.cluster
-                host = node.left if rule == "I-left" else node.right
+                host = node.left if side == LEFT_STEP else node.right
                 if hint.inner_path is not None:
                     held = [(hint.inner_path, _at(host, hint.inner_path))]
                 elif hint.hole_path is not None:
                     held = [(inner, subcirquent_at(host, inner)) for inner in members(host, k)]
                 else:  # on the path to the meet, inside the grown operand
                     depth = len(hole) + 1
-                    side = LEFT_STEP if rule == "I-left" else RIGHT_STEP
                     if meet_one[depth - 1 : depth] != (side,):
                         continue
                     held = [(path[depth:], below) for path, below in grown[depth:]]
@@ -566,15 +561,13 @@ def _growth(rule: str, node: Cirquent) -> int:
     the hole: rule II removes one connective and the second copy of the
     operand o keeps; rule III moves nodes but adds none.
     """
-    if rule == "I-left":
-        return 1 + node_count(node.right)
-    if rule == "I-right":
-        return 1 + node_count(node.left)
-    if rule == "II-left":
-        return -1 - node_count(node.right)
-    if rule == "II-right":
-        return -1 - node_count(node.left)
-    return 0
+    merged = _MERGED.get(rule)
+    if merged is None:
+        return 1 + node_count(_grown_first(rule, node.left, node.right)[1])
+    left_merged, right_merged = merged
+    if left_merged and right_merged:
+        return 0
+    return -1 - node_count(node.left if right_merged else node.right)  # the copied operand
 
 
 def _meets(premise: Cirquent, conclusion: Cirquent) -> tuple[Optional[Path], Optional[Path]]:

@@ -16,8 +16,9 @@ the exact number of members of each cluster with at least two there
 and of no other; whether it is free of same-cluster nesting; and how
 many nodes its subtree has.  Cluster k's bit is ``_bit(k)``: k itself
 below a fixed bound, ``_BOUND``, and above it the next bit from the bound up,
-handed out in the order the IDs are first seen, so a mask never grows
-with an ID's size.  A single-member cluster costs each node above it
+handed out by ``Or``'s constructor as disjunctions are first built with
+them, never by a query, so a mask never grows with an ID's size.  A
+single-member cluster costs each node above it
 one bit, and a reducer step, whose copies give single-member clusters
 fresh IDs by the thousand, touches counts only for the few clusters
 with more than one member.  A connective's ``summary`` is None until
@@ -70,29 +71,20 @@ class RuleError(Exception):
 
 
 # Cluster k's bit in the summary masks is k below _BOUND.  An ID at or
-# above it takes the next bit from _BOUND up when first seen, so a mask
-# has one bit per cluster ID in use and none for an ID's size: indexed
-# by raw ID, the mask of p|1000000000 q would take 125 MB.  The bound
-# sits above the IDs a residue draws, so drawing a fresh ID is one
-# operation on a mask.
+# above it takes the next bit from _BOUND up when the first disjunction
+# holding it is built (in Or's constructor), so a mask has one bit per
+# cluster ID in use and none for an ID's size: indexed by raw ID, the
+# mask of p|1000000000 q would take 125 MB.  The bound sits above the
+# IDs a residue draws, so drawing a fresh ID is one operation on a mask.
 _BOUND = 1 << 16
-_interned_bits: dict[int, int] = {}  # each ID seen at or above _BOUND: its bit
+_interned_bits: dict[int, int] = {}  # each ID at or above _BOUND a disjunction was built with: its bit
 _interned_ids: dict[int, int] = {}  # the reverse
 _next_bit = count(_BOUND)
 
 
 def _bit(k: int) -> int:
-    """Cluster ``k``'s bit in the summary masks."""
-    if k < _BOUND:
-        return k
-    bit = _interned_bits.get(k)
-    if bit is None:
-        # next() and setdefault() are atomic, so threads meeting a new ID
-        # at once agree on its bit; the loser's draw stays unused.
-        bit = next(_next_bit)
-        _interned_ids[bit] = k
-        bit = _interned_bits.setdefault(k, bit)
-    return bit
+    """Cluster ``k``'s bit in the summary masks; 0, which no mask sets, for an ID no disjunction holds."""
+    return k if k < _BOUND else _interned_bits.get(k, 0)
 
 
 def _ids_in(mask: int) -> list[int]:
@@ -245,8 +237,14 @@ class Or(_Connective):
 
     def __init__(self, cluster: int, left: Cirquent, right: Cirquent) -> None:
         # _require_id's test, inlined: Or is the constructor decide calls most.
-        if cluster.__class__ is not int or not 0 < cluster < _ID_LIMIT:
+        if cluster.__class__ is not int or not 0 < cluster < _BOUND:
             _require_id(cluster)
+            if cluster not in _interned_bits:
+                # next() and setdefault() are atomic, so threads building a new
+                # ID at once agree on its bit; the loser's draw stays unused.
+                bit = next(_next_bit)
+                _interned_ids[bit] = cluster
+                _interned_bits.setdefault(cluster, bit)
         _set_cluster(self, cluster)
         _set_left(self, left)
         _set_right(self, right)
@@ -447,8 +445,7 @@ def _unused_ids(c: Cirquent) -> Iterator[int]:
         taken |= low
         yield k
     for k in count(_BOUND):
-        bit = _interned_bits.get(k)
-        if bit is None or not present >> bit & 1:
+        if not present >> _bit(k) & 1:
             yield k
 
 

@@ -57,11 +57,16 @@ def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Map
     """Evaluate with every clustered disjunction resolved by the metaselection.
 
     Each atom and cluster of ``c`` needs a value, even one the outcome does not depend
-    on; extra keys in either mapping are ignored.
+    on, and each cluster's side must be "left" or "right" (else ValueError);
+    extra keys in either mapping are ignored.
     """
-    missing = cluster_ids(c) - metaselection.keys()
+    ids = cluster_ids(c)
+    missing = ids - metaselection.keys()
     if missing:
         raise MissingClusterError(f"no side for cluster {min(missing)}")
+    for k in sorted(ids):
+        if metaselection[k] not in (LEFT, RIGHT):
+            raise ValueError(f"cluster {k}'s side must be 'left' or 'right', got {metaselection[k]!r}")
     return not _false_rows(_postorder(c), (), interpretation, metaselection)[0]
 
 

@@ -391,7 +391,7 @@ AXIOM = "axiom"
 
 
 class RuleHint(_Value):
-    """Partial information about a step; None fields are unconstrained."""
+    """Partial information about a step: None leaves a field open; others are checked as in ``RuleApp``."""
 
     __match_args__ = ("rule", "hole_path", "k", "inner_path")
 
@@ -406,6 +406,9 @@ class RuleHint(_Value):
             raise ValueError(f"unknown rule {rule!r}")
         if k is not None:
             _require_id(k)
+        for path in (hole_path, inner_path):
+            if path is not None and path.__class__ is not tuple:
+                raise ValueError(f"paths must be tuples of steps, got {path!r}")
         fields = self.__dict__
         fields["rule"], fields["hole_path"] = rule, hole_path
         fields["k"], fields["inner_path"] = k, inner_path

@@ -105,6 +105,30 @@ class TestApplications:
             with pytest.raises(ValueError, match="cluster IDs"):
                 RuleHint("III", (), k)
 
+    @pytest.mark.parametrize(
+        "hole_path, inner_path",
+        [("", ()), ((), ""), (None, ()), (["L"], None)],
+        ids=["str-hole", "str-inner", "no-hole", "list-hole"],
+    )
+    def test_a_rule_application_s_paths_are_tuples(self, hole_path, inner_path):
+        # Unrefused, the first ended in a TypeError from "" + ("L",) when applied backward.
+        with pytest.raises(ValueError, match="paths must be tuples of steps"):
+            RuleApp("I-left", hole_path, 1, inner_path=inner_path)
+        premise, _ = apply_rule_backward(parse("(p|1 q)|1 r"), RuleApp("I-left", (), 1, inner_path=()))
+        assert premise == parse("p|1 r")
+
+    @pytest.mark.parametrize(
+        "hole_path, inner_path",
+        [("", ""), ((), ""), ("", None), (["L"], ())],
+        ids=["str-both", "str-inner", "str-hole", "list-hole"],
+    )
+    def test_a_hint_s_paths_are_tuples_or_open(self, hole_path, inner_path):
+        # Unrefused, the first ended in a TypeError inside check_proof.
+        with pytest.raises(ValueError, match="paths must be tuples of steps"):
+            RuleHint("I-left", hole_path, 1, inner_path)
+        hinted = ProofEntry(parse("(p|1 q)|1 ~p"), RuleHint("I-left", (), 1, ()))
+        assert check_proof([ProofEntry(parse("p|~p")), hinted]) is None
+
     def test_axiom_is_a_hint_not_a_rule(self):
         RuleHint(rule=AXIOM)
         with pytest.raises(ValueError):

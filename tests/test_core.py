@@ -55,6 +55,7 @@ from ifp import (
     print_cirquent,
     print_proof,
     replace_at,
+    resolve_cluster,
     subcirquent_at,
     valid,
 )
@@ -66,6 +67,7 @@ from ifp.core import (
     node_count,
     walk,
 )
+from ifp.prover import PreconditionError
 
 P = Literal("p")
 NOT_P = Literal("p", positive=False)
@@ -461,6 +463,19 @@ class TestSummaries:
 
     @given(st.one_of(cirquents(max_leaves=8, max_cluster=4), nested_cirquents(max_cluster=4)).map(with_large_ids))
     def test_summary_matches_a_fresh_walk_with_ids_above_the_mask_bound(self, c):
+        assert_summary_matches_walk(c)
+
+    def test_a_query_about_an_id_no_disjunction_holds_assigns_it_no_bit(self):
+        """Only building a disjunction hands out a bit above the bound; a query reads bit 0, which no mask sets."""
+        c = with_large_ids(parse("((p|1 q)&(p|2 q))|3((r|4 s)&(r|4 s))"))
+        registry = dict(ifp.core._interned_bits), dict(ifp.core._interned_ids)
+        unheld = [k for k in range(2**40, 2**40 + 200) if k not in registry[0]][:100]
+        for k in (2**16 + 1, 10**9 + 1, *unheld):
+            assert cluster_size(c, k) == 0
+            assert members(c, k) == []
+            with pytest.raises(PreconditionError, match=f"cluster {k} already has a single member"):
+                resolve_cluster(c, k)
+        assert (ifp.core._interned_bits, ifp.core._interned_ids) == registry
         assert_summary_matches_walk(c)
 
     @pytest.mark.parametrize("siblings, bound_mb", [("literals", 2), ("disjunctions", 32)])

@@ -63,6 +63,12 @@ class TestMetatrue:
     def test_extra_keys_are_ignored(self):
         assert metatrue(P, {"p": True, "q": False}, {9: "left"})
 
+    def test_a_side_is_left_or_right(self):
+        # "up" counted as "right" before, so this was True.
+        with pytest.raises(ValueError, match="cluster 1's side must be 'left' or 'right', got 'up'"):
+            metatrue(parse("p|1 q"), {"p": False, "q": True}, {1: "up"})
+        assert metatrue(parse("p|1 q"), {"p": False, "q": True}, {1: "right", 2: "up"})
+
     def test_missing_atom(self):
         with pytest.raises(MissingAtomError):
             metatrue(And(P, Q), {"p": True}, {})
