@@ -16,8 +16,10 @@ either merged into the key ("A | k B") or kept as a shared copy (A, which
 B must copy), and likewise its right operand.  II-left merges the left
 and copies the right, concluding "(A | k B) o C"; II-right copies the
 left and merges the right; III merges both, concluding
-"(A | k B) o (C | k D)".  ``_MERGED`` says which, and ``_grown_first``
-which operand rule I grows; no other code here spells a rule's name.
+"(A | k B) o (C | k D)".  ``_MERGED`` says which, and ``_ONE_SIDE``
+which operand rule I grows and rule II merges; no other code in the
+package spells a rule's name, beside the list of names an annotation
+may carry (``syntax.RULES``).
 The displayed connective o must be the same on both sides: both
 conjunctions, or both disjunctions in one cluster, or two disjunctions
 that are each alone in their clusters (``_one_cluster``).  The
@@ -87,10 +89,14 @@ from .core import (
 from .semantics import valid
 from .syntax import AXIOM, RULES, ProofEntry, ProofScript, RuleHint  # the proof file's records, named here too
 
+# Each side's rule I and rule II, which grow the key's operand and merge o's
+# operand on that side; rule III merges both.
+_ONE_SIDE = {LEFT_STEP: ("I-left", "II-left"), RIGHT_STEP: ("I-right", "II-right")}
+_BOTH_SIDES = "III"
 # Rules II and III, by which operands of the displayed connective o the
 # conclusion merges into the key ("A |k B") rather than keeps as one
 # shared copy: (left operand merged, right operand merged).
-_MERGED = {"II-left": (True, False), "II-right": (False, True), "III": (True, True)}
+_MERGED = {"II-left": (True, False), "II-right": (False, True), _BOTH_SIDES: (True, True)}
 
 
 class ShapeMismatchError(RuleError):
@@ -348,7 +354,7 @@ def _ungrow(conclusion: Cirquent, app: RuleApp, grown: Or) -> tuple[Cirquent, Ru
 
 def _grown_first(rule: str, left: object, right: object) -> tuple:
     """``(left, right)`` for I-left, ``(right, left)`` for I-right: the side rule I grows comes first."""
-    return (left, right) if rule == "I-left" else (right, left)
+    return (left, right) if rule == _ONE_SIDE[LEFT_STEP][0] else (right, left)
 
 
 def _one_cluster(c: Cirquent, k: int, m: int) -> bool:

@@ -24,7 +24,6 @@ from .semantics import (
     MissingAtomError,
     MissingClusterError,
     TooLargeError,
-    _postorder,
     _true_under,
     _within_bounds,
     dnf_text,
@@ -178,8 +177,7 @@ def _cmd_eval(args) -> int:
     if args.metaselection is not None:
         result = metatrue(c, interpretation, parse_metaselection(args.metaselection))
     else:
-        order = _postorder(c)  # one walk for the bounds check and the evaluation
-        _within_bounds(order)
+        order, _ = _within_bounds(c)  # one walk for the bounds check and the evaluation
         result = _true_under(order, interpretation)
     print("true" if result else "false")
     return 0 if result else 1
@@ -198,9 +196,8 @@ def _cmd_prove(args) -> int:
     c = parse(_read_source(args))
     decision = decide(c)
     if args.trace:
-        lines = [st.as_line() for trace in decision.derivation.traces for st in trace]
         with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines))
+            handle.writelines(st.as_line() + "\n" for trace in decision.derivation.traces for st in trace)
     if isinstance(decision, Invalid):
         print("not provable", file=sys.stderr)
         return 1

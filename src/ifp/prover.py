@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .calculus import RuleApp, apply_rule_backward
+from .calculus import _BOTH_SIDES, _ONE_SIDE, RuleApp, apply_rule_backward
 from .core import (
     Cirquent,
     LEFT_STEP,
@@ -43,15 +43,7 @@ from .core import (
     multi_member,
     subcirquent_at,
 )
-from .semantics import (
-    Interpretation,
-    _false_rows,
-    _first_false,
-    _postorder,
-    _true_under,
-    _within_bounds,
-    countermodel,
-)
+from .semantics import Interpretation, _falsifier, _true_under, _within_bounds, countermodel
 from .syntax import AXIOM, ProofEntry, ProofScript, RuleHint
 
 
@@ -171,8 +163,7 @@ def eliminate_nested(c: Cirquent) -> tuple[Cirquent, tuple[ReductionStep, ...]]:
     while (pair := first_nested(current)) is not None:
         outer, inner = pair
         k = subcirquent_at(current, outer).cluster
-        rule = "I-left" if inner[len(outer)] == LEFT_STEP else "I-right"
-        app = RuleApp(rule, outer, k, inner_path=inner[len(outer) + 1 :])
+        app = RuleApp(_ONE_SIDE[inner[len(outer)]][0], outer, k, inner_path=inner[len(outer) + 1 :])
         current, completed = apply_rule_backward(current, app)
         steps.append(ReductionStep(completed, current))
     return current, tuple(steps)
@@ -227,7 +218,7 @@ def resolve_cluster(
             current, b = _lift_once(current, k, b, steps)
             trace.append(state_tuple(current, k, a, b))
         size_before = cluster_size(current, k)
-        current, completed = apply_rule_backward(current, RuleApp("III", meet, k))
+        current, completed = apply_rule_backward(current, RuleApp(_BOTH_SIDES, meet, k))
         steps.append(ReductionStep(completed, current))
         if cluster_size(current, k) != size_before - 1:
             raise ReductionInvariantError("merging must shrink the cluster by one")
@@ -251,9 +242,8 @@ def _lift_once(
         raise ReductionInvariantError(
             "the operand being duplicated holds a member of the cluster"
         )
-    rule = "II-left" if side == LEFT_STEP else "II-right"
     size_before = cluster_size(current, k)
-    result, completed = apply_rule_backward(current, RuleApp(rule, parent, k))
+    result, completed = apply_rule_backward(current, RuleApp(_ONE_SIDE[side][1], parent, k))
     steps.append(ReductionStep(completed, result))
     if cluster_size(result, k) != size_before:
         raise ReductionInvariantError("lifting must leave the cluster size unchanged")
@@ -324,13 +314,9 @@ def decide(c: Cirquent) -> Decision:
     the goal (the reduction hands back ``c`` itself), the goal is its
     own residue, and its truth table is read off that same walk.
     """
-    order = _postorder(c)
-    names = _within_bounds(order)
+    order, names = _within_bounds(c)
     derivation = reduce_to_classical(c)
-    if derivation.final is c:
-        model = _first_false(names, *_false_rows(order, names, {}, {}))
-    else:
-        model = countermodel(derivation.final)
+    model = _falsifier(order, names) if derivation.final is c else countermodel(derivation.final)
     if model is None:
         return Valid(_script(derivation), derivation)
     model = dict.fromkeys(names, False) | model

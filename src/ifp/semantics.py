@@ -18,6 +18,8 @@ Each query walks the cirquent once, into a list of its nodes with the
 children first (``core._postorder``); the atoms, the bounds check and the
 truth vector are read off that list, and when the rows or clusters
 overflow one vector, every block they are enumerated in reuses it.
+Other modules share a walk through ``_within_bounds``, which also checks
+the bounds, and read it with ``_true_under`` and ``_falsifier``.
 
 Brute force needs fixed bounds: at most 20 atoms and 20 multi-member
 clusters, or TooLargeError.  ``valid(c, max_atoms=N)`` is the only
@@ -77,12 +79,13 @@ def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
 
 def valid(c: Cirquent, *, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
     """True when the cirquent is true under every interpretation of its atoms."""
-    return not _table(c, max_atoms)[1]
+    order, names = _within_bounds(c, max_atoms)
+    return not _false_rows(order, names, {}, {})[0]
 
 
 def countermodel(c: Cirquent) -> Interpretation | None:
     """The lexicographically first falsifying interpretation, or None when valid."""
-    return _first_false(*_table(c))
+    return _falsifier(*_within_bounds(c))
 
 
 def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
@@ -95,7 +98,8 @@ def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
     bare, no IDs.  With m true rows of n atoms there are m(2n-1) + (m-1)
     nodes; with none, 0 nodes and no text.
     """
-    names, false, shift = _table(c)
+    order, names = _within_bounds(c)
+    false, shift = _false_rows(order, names, {}, {})
     rows = f"{false:0{1 << (len(names) + shift)}b}"[:: -(1 << shift)]  # row i: "0" when true
     m, n = rows.count("0"), len(names)
     if not m:
@@ -108,33 +112,25 @@ def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
     return m * (2 * n - 1) + m - 1, map(str.__add__, spine, minterms)
 
 
-def _table(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> tuple:
-    """``(names, bits, shift)``: ``c``'s sorted atoms and ``_false_rows`` over them, from one walk."""
+def _within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> tuple[list, list[str]]:
+    """``(order, names)``: ``c``'s ``_postorder`` and sorted atoms; TooLargeError past a size bound."""
     order = _postorder(c)
-    names = _within_bounds(order, max_atoms)
-    return (names, *_false_rows(order, names, {}, {}))
-
-
-def _first_false(names: Sequence[str], false: int, shift: int) -> Interpretation | None:
-    """The interpretation of ``_false_rows``' first set bit over ``names``, or None when none is set."""
-    if not false:
-        return None
-    row = ((false & -false).bit_length() - 1) >> shift
-    return {name: bool(row >> (len(names) - 1 - j) & 1) for j, name in enumerate(names)}
-
-
-def _within_bounds(order: list[Cirquent], max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
-    """The sorted atoms of the cirquent whose ``_postorder`` is ``order``.
-
-    TooLargeError for too many atoms or multi-member clusters.
-    """
     names = sorted({node.atom for node in order if isinstance(node, Literal)})
-    n_multi = len(multi_member(order[-1]))
+    n_multi = len(multi_member(c))
     if len(names) > max_atoms:
         raise TooLargeError(f"{len(names)} atoms exceeds the bound of {max_atoms}")
     if n_multi > MAX_CLUSTERS:
         raise TooLargeError(f"{n_multi} multi-member clusters exceeds the bound of {MAX_CLUSTERS}")
-    return names
+    return order, names
+
+
+def _falsifier(order: list[Cirquent], names: Sequence[str]) -> Interpretation | None:
+    """``countermodel`` of the cirquent whose ``_postorder`` and atoms are ``order`` and ``names``."""
+    false, shift = _false_rows(order, names, {}, {})
+    if not false:
+        return None
+    row = ((false & -false).bit_length() - 1) >> shift
+    return {name: bool(row >> (len(names) - 1 - j) & 1) for j, name in enumerate(names)}
 
 
 def _true_under(order: list[Cirquent], interpretation: Mapping[str, bool]) -> bool:

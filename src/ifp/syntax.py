@@ -391,7 +391,10 @@ AXIOM = "axiom"
 
 
 class RuleHint(_Value):
-    """Partial information about a step: None leaves a field open; others are checked as in ``RuleApp``."""
+    """Partial information about a step: None leaves a field open; others are checked as in ``RuleApp``.
+
+    An inner path is for rule I only and an axiom hint has no other field, else ValueError.
+    """
 
     __match_args__ = ("rule", "hole_path", "k", "inner_path")
 
@@ -409,6 +412,10 @@ class RuleHint(_Value):
         for path in (hole_path, inner_path):
             if path is not None and path.__class__ is not tuple:
                 raise ValueError(f"paths must be tuples of steps, got {path!r}")
+        if rule == AXIOM and (hole_path, k, inner_path) != (None, None, None):
+            raise ValueError("an axiom hint has no path, k or inner path")
+        if inner_path is not None and rule is not None and not rule.startswith("I-"):
+            raise ValueError(f"inner= is for rule I only, not rule {rule}")
         fields = self.__dict__
         fields["rule"], fields["hole_path"] = rule, hole_path
         fields["k"], fields["inner_path"] = k, inner_path
@@ -511,24 +518,27 @@ def _parse_annotation(text: str, number: int) -> Optional[RuleHint]:
     m = _ANNOTATION.fullmatch(text)
     if m is None:
         raise ParseError(f"bad annotation {text!r}")
-    if m.group("rule") is None:
+    rule, path, k, inner = m.group("rule", "path", "k", "inner")
+    if rule is None:
         if number != 1:
             raise ParseError("only the first entry can be marked axiom")
         return RuleHint(rule=AXIOM)
     if number == 1:
         raise ParseError("the first entry is an axiom, not a rule application")
-    if m.group("inner") is not None and not m.group("rule").startswith("I-"):
-        raise ParseError(f"inner= is for rule I only, not rule {m.group('rule')}")
-    return RuleHint(
-        rule=m.group("rule"),
-        hole_path=parse_path(m.group("path")) if m.group("path") else None,
-        k=_cluster_id(m.group("k")) if m.group("k") else None,
-        inner_path=parse_path(m.group("inner")) if m.group("inner") else None,
-    )
+    fields = path and parse_path(path), k and _cluster_id(k), inner and parse_path(inner)
+    try:
+        return RuleHint(rule, *fields)
+    except ValueError as e:  # inner= on rule II or III
+        raise ParseError(str(e)) from None
 
 
 def print_proof(script: ProofScript) -> str:
-    """Render a proof script; parse_proof() maps the text back to it."""
+    """Render a proof script; parse_proof() maps the text back to it.
+
+    A hint no annotation of its entry can give is a ValueError naming the
+    entry: fields without a rule, a rule on entry 1, an axiom after it, or
+    a path step other than "L" and "R".
+    """
     return "".join(_proof_lines(script))
 
 
@@ -536,14 +546,17 @@ def _proof_lines(script: ProofScript) -> Iterator[str]:
     """``print_proof``'s text one numbered line at a time, each with its newline."""
     for number, entry in enumerate(script.entries, start=1):
         cirquent = print_cirquent(entry.cirquent)
-        annotation = _format_hint(entry.hint)
+        annotation = _format_hint(entry.hint, number)
         yield f"{number}. {cirquent} {annotation}\n" if annotation else f"{number}. {cirquent}\n"
 
 
-def _format_hint(hint: Optional[RuleHint]) -> str:
-    """An entry's annotation."""
-    if hint is None or hint.rule is None:
+def _format_hint(hint: Optional[RuleHint], number: int) -> str:
+    """Entry ``number``'s annotation, or ``print_proof``'s ValueError."""
+    if hint is None or hint.rule is None and hint == RuleHint():
         return ""
+    steps = set((hint.hole_path or ()) + (hint.inner_path or ()))
+    if hint.rule is None or (hint.rule == AXIOM) != (number == 1) or not steps <= {LEFT_STEP, RIGHT_STEP}:
+        raise ValueError(f"entry {number}: no annotation there gives {hint!r}")
     if hint.rule == AXIOM:
         return AXIOM
     parts = [f"rule={hint.rule}"]

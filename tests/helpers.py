@@ -54,8 +54,7 @@ from ifp.semantics import (
     DEFAULT_MAX_ATOMS,
     MissingAtomError,
     MissingClusterError,
-    _postorder,
-    _table,
+    _false_rows,
     _within_bounds,
 )
 from ifp.syntax import NegatedIndexedDisjunctionError, NonpositiveClusterIdError
@@ -1023,7 +1022,7 @@ def atoms(c: Cirquent) -> set[str]:
 
 def ensure_within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> list[str]:
     """The sorted atoms of ``c``; TooLargeError for too many atoms or multi-member clusters."""
-    return _within_bounds(_postorder(c), max_atoms)
+    return _within_bounds(c, max_atoms)[1]
 
 
 def interpretations(names):
@@ -1096,7 +1095,8 @@ class TruthTable:
 
 def truth_table(c: Cirquent) -> TruthTable:
     """The evaluator's table: ``_false_rows``' bit for every assignment of the atoms."""
-    names, false, shift = _table(c)
+    order, names = _within_bounds(c)
+    false, shift = _false_rows(order, names, {}, {})
     assignments = itertools.product((False, True), repeat=len(names))
     rows = {values: not (false >> (i << shift)) & 1 for i, values in enumerate(assignments)}
     return TruthTable(tuple(names), rows)

@@ -129,6 +129,22 @@ class TestApplications:
         hinted = ProofEntry(parse("(p|1 q)|1 ~p"), RuleHint("I-left", (), 1, ()))
         assert check_proof([ProofEntry(parse("p|~p")), hinted]) is None
 
+    @pytest.mark.parametrize("rule", ["II-left", "II-right", "III"])
+    def test_an_inner_path_is_for_rule_one_only(self, rule):
+        # Unrefused, check_proof ignored it on the worked proof's II-left step,
+        # and print_proof wrote an inner= that parse_proof refuses.
+        with pytest.raises(ValueError, match=f"^inner= is for rule I only, not rule {rule}$"):
+            RuleHint(rule, (), 1, ("L", "R", "L"))
+        RuleHint(rule, (), 1)
+        RuleHint(None, (), 1, ("L", "R", "L"))  # a rule-less hint may still name one
+
+    @pytest.mark.parametrize(
+        "fields", [{"hole_path": ()}, {"k": 1}, {"inner_path": ("L",)}], ids=["path", "k", "inner"]
+    )
+    def test_an_axiom_hint_has_no_other_field(self, fields):
+        with pytest.raises(ValueError, match="^an axiom hint has no path, k or inner path$"):
+            RuleHint(AXIOM, **fields)
+
     def test_axiom_is_a_hint_not_a_rule(self):
         RuleHint(rule=AXIOM)
         with pytest.raises(ValueError):

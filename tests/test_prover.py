@@ -359,15 +359,14 @@ class TestDecide:
         goal = parse(text)
         expected = countermodel(goal)
         calls = collections.Counter()
-        for name in ("_postorder", "_within_bounds"):
-            original = getattr(ifp.semantics, name)
+        for module, name in ((ifp.semantics, "_postorder"), (ifp.prover, "_within_bounds")):
+            original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(ifp.semantics, name, counted)
-            monkeypatch.setattr(ifp.prover, name, counted)
+            monkeypatch.setattr(module, name, counted)  # where it is looked up
         decision = decide(goal)
         assert decision.derivation.final is goal
         assert calls == {"_postorder": 1, "_within_bounds": 1}

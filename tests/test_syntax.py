@@ -32,7 +32,7 @@ from ifp import (
     syntax,
     valid,
 )
-from ifp.calculus import AXIOM, RuleHint
+from ifp.calculus import AXIOM, RULES, RuleHint
 from ifp.core import format_path, walk
 from ifp.syntax import (
     DuplicateKeyError,
@@ -485,6 +485,46 @@ class TestProofFiles:
         assert print_proof(script) == (
             "1. p|~p axiom\n2. p|1(q|1 ~p) rule=I-right path=. k=1 inner=R\n"
         )
+
+    @pytest.mark.parametrize(
+        "number, hint",
+        [
+            (2, RuleHint(hole_path=(), k=1)),  # was printed bare: no hint reads back
+            (1, RuleHint("I-left", (), 1, ())),  # "rule=I-left path=. k=1 inner=.", refused on entry 1
+            (2, RuleHint(rule=AXIOM)),  # "axiom", refused after entry 1
+            (2, RuleHint("I-left", ("LR",), 1)),  # "path=LR", which reads back as ("L", "R")
+        ],
+        ids=["fields-without-a-rule", "rule-on-entry-1", "axiom-on-entry-2", "step-LR"],
+    )
+    def test_print_proof_refuses_a_hint_no_annotation_there_gives(self, number, hint):
+        entries = [ProofEntry(parse("p|~p")), ProofEntry(parse("(p|~p)|q"))]
+        entries[number - 1] = ProofEntry(entries[number - 1].cirquent, hint)
+        with pytest.raises(ValueError, match=f"^entry {number}: no annotation there gives "):
+            print_proof(ProofScript(entries))
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from((None, AXIOM) + RULES),
+        st.none() | st.lists(st.sampled_from(("L", "R", "LR", "")), max_size=3).map(tuple),
+        st.none() | st.integers(1, 10**6),
+        st.none() | st.lists(st.sampled_from(("L", "R", "LR", "")), max_size=3).map(tuple),
+        st.sampled_from((1, 2)),
+    )
+    def test_a_hint_is_refused_or_printed_as_text_that_reads_back(self, rule, hole_path, k, inner_path, number):
+        try:
+            hint = RuleHint(rule, hole_path, k, inner_path)
+        except ValueError:
+            return
+        entries = [ProofEntry(parse("p|~p")), ProofEntry(parse("(p|~p)|q"))]
+        entries[number - 1] = ProofEntry(entries[number - 1].cirquent, hint)
+        try:
+            text = print_proof(ProofScript(entries))
+        except ValueError:
+            return
+        back = parse_proof(text)
+        # A hint that leaves every field open says what no hint says, and prints as none.
+        assert [entry.hint for entry in back] == [None if e.hint == RuleHint() else e.hint for e in entries]
+        assert print_proof(back) == text
 
     def test_printed_proofs_omit_singleton_ids(self):
         script = ProofScript((ProofEntry(parse("p|7 q"), None),))
