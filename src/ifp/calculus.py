@@ -258,7 +258,9 @@ def match_step(
 
     A hint restricts the candidates field by field; its k is compared
     only when the key's cluster has more than one member in the
-    conclusion, since single-member IDs are not printed.  Returns None
+    conclusion, since single-member IDs are not printed.  Only rule I
+    has an inner position, so a hint with an inner path admits only
+    rule I candidates, whether or not it names a rule.  Returns None
     when nothing fits.
     """
     for app, grown in _candidates_in(premise, conclusion, hint or RuleHint()):
@@ -514,7 +516,7 @@ def _candidates_in(
         node = _at(conclusion, hint.hole_path)
         grown = keyed = [] if node is None or isinstance(node, Literal) else [(hint.hole_path, node)]
     for rule in RULES:
-        if hint.rule not in (None, rule):
+        if hint.rule not in (None, rule) or (hint.inner_path is not None and rule in _MERGED):
             continue
         left_merged, right_merged = _MERGED.get(rule, (None, None))
         if left_merged is None:

@@ -11,26 +11,32 @@ from the root.  A path may end at any node, literals included, but may not
 step through a literal.
 
 Every node caches a ``summary`` of the disjunctions beneath it, itself
-included: ``present``, a bit mask of the clusters there; ``counts``,
-the exact number of members of each cluster with at least two there
-and of no other; whether it is free of same-cluster nesting; and how
-many nodes its subtree has.  Cluster k's bit is ``_bit(k)``: k itself
-below a fixed bound, ``_BOUND``, and above it the next bit from the bound up,
-handed out by ``Or``'s constructor as disjunctions are first built with
-them, never by a query, so a mask never grows with an ID's size.  A
-single-member cluster costs each node above it
-one bit, and a reducer step, whose copies give single-member clusters
-fresh IDs by the thousand, touches counts only for the few clusters
-with more than one member.  A connective's ``summary`` is None until
-the first query needs it; then ``_summarize`` fills it, once.  Nodes
-are immutable and a rewrite shares every subtree it leaves alone, so
-a rebuilt cirquent computes summaries only along the rebuilt spine.
-The summary is this module's private cache: other modules ask
-``cluster_size``, ``cluster_ids``, ``multi_member``, ``is_classical``,
-``members``, ``first_nested`` and ``node_count`` instead of reading it,
-and each of those reads ``node.summary or _summarize(node)``.  The
-reducer lists a cluster's ``members`` once per resolution and keeps the
-list.
+included: the plain tuple ``(present, counts, nesting_free, size)``.
+``present`` is a bit mask of the clusters there; ``counts`` maps
+exactly the clusters with at least two members there to their numbers
+of members, and is None when there is none; ``nesting_free`` says
+whether the subtree is free of same-cluster nesting; ``size`` is how
+many nodes it has.  A summary without counts holds only ints, bools
+and None, so CPython's cycle collector stops tracking it after its
+first pass; a tuple subclass, or a tuple holding a dict, even an empty
+one, stays tracked and is walked on every full collection.
+
+Cluster k's bit is ``_bit(k)``: k itself below a fixed bound,
+``_BOUND``, and above it the next bit from the bound up, handed out by
+``Or``'s constructor as disjunctions are first built with them, never
+by a query, so a mask never grows with an ID's size.  A single-member
+cluster costs each node above it one bit, and a reducer step, whose
+copies give single-member clusters fresh IDs by the thousand, touches
+counts only for the few clusters with more than one member.  A
+connective's ``summary`` is None until the first query needs it; then
+``_summarize`` fills it, once.  Nodes are immutable and a rewrite
+shares every subtree it leaves alone, so a rebuilt cirquent computes
+summaries only along the rebuilt spine.  The summary is this module's
+private cache: other modules ask ``cluster_size``, ``cluster_ids``,
+``multi_member``, ``is_classical``, ``members``, ``first_nested`` and
+``node_count`` instead of reading it, and each of those reads
+``node.summary or _summarize(node)``.  The reducer lists a cluster's
+``members`` once per resolution and keeps the list.
 
 A connective keeps its operands and ID in slots and its summary as an
 ordinary attribute, and nothing ever asks for its ``__dict__``: CPython
@@ -44,7 +50,7 @@ import re
 import sys
 from itertools import count
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterator, Mapping, Union
 
 LEFT_STEP = "L"
 RIGHT_STEP = "R"
@@ -98,22 +104,7 @@ def _ids_in(mask: int) -> list[int]:
     return found
 
 
-class Summary(NamedTuple):
-    """What a node knows about the disjunctions beneath it, itself included.
-
-    ``present`` sets the bit ``_bit(k)`` of each cluster k with a
-    disjunction there; ``counts`` maps exactly the clusters with at least
-    two to their numbers of disjunctions; ``nesting_free`` is False when
-    some disjunction sits inside another of the same cluster; ``size`` is the number of nodes,
-    literals and connectives alike.  Summaries are built with
-    ``tuple.__new__``, which costs a fraction of the generated
-    constructor.
-    """
-
-    present: int
-    counts: Mapping[int, int]
-    nesting_free: bool
-    size: int
+_NO_COUNTS: Mapping[int, int] = MappingProxyType({})  # a summary's counts of None, read as a mapping
 
 
 class _Value:
@@ -158,7 +149,7 @@ _set_attribute = object.__setattr__
 
 class Literal(_Value):
     __match_args__ = ("atom", "positive")
-    summary = Summary(0, MappingProxyType({}), True, 1)
+    summary = (0, None, True, 1)
 
     def __init__(self, atom: str, positive: bool = True) -> None:
         if not (isinstance(atom, str) and _ATOM_NAME.fullmatch(atom)):
@@ -267,7 +258,7 @@ def _require_id(k: object) -> None:
 Cirquent = Union[Literal, And, Or]
 
 
-def _summarize(root: Cirquent) -> Summary:
+def _summarize(root: Cirquent) -> tuple:
     """Store the summary of ``root`` and of every connective beneath it lacking one.
 
     Children go before their parents, and no call recurses, so a deep
@@ -281,7 +272,6 @@ def _summarize(root: Cirquent) -> Summary:
         for child in (node.left, node.right):
             if child.summary is None:  # a literal's never is
                 pending.append(child)
-    new = tuple.__new__
     for node in reversed(order):
         present, counts, free, size = node.left.summary
         right_present, right_counts, right_free, right_size = node.right.summary
@@ -290,22 +280,23 @@ def _summarize(root: Cirquent) -> Summary:
             present = present | right_present if present else right_present
         free = free and right_free
         if shared:  # on both sides: a side without a count holds one
-            left_counts, counts = counts, {**counts, **right_counts}
+            left_counts, right_counts = counts or _NO_COUNTS, right_counts or _NO_COUNTS
+            counts = {**left_counts, **right_counts}
             for k in _ids_in(shared):
                 counts[k] = left_counts.get(k, 1) + right_counts.get(k, 1)
-        elif not counts:
+        elif counts is None:
             counts = right_counts
-        elif right_counts:
+        elif right_counts is not None:
             counts = {**counts, **right_counts}
         if isinstance(node, Or):
             k = node.cluster
             bit = 1 << _bit(k)
             if present & bit:
                 free = False
-                counts = {**counts, k: counts.get(k, 1) + 1}
+                counts = {**counts, k: counts.get(k, 1) + 1} if counts else {k: 2}
             else:
                 present |= bit
-        _set_attribute(node, "summary", new(Summary, (present, counts, free, size + right_size + 1)))
+        _set_attribute(node, "summary", (present, counts, free, size + right_size + 1))
     return root.summary
 
 
@@ -398,7 +389,7 @@ def members(c: Cirquent, k: int) -> list[Path]:
     stack = [(ROOT, c)]
     while stack:
         path, node = stack.pop()
-        if not (node.summary or _summarize(node)).present & bit:
+        if not (node.summary or _summarize(node))[0] & bit:
             continue
         if isinstance(node, Or) and node.cluster == k:
             found.append(path)
@@ -409,23 +400,24 @@ def members(c: Cirquent, k: int) -> list[Path]:
 
 def cluster_size(c: Cirquent, k: int) -> int:
     """How many disjunctions of cluster ``k`` ``c`` holds; 0 when none."""
-    summary = c.summary or _summarize(c)
-    return summary.counts.get(k) or summary.present >> _bit(k) & 1
+    present, counts, _, _ = c.summary or _summarize(c)
+    return counts and counts.get(k) or present >> _bit(k) & 1
 
 
 def cluster_ids(c: Cirquent) -> frozenset[int]:
     """The IDs of every cluster of ``c``."""
-    return frozenset(_ids_in((c.summary or _summarize(c)).present))
+    return frozenset(_ids_in((c.summary or _summarize(c))[0]))
 
 
 def multi_member(c: Cirquent) -> Mapping[int, int]:
     """Each cluster with more than one member, mapped to its size, as a read-only view."""
-    return MappingProxyType((c.summary or _summarize(c)).counts)
+    counts = (c.summary or _summarize(c))[1]
+    return _NO_COUNTS if counts is None else MappingProxyType(counts)
 
 
 def is_classical(c: Cirquent) -> bool:
     """True when every cluster is a singleton, i.e. the cirquent is an ordinary formula."""
-    return not (c.summary or _summarize(c)).counts
+    return (c.summary or _summarize(c))[1] is None
 
 
 def _unused_ids(c: Cirquent) -> Iterator[int]:
@@ -435,7 +427,7 @@ def _unused_ids(c: Cirquent) -> Iterator[int]:
     nor an earlier draw sets; only once every ID below is in use are the
     IDs above tried one by one.
     """
-    present = (c.summary or _summarize(c)).present
+    present = (c.summary or _summarize(c))[0]
     taken = present | 1  # bit 0 is no ID
     while True:
         low = ~taken & (taken + 1)
@@ -458,23 +450,23 @@ def first_nested(c: Cirquent) -> tuple[Path, Path] | None:
     cached cluster bits to the first such member, so it costs O(depth),
     and nothing when the root is nesting-free.
     """
-    if (c.summary or _summarize(c)).nesting_free:  # which fills every summary beneath
+    if (c.summary or _summarize(c))[2]:  # which fills every summary beneath
         return None
     outer, node = [], c
-    while not (isinstance(node, Or) and node.cluster in node.summary.counts):
-        outer.append(RIGHT_STEP if node.left.summary.nesting_free else LEFT_STEP)
+    while not (isinstance(node, Or) and node.cluster in node.summary[1]):  # a nesting node has counts
+        outer.append(RIGHT_STEP if node.left.summary[2] else LEFT_STEP)
         node = node.right if outer[-1] == RIGHT_STEP else node.left
     k, inner, below = node.cluster, [], node
     bit = 1 << _bit(k)
     while not inner or not (isinstance(below, Or) and below.cluster == k):
-        inner.append(LEFT_STEP if below.left.summary.present & bit else RIGHT_STEP)
+        inner.append(LEFT_STEP if below.left.summary[0] & bit else RIGHT_STEP)
         below = below.left if inner[-1] == LEFT_STEP else below.right
     return tuple(outer), tuple(outer + inner)
 
 
 def node_count(c: Cirquent) -> int:
     """Total number of nodes, literals and connectives alike, read off the summary."""
-    return (c.summary or _summarize(c)).size
+    return (c.summary or _summarize(c))[3]
 
 
 def _postorder(c: Cirquent) -> list[Cirquent]:
@@ -538,7 +530,7 @@ def cluster_map(c: Cirquent, d: Cirquent) -> dict[int, int] | None:
         for k, m in forward.items():
             if k != m:
                 moved |= 1 << _bit(k) | 1 << _bit(m)
-        if moved and any((node.summary or _summarize(node)).present & moved for node in shared):
+        if moved and any((node.summary or _summarize(node))[0] & moved for node in shared):
             return None
     return forward
 

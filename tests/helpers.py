@@ -12,7 +12,7 @@ import collections
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from hypothesis import assume, strategies as st
 
@@ -358,15 +358,34 @@ def nested_pairs_reference(c: Cirquent) -> list:
     return pairs
 
 
+class SummaryFields(NamedTuple):
+    present: int
+    counts: dict
+    nesting_free: bool
+    size: int
+
+
+def summary_fields(summary: tuple) -> SummaryFields:
+    """A node's cached summary, field by field, with ``counts`` as a dict.
+
+    The summary must be a plain tuple, which the cycle collector can
+    stop tracking, whose ``counts`` is None or a non-empty dict.
+    """
+    assert type(summary) is tuple
+    present, counts, nesting_free, size = summary
+    assert counts is None or (type(counts) is dict and counts)
+    return SummaryFields(present, dict(counts or {}), nesting_free, size)
+
+
 def assert_summary_matches_walk(c: Cirquent) -> None:
     """The cached summary and the cluster queries agree with a fresh full walk."""
     table = clusters(c)
     sizes = {k: len(v) for k, v in table.items()}
     multi = {k: n for k, n in sizes.items() if n > 1}
     pairs = nested_pairs_reference(c)
-    summary = c.summary or core._summarize(c)  # the cached one, if a query made it
+    summary = summary_fields(c.summary or core._summarize(c))  # the cached one, if a query made it
     assert summary.present == sum(1 << core._bit(k) for k in sizes)
-    assert dict(summary.counts) == multi
+    assert summary.counts == multi
     assert summary.nesting_free == (not pairs)
     assert cluster_ids(c) == frozenset(sizes)
     assert multi_member(c) == multi
@@ -717,7 +736,7 @@ def candidates_reference(conclusion: Cirquent, hint) -> Iterator[RuleApp]:
         node = calculus._at(conclusion, hint.hole_path)
         nodes = [] if node is None or isinstance(node, Literal) else [(hint.hole_path, node)]
     for rule in RULES:
-        if hint.rule not in (None, rule):
+        if hint.rule not in (None, rule) or (hint.inner_path is not None and rule in calculus._MERGED):
             continue
         left_merged, right_merged = calculus._MERGED.get(rule, (None, None))
         for hole, node in nodes:

@@ -57,6 +57,7 @@ from ifp import (
     valid,
 )
 from ifp.calculus import (
+    _MERGED,
     AXIOM,
     RULES,
     CheckFailure,
@@ -535,6 +536,38 @@ class TestMatchStep:
             RuleHint("I-left", (), 1, ("L", "L", "L")),  # through a literal
         ):
             assert match_step(parse(L5), parse(L6), hint) is None
+
+    def test_a_hint_s_inner_path_admits_only_rule_one(self):
+        """Entry 3 of the worked proof follows from entry 2 by II-left at R, which has no inner position."""
+        premise, conclusion = parse(L2), parse(L3)
+        assert match_step(premise, conclusion, RuleHint(None, ("R",), 2)) == RuleApp("II-left", ("R",), 2)
+        for hint in (RuleHint(None, ("R",), 2, ("L", "R", "L")), RuleHint(inner_path=("L", "R", "L"))):
+            assert match_step(premise, conclusion, hint) is None
+            assert list(ifp.calculus._candidates_in(premise, conclusion, hint)) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_a_match_agrees_with_every_field_its_hint_gives(self, seed):
+        """Each hint field is open, the step's own, or drawn at random; k counts only on a multi-member key.
+
+        The seed drives plain ``random``: the steps draw too much for Hypothesis's own randoms.
+        """
+        rng = random.Random(seed)
+        for _ in range(4):
+            premise = rand_step_premise(rng)
+            for conclusion, app in forward_steps(rng, premise):
+                paths = positions(conclusion)
+                for _ in range(2):
+                    rule = rng.choice([None, app.rule, rng.choice(RULES)])
+                    hole = rng.choice([None, app.hole_path, rng.choice(paths)])
+                    k = rng.choice([None, app.k, rng.randint(1, 9)])
+                    inner = None if rule in _MERGED else rng.choice([None, app.inner_path, rng.choice(paths)])
+                    found = match_step(premise, conclusion, RuleHint(rule, hole, k, inner))
+                    if found is not None:
+                        assert rule in (None, found.rule)
+                        assert hole in (None, found.hole_path)
+                        assert inner in (None, found.inner_path)
+                        assert k in (None, found.k) or cluster_size(conclusion, found.k) == 1
 
     def test_unrelated_cirquents_do_not_match(self):
         assert match_step(parse(L1), parse(L3)) is None

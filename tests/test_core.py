@@ -29,6 +29,7 @@ from helpers import (
     positions,
     rename_clusters,
     require_copies_reference,
+    summary_fields,
     unused_ids_reference,
     with_large_ids,
 )
@@ -39,6 +40,7 @@ from ifp import (
     ProofEntry,
     ProofScript,
     RuleApp,
+    Valid,
     canonicalize_ids,
     check_proof,
     cluster_ids,
@@ -424,25 +426,43 @@ class TestCanonicalize:
 
 class TestSummaries:
     def test_counts_and_nesting_flag(self, goal, c1):
-        assert dict(ifp.core._summarize(goal).counts) == {1: 3, 2: 2}
-        assert not goal.summary.nesting_free
-        assert ifp.core._summarize(c1).nesting_free
-        assert dict(P.summary.counts) == {}
-        assert P.summary.nesting_free
+        assert summary_fields(ifp.core._summarize(goal)).counts == {1: 3, 2: 2}
+        assert not summary_fields(goal.summary).nesting_free
+        assert summary_fields(ifp.core._summarize(c1)).nesting_free
+        assert summary_fields(P.summary).counts == {}
+        assert summary_fields(P.summary).nesting_free
 
     def test_masks_hold_every_cluster_and_counts_only_the_multi_member_ones(self):
         c = parse("((p|1 q)|2(r|3 s))&((t|1 u)|4 v)")
-        summary = ifp.core._summarize(c)
+        summary = summary_fields(ifp.core._summarize(c))
         assert summary.present == 0b11110
-        assert dict(summary.counts) == {1: 2}
+        assert summary.counts == {1: 2}
         assert cluster_ids(c) == frozenset({1, 2, 3, 4})
         assert [cluster_size(c, k) for k in range(6)] == [0, 2, 1, 1, 1, 0]
         assert not is_classical(c) and is_classical(c.left)
 
-    def test_multi_member_is_read_only(self, goal):
-        with pytest.raises(TypeError):
-            multi_member(goal)[1] = 0
-        assert multi_member(goal) == {1: 3, 2: 2}
+    def test_multi_member_is_read_only(self, goal, a0):
+        for c, expected in ((goal, {1: 3, 2: 2}), (P, {}), (a0, {})):  # a literal and a classical cirquent have none
+            with pytest.raises(TypeError):
+                multi_member(c)[1] = 0
+            assert multi_member(c) == expected
+
+    def test_the_collector_stops_tracking_summaries_without_counts(self):
+        """A plain tuple of ints, bools and None is untracked by the collection that finds it.
+
+        A tuple subclass, or a tuple holding a dict, stays tracked.
+        """
+        result = decide(nested_family(4, True))
+        gc.collect()
+        summaries = [
+            node.summary
+            for node in gc.get_objects()
+            if isinstance(node, (And, Or)) and node.summary is not None
+        ]
+        without_counts = [summary for summary in summaries if not summary_fields(summary).counts]
+        assert len(without_counts) > 500 and len(summaries) > len(without_counts)
+        assert not any(gc.is_tracked(summary) for summary in without_counts)
+        assert isinstance(result, Valid)
 
     def test_parsing_computes_no_summary(self):
         c = parse("(p|1 q)&(r|1 s)")
@@ -454,8 +474,8 @@ class TestSummaries:
         rebuilt = replace_at(goal, ("L", "L"), P)
         assert rebuilt.summary is None
         assert rebuilt.right is goal.right
-        assert dict(ifp.core._summarize(rebuilt).counts) == {1: 2, 2: 2}
-        assert dict(goal.summary.counts) == {1: 3, 2: 2}
+        assert summary_fields(ifp.core._summarize(rebuilt)).counts == {1: 2, 2: 2}
+        assert summary_fields(goal.summary).counts == {1: 3, 2: 2}
 
     @given(st.one_of(cirquents(max_leaves=8), nested_cirquents()))
     def test_summary_matches_a_fresh_walk(self, c):
