@@ -477,7 +477,7 @@ def _postorder(c: Cirquent) -> list[Cirquent]:
     order, stack = [], [c]
     while stack:  # each node, then its right subtree, then its left: the list reversed
         node = stack.pop()
-        while not isinstance(node, Literal):
+        while node.__class__ is not Literal:
             order.append(node)
             stack.append(node.left)
             node = node.right

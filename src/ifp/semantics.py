@@ -18,6 +18,11 @@ Each query walks the cirquent once, into a list of its nodes with the
 children first (``core._postorder``); the atoms, the bounds check and the
 truth vector are read off that list, and when the rows or clusters
 overflow one vector, every block they are enumerated in reuses it.
+A query builds its tables of atom values and cluster sides only from
+what it is given: nothing for an empty interpretation or metaselection,
+and no masks for a cirquent without multi-member clusters.  Column
+tables up to ten bits wide are built at import; a wider one is built
+once per query, and its blocks share it.
 Other modules share a walk through ``_within_bounds``, which also checks
 the bounds, and read it with ``_true_under`` and ``_falsifier``.
 
@@ -115,7 +120,7 @@ def dnf_text(c: Cirquent) -> tuple[int, Iterator[str]]:
 def _within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> tuple[list, list[str]]:
     """``(order, names)``: ``c``'s ``_postorder`` and sorted atoms; TooLargeError past a size bound."""
     order = _postorder(c)
-    names = sorted({node.atom for node in order if isinstance(node, Literal)})
+    names = sorted({node.atom for node in order if node.__class__ is Literal})
     n_multi = len(multi_member(c))
     if len(names) > max_atoms:
         raise TooLargeError(f"{len(names)} atoms exceeds the bound of {max_atoms}")
@@ -138,41 +143,48 @@ def _true_under(order: list[Cirquent], interpretation: Mapping[str, bool]) -> bo
     return not _false_rows(order, (), interpretation, {})[0]
 
 
-def _false_rows(order: list[Cirquent], names: Sequence[str], values: Mapping, fixed: Mapping) -> tuple:
+def _false_rows(
+    order: list[Cirquent], names: Sequence[str], values: Mapping, fixed: Mapping, columns: tuple = ()
+) -> tuple:
     """``(bits, shift)``, with bit ``i << shift`` set for each falsifying assignment ``i``.
 
     ``order`` is the cirquent's ``_postorder``, read again for every block.
     ``i`` numbers assignments to ``names`` lexicographically; other atoms take ``values``,
     clusters in ``fixed`` their sides, and other multi-member ones are enumerated.
+    Every enumerated block is ``_VECTOR_BITS`` wide, so the first call builds that
+    column table and passes it to every block as ``columns``.
     """
     extra = len(names) - _VECTOR_BITS
     if extra > 0:  # enumerate the first atoms: each assignment to them is one block of rows
         head, tail = names[:extra], names[extra:]
+        columns = columns or _column_table(_VECTOR_BITS)
         false = 0
         for i, head_values in enumerate(product((False, True), repeat=extra)):
-            block, shift = _false_rows(order, tail, {**values, **dict(zip(head, head_values))}, fixed)
+            block, shift = _false_rows(order, tail, {**values, **dict(zip(head, head_values))}, fixed, columns)
             false |= block << (i << (len(tail) + shift))
         return false, shift
-    multi = sorted([k for k in multi_member(order[-1]) if k not in fixed])
-    cut = min(len(multi), len(names) + len(multi) - _VECTOR_BITS)
+    multi = multi_member(order[-1]).keys()
+    multi = sorted(multi - fixed.keys() if fixed else multi)
+    cut = len(multi) + extra  # at most len(multi), since extra <= 0 here
     if cut > 0:  # enumerate the first clusters: a row is false if no choice makes it true
+        columns = columns or _column_table(_VECTOR_BITS)
         false = -1
         for choice in product((LEFT, RIGHT), repeat=cut):
-            block, shift = _false_rows(order, names, values, {**fixed, **dict(zip(multi, choice))})
+            block, shift = _false_rows(order, names, values, {**fixed, **dict(zip(multi, choice))}, columns)
             false &= block
             if not false:
                 break
         return false, shift
     width = len(names) + len(multi)
-    columns = _SMALL_COLUMNS[width] if width < len(_SMALL_COLUMNS) else _columns(width)
-    full = (1 << (1 << width)) - 1
-    literals = {name: full if value else 0 for name, value in values.items()}
+    columns = columns or _column_table(width)
+    full = false = (1 << (1 << width)) - 1  # false: then only the first bit of each interpretation's block
+    literals = {name: full if value else 0 for name, value in values.items()} if values else {}
     literals.update(zip(names, columns))
-    sides = {k: 0 if side == LEFT else -1 for k, side in fixed.items()}
-    false = full  # then only the first bit of each interpretation's block
-    for k, mask in zip(multi, columns[len(names) :]):
-        sides[k] = mask
-        false &= ~mask
+    sides = {k: 0 if side == LEFT else -1 for k, side in fixed.items()} if fixed else {}
+    if multi:
+        for k, mask in zip(multi, columns[len(names) :]):
+            sides[k] = mask
+            false &= ~mask
     vector = _truth(order, literals, sides, full)
     for j in range(len(multi)):
         vector |= vector >> (1 << j)
@@ -187,14 +199,15 @@ def _truth(order: list[Cirquent], literals: Mapping[str, int], sides: Mapping[in
     """
     vectors = []
     for node in order:
-        if isinstance(node, Literal):
+        kind = node.__class__
+        if kind is Literal:
             vector = literals.get(node.atom)
             if vector is None:
                 raise MissingAtomError(f"no value for atom {node.atom!r}")
             vectors.append(vector if node.positive else full ^ vector)
         else:
             right = vectors.pop()
-            if isinstance(node, And):
+            if kind is And:
                 vectors[-1] &= right
             else:
                 mask = sides.get(node.cluster)
@@ -213,3 +226,8 @@ def _columns(width: int) -> tuple:
 
 
 _SMALL_COLUMNS = tuple(_columns(width) for width in range(11))  # the common widths, built once
+
+
+def _column_table(width: int) -> tuple:
+    """``_columns(width)``, from ``_SMALL_COLUMNS`` when it holds that width."""
+    return _SMALL_COLUMNS[width] if width < len(_SMALL_COLUMNS) else _columns(width)

@@ -1,6 +1,7 @@
 """Tests for evaluation: metatruth, validity, and the classical special case."""
 
 import random
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -255,15 +256,29 @@ class TestEvaluator:
         with pytest.raises(MissingClusterError):
             metatrue(c, {"p": True, "q": True}, {1: "left"})
 
+    # Two atoms and 20 clusters need 2**22 bits, two more than a vector holds.
+    FREE = "&".join(f"({x}|{k} ~{x})&({x}|{k} ~{x})" for k, x in zip(range(1, 21), "ab" * 10))
+    PINNED = FREE + "&(a|1 ~a)&(~a|1 a)"  # cluster 1 is false either way
+
     def test_clusters_beyond_one_vector_are_enumerated_in_a_loop(self):
-        # Two atoms and 20 clusters need 2**22 bits, two more than a vector holds:
-        # the first two clusters are enumerated, four blocks of one vector each.
-        free = "&".join(f"({x}|{k} ~{x})&({x}|{k} ~{x})" for k, x in zip(range(1, 21), "ab" * 10))
-        assert valid(parse(free))
-        pinned = parse(free + "&(a|1 ~a)&(~a|1 a)")  # cluster 1 is false either way
+        # The first two clusters are enumerated, four blocks of one vector each.
+        assert valid(parse(self.FREE))
+        pinned = parse(self.PINNED)
         with mock.patch.object(ifp.semantics, "_false_rows", wraps=ifp.semantics._false_rows) as calls:
             assert countermodel(pinned) == {"a": False, "b": False}
         assert calls.call_count == 5
+
+    def test_a_column_table_wider_than_ten_bits_is_built_once_per_query(self):
+        # 21 atoms are two blocks of 20, and the pinned goal four: each block is 20 bits wide.
+        atoms21 = parse("|".join(["a0", "~a0"] + [f"a{i}" for i in range(1, 21)]))
+        pinned = parse(self.PINNED)
+        for query, expected in (
+            (lambda: valid(atoms21, max_atoms=21), True),
+            (lambda: countermodel(pinned), {"a": False, "b": False}),
+        ):
+            with mock.patch.object(ifp.semantics, "_columns", wraps=ifp.semantics._columns) as columns:
+                assert query() == expected
+            assert columns.call_args_list == [mock.call(20)]
 
     @given(shared_cirquents(), st.randoms(use_true_random=False), st.sampled_from((20, 1, 0)))
     def test_agrees_with_the_reference(self, c, rng, vector_bits):
@@ -299,7 +314,7 @@ class TestOneWalkPerQuery:
     QUERIES = {  # each called with the cirquent, an interpretation and a metaselection
         "valid": lambda c, i, f: valid(c),
         "countermodel": lambda c, i, f: countermodel(c),
-        "dnf_text": lambda c, i, f: dnf_text(c),
+        "dnf_text": lambda c, i, f: "".join(dnf_text(c)[1]),  # the text is read off the table, not the nodes
         "true_under": lambda c, i, f: true_under(c, i),
         "metatrue": metatrue,
     }
@@ -311,7 +326,12 @@ class TestOneWalkPerQuery:
         i, f = dict.fromkeys(atoms(c), True), dict.fromkeys(clusters(c), "right")
         once, _ = visits_once(c), node_count(c)  # node_count fills the summaries
         reads = OperandReads(monkeypatch)
-        self.QUERIES[query](c, i, f)
+        answer = self.QUERIES[query](c, i, f)
+        assert reads.reads == once
+        # Read-only views with extra keys give the same answer, also in one walk.
+        reads.reads.clear()
+        i, f = MappingProxyType({**i, "z": False}), MappingProxyType({**f, 99: "left"})
+        assert self.QUERIES[query](c, i, f) == answer
         assert reads.reads == once
 
     def test_blocks_past_the_vector_width_reuse_the_walk(self, monkeypatch):
