@@ -4,23 +4,22 @@ A proof is a list of cirquents: the first must be an axiom (a classical
 cirquent that holds under every interpretation) and each later entry must
 follow from its predecessor by one of five rules.  Every rule acts at a
 designated disjunction occurrence, the key, named by its position (the
-hole) and its cluster ID k.
+hole) and its cluster ID k.  Only ``syntax.RULES`` spells a rule's name;
+this module unpacks its names from there.
 
 Rule I grows a disjunct of the key: some subcirquent A inside the key's
-left operand (I-left) or right operand (I-right) is replaced by "A | k B"
-(respectively "B | k A") for an arbitrary new subcirquent B.
+left operand (``I-left``) or right operand (``I-right``) is replaced by
+"A | k B" (respectively "B | k A") for an arbitrary new subcirquent B.
 
-Rules II-left, II-right and III are one rewrite of a key whose operands
-are "A o C" and "B o D": the conclusion is one o whose left operand is
-either merged into the key ("A | k B") or kept as a shared copy (A, which
-B must copy), and likewise its right operand.  II-left merges the left
-and copies the right, concluding "(A | k B) o C"; II-right copies the
-left and merges the right; III merges both, concluding
-"(A | k B) o (C | k D)".  ``_MERGED`` says which, and ``_ONE_SIDE``
-which operand rule I grows and rule II merges; no other code in the
-package spells a rule's name, beside the list of names an annotation
-may carry (``syntax.RULES``).
-The displayed connective o must be the same on both sides: both
+Rules ``II-left``, ``II-right`` and ``III`` are one rewrite of a key
+whose operands are "A o C" and "B o D": the conclusion is one o whose
+left operand is either merged into the key ("A | k B") or kept as a
+shared copy (A, which B must copy), and likewise its right operand.
+``II-left`` merges the left and copies the right, concluding
+"(A | k B) o C"; ``II-right`` copies the left and merges the right;
+``III`` merges both, concluding "(A | k B) o (C | k D)".  ``_MERGED``
+says which, and ``_ONE_SIDE`` which operand rule I grows and rule II
+merges.  The displayed connective o must be the same on both sides: both
 conjunctions, or both disjunctions in one cluster, or two disjunctions
 that are each alone in their clusters (``_one_cluster``).  The
 conclusion's o keeps the left occurrence's cluster ID.
@@ -35,23 +34,19 @@ grouping structure is preserved.
 The checker reads each step's candidates off its conclusion and checks
 rule I by its inverse, rules II and III forward (``match_step`` says
 why).  Single-member IDs are not printed, so no check compares them.
-Unless a hint names the hole, one walk over premise and conclusion
-first finds where they differ, and only the connectives on the path to
-the differences' meet are tried as holes: O(depth) candidates rather
-than one per connective (``_candidates_in`` gives the argument).  Node
-counts, cached in each node's summary, then rule out a candidate before
-it is built, since each rule fixes how many nodes it adds: rule I adds
-the grown disjunction and its new disjunct; rule II removes one
-connective and the second copy of the operand the conclusion keeps;
-rule III adds none.  Each candidate that is built is compared with its
-proof entry by ``cluster_map``, which skips the subtrees both sides
-share, checks soundly that the rest of the walk moved none of their
-IDs, and lists only the IDs it met.  A rewrite rebuilds only the path
-to what it changes, so a proof that ``decide`` or ``prove`` builds in
-memory shares every other subtree between neighbouring entries, and
-both the walk and each comparison cover the rebuilt paths, not the
-whole tree.  Parsed proofs share nothing: there the walk and each
-candidate's comparison cover both whole trees.
+Unless a hint names the hole, only the connectives on the path to where
+premise and conclusion differ are tried as holes, O(depth) candidates
+rather than one per connective (``_candidates_in``), and node counts,
+cached in each node's summary, rule out a candidate before it is built
+(``_growth``).  Each candidate that is built is compared with its proof
+entry by ``cluster_map``, which skips the subtrees both sides share,
+checks soundly that the rest of the walk moved none of their IDs, and
+lists only the IDs it met.  A rewrite rebuilds only the path to what it
+changes, so a proof that ``decide`` or ``prove`` builds in memory shares
+every other subtree between neighbouring entries, and both the walk and
+each comparison cover the rebuilt paths, not the whole tree.  Parsed
+proofs share nothing: there the walk and each candidate's comparison
+cover both whole trees.
 """
 
 from __future__ import annotations
@@ -87,16 +82,16 @@ from .core import (
     walk,
 )
 from .semantics import valid
-from .syntax import AXIOM, RULES, ProofEntry, ProofScript, RuleHint  # the proof file's records, named here too
+from .syntax import RULES, ProofEntry, RuleHint
 
 # Each side's rule I and rule II, which grow the key's operand and merge o's
 # operand on that side; rule III merges both.
-_ONE_SIDE = {LEFT_STEP: ("I-left", "II-left"), RIGHT_STEP: ("I-right", "II-right")}
-_BOTH_SIDES = "III"
+_I_LEFT, _I_RIGHT, _II_LEFT, _II_RIGHT, _BOTH_SIDES = RULES
+_ONE_SIDE = {LEFT_STEP: (_I_LEFT, _II_LEFT), RIGHT_STEP: (_I_RIGHT, _II_RIGHT)}
 # Rules II and III, by which operands of the displayed connective o the
 # conclusion merges into the key ("A |k B") rather than keeps as one
 # shared copy: (left operand merged, right operand merged).
-_MERGED = {"II-left": (True, False), "II-right": (False, True), _BOTH_SIDES: (True, True)}
+_MERGED = {_II_LEFT: (True, False), _II_RIGHT: (False, True), _BOTH_SIDES: (True, True)}
 
 
 class ShapeMismatchError(RuleError):
@@ -226,11 +221,12 @@ def match_step(
     """The first rule application carrying the premise to the conclusion.
 
     Candidates are read off the conclusion, which fixes the key's ID k,
-    in a fixed order: rules as listed in RULES, keys in path order, inner
-    positions in path order.  Rule I's key is any disjunction, its inner
-    position any disjunction of the key's cluster in the grown operand;
-    rule II's key is the left (II-left) or right (II-right) operand of a
-    connective, rule III's the two operands, both in one cluster.
+    in a fixed order: rules as listed in ``syntax.RULES``, keys in path
+    order, inner positions in path order.  Rule I's key is any
+    disjunction, its inner position any disjunction of the key's cluster
+    in the grown operand; rule II's key is the left (``II-left``) or
+    right (``II-right``) operand of a connective, rule III's the two
+    operands, both in one cluster.
 
     Rule I is checked backward: deleting the new disjunct, read from the
     conclusion, must leave the premise up to renaming of single-member
@@ -240,21 +236,10 @@ def match_step(
     sides share a two-member cluster; backward application gives those
     fresh IDs and so cannot produce such premises.
 
-    Without a hinted hole, a hole is tried only when it lies at or above
-    every position where premise and conclusion differ in a way its
-    rule's check cannot forgive: a different node type or literal for
-    every rule; a changed ID of a multi-member cluster of the premise
-    for rule I, which is compared backward, and of the conclusion for
-    rules II and III, which are compared forward.  Rule I's inner
-    position lies on the same path, and without a changed node there is
-    no rule I candidate.  A candidate is also dropped when the number of
-    nodes it would add is not the conclusion's node count less the
-    premise's: 1 + the new disjunct's for rule I, -1 - the kept copy's
-    for rule II, 0 for rule III.  A dropped candidate cannot match and
-    the others keep their order, so the first that matches is the one
-    trying every candidate gives (``_candidates_in`` gives the
-    argument).  When nothing differs for rules II and III, every hole
-    is tried.
+    Without a hinted hole, ``_candidates_in`` drops the candidates that
+    cannot match, by where premise and conclusion differ and by node
+    count; the others keep their order, so the first that matches is the
+    one trying every candidate gives.
 
     A hint restricts the candidates field by field; its k is compared
     only when the key's cluster has more than one member in the
@@ -309,16 +294,11 @@ def _node_at(c: Cirquent, path: Path) -> Cirquent:
         raise RuleError(str(e)) from None
 
 
-def _key_or(c: Cirquent, hole_path: Path) -> Or:
-    node = _node_at(c, hole_path)
-    if not isinstance(node, Or):
-        raise RuleError(f"no disjunction at {format_path(hole_path)}")
-    return node
-
-
 def _align_key(premise: Cirquent, app: RuleApp, renames: bool = True) -> tuple[Cirquent, Or]:
     """Rename the key to ``app.k`` as ``apply_rule_forward`` allows (only with ``renames``), or fail."""
-    key = _key_or(premise, app.hole_path)
+    key = _node_at(premise, app.hole_path)
+    if not isinstance(key, Or):
+        raise RuleError(f"no disjunction at {format_path(app.hole_path)}")
     if key.cluster == app.k:
         return premise, key
     holders = cluster_size(premise, app.k)
@@ -337,8 +317,9 @@ def _grown_position(key: Or, app: RuleApp) -> tuple[Path, Cirquent]:
     """Rule I's inner position, from the root, and the node there.
 
     ``key`` is the node at ``app.hole_path``; the inner path runs inside
-    its left operand for I-left, its right one for I-right.  Replacing
-    the node at the returned path rebuilds the key and the spine above.
+    its left operand for ``I-left``, its right one for ``I-right``.
+    Replacing the node at the returned path rebuilds the key and the
+    spine above.
     """
     if app.inner_path is None:
         raise RuleError("rule I needs an inner position")
@@ -355,8 +336,8 @@ def _ungrow(conclusion: Cirquent, app: RuleApp, grown: Or) -> tuple[Cirquent, Ru
 
 
 def _grown_first(rule: str, left: object, right: object) -> tuple:
-    """``(left, right)`` for I-left, ``(right, left)`` for I-right: the side rule I grows comes first."""
-    return (left, right) if rule == _ONE_SIDE[LEFT_STEP][0] else (right, left)
+    """The side rule I grows first: ``(left, right)`` for ``I-left``, else ``(right, left)``."""
+    return (left, right) if rule == _I_LEFT else (right, left)
 
 
 def _one_cluster(c: Cirquent, k: int, m: int) -> bool:
@@ -456,52 +437,33 @@ def _candidates_in(
     by a walk.  Without a hinted hole, only the connectives above what
     the step changed are tried: a rule at hole h leaves everything
     outside h's subtree as it was, up to what ``cluster_struct_match``
-    forgives.  ``_meets`` finds where premise and conclusion differ, in
-    three kinds of position: two nodes of different types or two unequal
-    literals; two disjunctions whose IDs differ where the premise's
-    cluster has more than one member; the same where the conclusion's
-    cluster has.  A hole must lie at or above every difference that
-    counts for its rule, so on the path to their meet, their longest
-    common prefix:
+    forgives.  So a hole must lie at or above every difference
+    ``_meets`` finds that counts for its rule, on the path to their
+    meet, their longest common prefix:
 
     - Rules II and III are checked by ``cluster_map(conclusion,
       forward)``, which must keep the conclusion's multi-member IDs.
       Outside h the forward result holds the premise's nodes and IDs,
       except that ``_align_key`` may move the single-member holder of k
       to an unused ID; the map keeps cluster sizes, so the conclusion's
-      cluster there has one member too.  So the first and third kinds
-      count.  When neither occurs, no hole is ruled out and every
-      connective is tried.
+      cluster there has one member too.  So shape and conclusion-ID
+      differences count.  When neither occurs, no hole is ruled out and
+      every connective is tried.
     - Rule I is checked by ``cluster_map(premise, restored)``, which
       must keep the premise's multi-member IDs.  ``restored`` is the
       conclusion with the grown disjunction g replaced by its kept
       operand; it differs from the conclusion only at g and keeps the
-      conclusion's IDs on the path above.  So the first and second
-      kinds count, and all must lie at or below g.  The conclusion's
-      subtree at g has more nodes than the premise's, so a difference
-      of the first kind lies there: without one, rule I has no
-      candidate; otherwise g lies on the path to the meet, below h, and
-      the inner positions are read off that path.
+      conclusion's IDs on the path above.  So shape and premise-ID
+      differences count, and all must lie at or below g.  The
+      conclusion's subtree at g has more nodes than the premise's, so a
+      shape difference lies there: without one, rule I has no candidate;
+      otherwise g lies on the path to the meet, below h, and the inner
+      positions are read off that path.
 
-    Without a hinted hole, node counts drop the candidates that cannot
-    match before they are built.  ``cluster_map`` accepts only trees
-    that match node for node, so both checks, and ``_require_copies``,
-    accept only trees of equal node counts.  With ``grows`` the
-    conclusion's count less the premise's, and o the conclusion's node
-    at the hole (``_growth`` computes each case):
-
-    - III rewrites "(A o C) |k (B o D)" to "(A |k B) o (C |k D)": three
-      connectives either way, so ``grows`` must be 0.
-    - II-left rewrites it to "(A |k B) o C": one connective fewer, and D
-      gone, a copy of C, which is o's right operand; so ``-grows`` must
-      be 1 + the count of o's right operand.  II-right likewise drops B,
-      a copy of A, o's left operand.
-    - I-left and I-right replace a subcirquent A by the grown
-      disjunction "A |k B" or "B |k A", so ``grows`` must be 1 + the
-      count of B, read off the grown disjunction on the path.
-
-    Holes and inner positions keep the path order a full walk gives, so
-    the first that matches is the one the full list would give.
+    Without a hinted hole, a candidate is also dropped before it is
+    built when ``_growth`` rules it out.  Holes and inner positions keep
+    the path order a full walk gives, so the first that matches is the
+    one the full list would give.
     """
     grows = None  # nodes the step adds; counted only without a hinted hole
     if hint.hole_path is None:
@@ -564,10 +526,16 @@ def _candidates_in(
 def _growth(rule: str, node: Cirquent) -> int:
     """How many nodes ``rule`` adds, read off the conclusion's node it rewrote.
 
-    For rule I, ``node`` is the grown disjunction: the rule adds it and
-    the new disjunct.  For rules II and III it is the connective o at
-    the hole: rule II removes one connective and the second copy of the
-    operand o keeps; rule III moves nodes but adds none.
+    Both checks, and ``_require_copies``, compare by ``cluster_map``,
+    which accepts only trees that match node for node, so a candidate
+    that adds other than the conclusion's node count less the premise's
+    cannot match.  For rule I, ``node`` is the grown disjunction, "A |k B"
+    or "B |k A" in place of A: the rule adds it and B.  For rules II and
+    III it is the connective o in place of "(A o C) |k (B o D)":
+    ``III``'s "(A |k B) o (C |k D)" has as many nodes; ``II-left``'s
+    "(A |k B) o C" has one connective fewer and lacks D, the copy of C,
+    o's right operand; ``II-right``'s lacks B, the copy of A, o's left
+    operand, likewise.
     """
     merged = _MERGED.get(rule)
     if merged is None:
@@ -581,13 +549,19 @@ def _growth(rule: str, node: Cirquent) -> int:
 def _meets(premise: Cirquent, conclusion: Cirquent) -> tuple[Optional[Path], Optional[Path]]:
     """The meet of the differences that count for rule I and that of those for rules II and III.
 
-    The kinds are those ``_candidates_in`` lists.  The first meet is
-    None when no two nodes differ in type or literal, the second when
-    nothing counts for rules II and III.  One walk over both trees finds
-    the differences; a pair that is one object holds none and is not
-    entered.  The walk meets positions in path order, which sorts paths
-    as strings, so the meet of all differences is that of the first and
-    the last.
+    Premise and conclusion differ at a position in one of three kinds: a
+    shape difference, two nodes of different types or two unequal
+    literals; a premise-ID difference, two disjunctions whose IDs differ
+    where the premise's cluster has more than one member; a
+    conclusion-ID difference, the same where the conclusion's cluster
+    has.  Shape and premise-ID differences count for rule I, shape and
+    conclusion-ID ones for rules II and III (``_candidates_in`` says
+    why).  The first meet is None when there is no shape difference, the
+    second when nothing counts for rules II and III.  One walk over both
+    trees finds the differences; a pair that is one object holds none
+    and is not entered.  The walk meets positions in path order, which
+    sorts paths as strings, so the meet of all differences is that of
+    the first and the last.
     """
     shaped = False
     first_one = last_one = first_two = last_two = None  # "one": rule I; "two": rules II and III

@@ -387,6 +387,7 @@ def _assignments(text: str) -> list[tuple[str, str]]:
 
 
 RULES = ("I-left", "I-right", "II-left", "II-right", "III")
+_RULE_I = RULES[:2]  # the rules with an inner position
 AXIOM = "axiom"
 
 
@@ -414,7 +415,7 @@ class RuleHint(_Value):
                 raise ValueError(f"paths must be tuples of steps, got {path!r}")
         if rule == AXIOM and (hole_path, k, inner_path) != (None, None, None):
             raise ValueError("an axiom hint has no path, k or inner path")
-        if inner_path is not None and rule is not None and not rule.startswith("I-"):
+        if inner_path is not None and rule is not None and rule not in _RULE_I:
             raise ValueError(f"inner= is for rule I only, not rule {rule}")
         fields = self.__dict__
         fields["rule"], fields["hole_path"] = rule, hole_path

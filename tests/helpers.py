@@ -40,8 +40,8 @@ from ifp import (
     subcirquent_at,
     valid,
 )
-from ifp.calculus import RULES, CopyMismatchError, RuleHint, ShapeMismatchError
-from ifp.core import Cirquent, InvalidPathError, Path, is_classical, map_clusters, node_count, walk
+from ifp.calculus import CopyMismatchError, ShapeMismatchError
+from ifp.core import Cirquent, InvalidPathError, Path, format_path, is_classical, map_clusters, node_count, walk
 from ifp.prover import (
     PreconditionError,
     ReductionInvariantError,
@@ -57,7 +57,7 @@ from ifp.semantics import (
     _false_rows,
     _within_bounds,
 )
-from ifp.syntax import NegatedIndexedDisjunctionError, NonpositiveClusterIdError
+from ifp.syntax import RULES, NegatedIndexedDisjunctionError, NonpositiveClusterIdError, RuleHint
 
 ATOMS3 = ("p", "q", "r")
 ATOMS4 = ("p", "q", "r", "s")
@@ -915,7 +915,12 @@ def _forward_three_reference(premise: Cirquent, app: RuleApp):
 def _backward_one_reference(conclusion: Cirquent, app: RuleApp):
     if app.inner_path is None:
         raise RuleError("rule I needs an inner position")
-    key = calculus._key_or(conclusion, app.hole_path)
+    try:
+        key = subcirquent_at(conclusion, app.hole_path)
+    except InvalidPathError as e:
+        raise RuleError(str(e)) from None
+    if not isinstance(key, Or):
+        raise RuleError(f"no disjunction at {format_path(app.hole_path)}")
     if key.cluster != app.k:
         raise RuleError(f"key at {app.hole_path} is in cluster {key.cluster}, not {app.k}")
     left_form = app.rule == "I-left"

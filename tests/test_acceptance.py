@@ -42,8 +42,8 @@ from ifp import (
     true_under,
     valid,
 )
-from ifp.calculus import AXIOM
 from ifp.core import node_count
+from ifp.syntax import AXIOM
 
 
 def report(number: int, ok: bool, detail: str) -> None:

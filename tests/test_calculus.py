@@ -58,16 +58,14 @@ from ifp import (
 )
 from ifp.calculus import (
     _MERGED,
-    AXIOM,
-    RULES,
     CheckFailure,
     ConnectiveConstraintError,
     CopyMismatchError,
-    RuleHint,
     ShapeMismatchError,
     is_axiom,
 )
 from ifp.core import InvalidPathError, map_clusters, multi_member, walk
+from ifp.syntax import AXIOM, RULES, RuleHint
 
 P = Literal("p")
 Q = Literal("q")

@@ -666,6 +666,11 @@ class TestLoadedModules:
     def test_importing_the_package_loads_no_submodule(self):
         assert self.loaded("import ifp") == (0, ["ifp"])
 
+    def test_a_submodule_read_off_the_package_loads_with_what_it_imports(self):
+        code = "import ifp; assert ifp.calculus is sys.modules['ifp.calculus']"
+        expected = ["ifp", *(f"ifp.{m}" for m in ("calculus", "core", "semantics", "syntax"))]
+        assert self.loaded(code) == (0, expected)
+
     @pytest.mark.parametrize(
         "argv, runs",
         [

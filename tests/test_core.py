@@ -35,6 +35,7 @@ from helpers import (
 )
 from ifp import (
     And,
+    Invalid,
     Literal,
     Or,
     ProofEntry,
@@ -141,6 +142,13 @@ class TestValueTypes:
         assert CheckFailure(2, "no-rule-matches") == CheckFailure(2, "no-rule-matches")
         assert hash(RuleApp("III", ("L",), 2)) == hash(RuleApp("III", ("L",), 2))
         assert hash(NOT_P) == hash(Literal("p", False)) == hash(("p", False))
+        valid_decision = decide(parse("p|1 ~p"))
+        assert isinstance(valid_decision, Valid)
+        assert hash(valid_decision) == hash(copy.copy(valid_decision))
+        invalid_decision = decide(parse("(p|1 q)&(~p|1 ~q)"))
+        assert isinstance(invalid_decision, Invalid)
+        with pytest.raises(TypeError):  # its countermodel is a dict
+            hash(invalid_decision)
 
     def test_records_repr_their_class_and_fields(self):
         assert repr(P) == "Literal(atom='p', positive=True)"
@@ -187,9 +195,11 @@ class TestPaths:
         assert swapped == And(Or(1, P, NOT_P), NOT_P)
         assert replace_at(swapped, ("L", "R"), Q) == c
 
-    def test_replace_at_checks_the_path(self):
+    def test_replace_at_checks_the_path(self, goal):
         with pytest.raises(InvalidPathError):
             replace_at(P, ("L",), Q)
+        with pytest.raises(InvalidPathError, match=r"^bad path step 'X'$"):
+            replace_at(goal, ("L", "X"), Q)
 
     def test_replace_at_names_the_whole_path_as_subcirquent_at_does(self):
         c, path = parse("(p|1 q)&r"), ("L", "L", "R")

@@ -50,7 +50,6 @@ from ifp import (
     true_under,
     valid,
 )
-from ifp.calculus import ProofEntry, ProofScript
 from ifp.core import is_classical, multi_member, node_count
 from ifp.prover import (
     PreconditionError,
@@ -59,6 +58,7 @@ from ifp.prover import (
     eliminate_nested,
     state_tuple,
 )
+from ifp.syntax import ProofEntry, ProofScript
 
 # One four-member cluster whose two adjacent pairs of depth 1 tie.
 BALANCED_TEXT = "((p|1 q)&(r|1 s))&((t|1 u)&(v|1 w))"

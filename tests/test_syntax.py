@@ -32,12 +32,14 @@ from ifp import (
     syntax,
     valid,
 )
-from ifp.calculus import AXIOM, RULES, RuleHint
 from ifp.core import format_path, walk
 from ifp.syntax import (
+    AXIOM,
+    RULES,
     DuplicateKeyError,
     NegatedIndexedDisjunctionError,
     NonpositiveClusterIdError,
+    RuleHint,
     format_interpretation,
     parse_interpretation,
     parse_metaselection,
