@@ -36,10 +36,10 @@ rule I by its inverse, rules II and III forward (``match_step`` says
 why).  Single-member IDs are not printed, so no check compares them.
 Unless a hint names the hole, only the connectives on the path to where
 premise and conclusion differ are tried as holes, O(depth) candidates
-rather than one per connective (``_candidates_in``), and node counts,
-cached in each node's summary, rule out a candidate before it is built
-(``_growth``).  Each candidate that is built is compared with its proof
-entry by ``cluster_map``, which skips the subtrees both sides share,
+rather than one per connective (``_candidates_in``); node counts,
+cached in each node's summary, rule out any candidate before it is
+built (``_growth``).  Each candidate that is built is compared with its
+proof entry by ``cluster_map``, which skips the subtrees both sides share,
 checks soundly that the rest of the walk moved none of their IDs, and
 lists only the IDs it met.  A rewrite rebuilds only the path to what it
 changes, so a proof that ``decide`` or ``prove`` builds in memory shares
@@ -236,10 +236,10 @@ def match_step(
     sides share a two-member cluster; backward application gives those
     fresh IDs and so cannot produce such premises.
 
-    Without a hinted hole, ``_candidates_in`` drops the candidates that
-    cannot match, by where premise and conclusion differ and by node
-    count; the others keep their order, so the first that matches is the
-    one trying every candidate gives.
+    ``_candidates_in`` drops the candidates that cannot match, by node
+    count and, without a hinted hole, by where premise and conclusion
+    differ; the others keep their order, so the first that matches is
+    the one trying every candidate gives.
 
     A hint restricts the candidates field by field; its k is compared
     only when the key's cluster has more than one member in the
@@ -460,14 +460,13 @@ def _candidates_in(
       otherwise g lies on the path to the meet, below h, and the inner
       positions are read off that path.
 
-    Without a hinted hole, a candidate is also dropped before it is
-    built when ``_growth`` rules it out.  Holes and inner positions keep
-    the path order a full walk gives, so the first that matches is the
-    one the full list would give.
+    Every candidate is also dropped before it is built when ``_growth``
+    rules it out.  Holes and inner positions keep the path order a full
+    walk gives, so the first that matches is the one the full list would
+    give.
     """
-    grows = None  # nodes the step adds; counted only without a hinted hole
+    grows = node_count(conclusion) - node_count(premise)  # nodes the step adds
     if hint.hole_path is None:
-        grows = node_count(conclusion) - node_count(premise)
         meet_one, meet_two = _meets(premise, conclusion)
         grown = [] if meet_one is None else _spine(conclusion, meet_one)
         if meet_two is None:
@@ -478,16 +477,16 @@ def _candidates_in(
         node = _at(conclusion, hint.hole_path)
         grown = keyed = [] if node is None or isinstance(node, Literal) else [(hint.hole_path, node)]
     for rule in RULES:
-        if hint.rule not in (None, rule) or (hint.inner_path is not None and rule in _MERGED):
+        if hint.rule not in (None, rule):
             continue
-        left_merged, right_merged = _MERGED.get(rule, (None, None))
-        if left_merged is None:
+        if rule not in _MERGED:  # rule I: the key is a disjunction, g one of its cluster
             side = _grown_first(rule, LEFT_STEP, RIGHT_STEP)[0]  # the operand rule I grows
-        for hole, node in grown if left_merged is None else keyed:
-            if left_merged is None:
+            for hole, node in grown:
                 if not isinstance(node, Or):
                     continue
                 k = node.cluster
+                if hint.k not in (None, k) and cluster_size(conclusion, k) > 1:
+                    continue
                 host = node.left if side == LEFT_STEP else node.right
                 if hint.inner_path is not None:
                     held = [(hint.inner_path, _at(host, hint.inner_path))]
@@ -498,14 +497,12 @@ def _candidates_in(
                     if meet_one[depth - 1 : depth] != (side,):
                         continue
                     held = [(path[depth:], below) for path, below in grown[depth:]]
-                inners = [
-                    (inner, below)
-                    for inner, below in held
-                    if isinstance(below, Or)
-                    and below.cluster == k
-                    and (grows is None or grows == _growth(rule, below))
-                ]
-            else:
+                for inner, below in held:
+                    if isinstance(below, Or) and below.cluster == k and grows == _growth(rule, below):
+                        yield RuleApp(rule, hole, k, inner_path=inner), below
+        elif hint.inner_path is None:  # rules II and III: k is the merged operands' cluster
+            left_merged, right_merged = _MERGED[rule]
+            for hole, node in keyed:
                 key = node.left if left_merged else node.right
                 if not isinstance(key, Or):
                     continue
@@ -514,13 +511,8 @@ def _candidates_in(
                     isinstance(node.right, Or) and node.right.cluster == k
                 ):
                     continue
-                if grows is not None and grows != _growth(rule, node):
-                    continue
-                inners = [(None, None)]
-            if hint.k not in (None, k) and cluster_size(conclusion, k) > 1:
-                continue
-            for inner, below in inners:
-                yield RuleApp(rule, hole, k, inner_path=inner), below
+                if grows == _growth(rule, node) and (hint.k in (None, k) or cluster_size(conclusion, k) == 1):
+                    yield RuleApp(rule, hole, k), None
 
 
 def _growth(rule: str, node: Cirquent) -> int:

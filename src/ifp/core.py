@@ -90,7 +90,7 @@ _next_bit = count(_BOUND)
 
 def _bit(k: int) -> int:
     """Cluster ``k``'s bit in the summary masks; 0, which no mask sets, for an ID no disjunction holds."""
-    return k if k < _BOUND else _interned_bits.get(k, 0)
+    return k if 0 <= k < _BOUND else _interned_bits.get(k, 0)
 
 
 def _ids_in(mask: int) -> list[int]:

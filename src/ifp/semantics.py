@@ -20,19 +20,24 @@ truth vector are read off that list, and when the rows or clusters
 overflow one vector, every block they are enumerated in reuses it.
 A query builds its tables of atom values and cluster sides only from
 what it is given: nothing for an empty interpretation or metaselection,
-and no masks for a cirquent without multi-member clusters.  Column
-tables up to ten bits wide are built at import; a wider one is built
-once per query, and its blocks share it.
+and no masks for a cirquent without multi-member clusters.  A column
+table is built the first time its width is asked for and kept for the
+process (``_columns``), so every block and every later query shares it;
+widths run from 0 to ``_VECTOR_BITS``, and the 20-bit table holds
+2.8 MB, all 21 tables 5.3 MB.
 Other modules share a walk through ``_within_bounds``, which also checks
 the bounds, and read it with ``_true_under`` and ``_falsifier``.
 
 Brute force needs fixed bounds: at most 20 atoms and 20 multi-member
 clusters, or TooLargeError.  ``valid(c, max_atoms=N)`` is the only
-override, and only of the atom bound.
+override, and only of the atom bound.  ``true_under`` checks only the
+cluster bound, since its atoms are the interpretation's, and
+``metatrue``, which enumerates nothing, checks neither.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, product, repeat
 from typing import Iterator, Mapping, Sequence
 
@@ -78,7 +83,12 @@ def metatrue(c: Cirquent, interpretation: Mapping[str, bool], metaselection: Map
 
 
 def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
-    """True when some metaselection makes the cirquent metatrue; every atom needs a value."""
+    """True when some metaselection makes the cirquent metatrue; every atom needs a value.
+
+    The metaselections are enumerated, so the cluster bound holds; the atoms
+    are the interpretation's, so the atom bound does not.
+    """
+    _require_few_clusters(c)
     return _true_under(_postorder(c), interpretation)
 
 
@@ -121,12 +131,17 @@ def _within_bounds(c: Cirquent, max_atoms: int = DEFAULT_MAX_ATOMS) -> tuple[lis
     """``(order, names)``: ``c``'s ``_postorder`` and sorted atoms; TooLargeError past a size bound."""
     order = _postorder(c)
     names = sorted({node.atom for node in order if node.__class__ is Literal})
-    n_multi = len(multi_member(c))
     if len(names) > max_atoms:
         raise TooLargeError(f"{len(names)} atoms exceeds the bound of {max_atoms}")
+    _require_few_clusters(c)
+    return order, names
+
+
+def _require_few_clusters(c: Cirquent) -> None:
+    """TooLargeError past ``MAX_CLUSTERS`` multi-member clusters."""
+    n_multi = len(multi_member(c))
     if n_multi > MAX_CLUSTERS:
         raise TooLargeError(f"{n_multi} multi-member clusters exceeds the bound of {MAX_CLUSTERS}")
-    return order, names
 
 
 def _falsifier(order: list[Cirquent], names: Sequence[str]) -> Interpretation | None:
@@ -143,40 +158,34 @@ def _true_under(order: list[Cirquent], interpretation: Mapping[str, bool]) -> bo
     return not _false_rows(order, (), interpretation, {})[0]
 
 
-def _false_rows(
-    order: list[Cirquent], names: Sequence[str], values: Mapping, fixed: Mapping, columns: tuple = ()
-) -> tuple:
+def _false_rows(order: list[Cirquent], names: Sequence[str], values: Mapping, fixed: Mapping) -> tuple:
     """``(bits, shift)``, with bit ``i << shift`` set for each falsifying assignment ``i``.
 
     ``order`` is the cirquent's ``_postorder``, read again for every block.
     ``i`` numbers assignments to ``names`` lexicographically; other atoms take ``values``,
     clusters in ``fixed`` their sides, and other multi-member ones are enumerated.
-    Every enumerated block is ``_VECTOR_BITS`` wide, so the first call builds that
-    column table and passes it to every block as ``columns``.
     """
     extra = len(names) - _VECTOR_BITS
     if extra > 0:  # enumerate the first atoms: each assignment to them is one block of rows
         head, tail = names[:extra], names[extra:]
-        columns = columns or _column_table(_VECTOR_BITS)
         false = 0
         for i, head_values in enumerate(product((False, True), repeat=extra)):
-            block, shift = _false_rows(order, tail, {**values, **dict(zip(head, head_values))}, fixed, columns)
+            block, shift = _false_rows(order, tail, {**values, **dict(zip(head, head_values))}, fixed)
             false |= block << (i << (len(tail) + shift))
         return false, shift
     multi = multi_member(order[-1]).keys()
     multi = sorted(multi - fixed.keys() if fixed else multi)
     cut = len(multi) + extra  # at most len(multi), since extra <= 0 here
     if cut > 0:  # enumerate the first clusters: a row is false if no choice makes it true
-        columns = columns or _column_table(_VECTOR_BITS)
         false = -1
         for choice in product((LEFT, RIGHT), repeat=cut):
-            block, shift = _false_rows(order, names, values, {**fixed, **dict(zip(multi, choice))}, columns)
+            block, shift = _false_rows(order, names, values, {**fixed, **dict(zip(multi, choice))})
             false &= block
             if not false:
                 break
         return false, shift
     width = len(names) + len(multi)
-    columns = columns or _column_table(width)
+    columns = _columns(width)
     full = false = (1 << (1 << width)) - 1  # false: then only the first bit of each interpretation's block
     literals = {name: full if value else 0 for name, value in values.items()} if values else {}
     literals.update(zip(names, columns))
@@ -216,6 +225,7 @@ def _truth(order: list[Cirquent], literals: Mapping[str, int], sides: Mapping[in
     return vectors[0]
 
 
+@cache
 def _columns(width: int) -> tuple:
     """Per bit of a ``width``-bit index, top bit first: the vector of the indices with it set."""
     columns, size = [], 1
@@ -223,11 +233,3 @@ def _columns(width: int) -> tuple:
         columns = [((1 << size) - 1) << size] + [column | column << size for column in columns]
         size <<= 1
     return tuple(columns)
-
-
-_SMALL_COLUMNS = tuple(_columns(width) for width in range(11))  # the common widths, built once
-
-
-def _column_table(width: int) -> tuple:
-    """``_columns(width)``, from ``_SMALL_COLUMNS`` when it holds that width."""
-    return _SMALL_COLUMNS[width] if width < len(_SMALL_COLUMNS) else _columns(width)

@@ -88,10 +88,10 @@ class DuplicateKeyError(ParseError):
     """The same key is assigned twice in one mapping."""
 
 
-_TOKEN = re.compile(_ATOM_NAME.pattern + r"|\d+|->|[()&|~]")
+_TOKEN = re.compile(_ATOM_NAME.pattern + r"|[0-9]+|->|[()&|~]")
 # One match per token; the first unexpected character takes the rest of the text.
 _SCAN = re.compile(_TOKEN.pattern + r"|\S.*", re.S)
-_EXPLICIT_ID = re.compile(r"\|\s*(\d+)")
+_EXPLICIT_ID = re.compile(r"\|\s*([0-9]+)")
 
 # Operator state: reduce the stacked operators binding at least this tightly.
 _REDUCE_FROM = {"&": 3, "|": 2, "->": 2, ")": 1}

@@ -1199,7 +1199,7 @@ def classical_countermodel_reference(c: Cirquent):
 # replaced: tokens, a raw tuple tree, negation normal form, then IDs.
 
 _REFERENCE_TOKEN = re.compile(
-    r"\s+|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<sym>->|[()&|~])"
+    r"\s+|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<num>[0-9]+)|(?P<sym>->|[()&|~])"
 )
 
 

@@ -697,6 +697,20 @@ class TestLocalizedHoles:
         assert match_step(premise, conclusion, hint) is None
         assert applied == []
 
+    def test_node_counts_drop_a_hinted_hole_before_it_is_built(self, monkeypatch):
+        # The hint names the root as rule II-left's hole, which is looked up
+        # by its path; II-left there drops two nodes, but the step adds two.
+        premise, conclusion = parse("(a|2 c)&d"), parse("((a|2 b)|2 c)&d")
+        hint = RuleHint("II-left", ())
+        assert list(candidates_reference(conclusion, hint)) == [RuleApp("II-left", (), 2)]
+        assert list(ifp.calculus._candidates_in(premise, conclusion, hint)) == []
+        applied = []
+        forward = ifp.calculus.apply_rule_forward
+        counted = lambda *a: applied.append(a) or forward(*a)  # noqa: E731
+        monkeypatch.setattr(ifp.calculus, "apply_rule_forward", counted)
+        assert match_step(premise, conclusion, hint) is None
+        assert applied == []
+
     @pytest.mark.parametrize("d", (1, 2, 3, 4))
     def test_the_nested_family_applies_one_rule_per_step(self, d, monkeypatch):
         applied = []

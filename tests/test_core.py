@@ -508,6 +508,15 @@ class TestSummaries:
         assert (ifp.core._interned_bits, ifp.core._interned_ids) == registry
         assert_summary_matches_walk(c)
 
+    @pytest.mark.parametrize("k", [0, -1, -(2**16), -(2**40)])
+    def test_an_id_below_one_holds_no_disjunction(self, k):
+        """``cluster_size`` and ``members`` answer 0 and [] for it, and ``resolve_cluster`` refuses it."""
+        c = parse("((p|1 q)&(p|2 q))|3((r|4 s)&(r|4 s))")
+        assert cluster_size(c, k) == 0
+        assert members(c, k) == []
+        with pytest.raises(PreconditionError, match=f"cluster {k} already has a single member"):
+            resolve_cluster(c, k)
+
     @pytest.mark.parametrize("siblings, bound_mb", [("literals", 2), ("disjunctions", 32)])
     def test_memory_does_not_grow_with_an_id_s_size(self, siblings, bound_mb):
         """A mask indexed by raw ID would take 125 MB for the one disjunction's ID alone.

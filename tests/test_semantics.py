@@ -132,6 +132,18 @@ class TestBounds:
         full = parse("&".join(f"(p|{k} q)&(q|{k} p)" for k in range(1, 21)))
         assert ensure_within_bounds(full) == ["p", "q"]
 
+    def test_true_under_checks_the_cluster_bound_but_not_the_atom_bound(self):
+        # It enumerates metaselections, but its atoms are the interpretation's.
+        crowded = parse("&".join(f"(p|{k} q)&(q|{k} p)" for k in range(1, 22)))
+        with pytest.raises(TooLargeError, match="21 multi-member clusters exceeds the bound of 20"):
+            true_under(crowded, {"p": True, "q": True})
+        full = parse("&".join(f"(p|{k} q)&(q|{k} p)" for k in range(1, 21)))
+        assert true_under(full, {"p": True, "q": True})
+        assert not true_under(full, {"p": True, "q": False})
+        wide = parse("|".join(f"a{i}" for i in range(25)))
+        assert not true_under(wide, {f"a{i}": False for i in range(25)})
+        assert true_under(wide, {f"a{i}": i == 24 for i in range(25)})
+
     def test_single_member_clusters_are_not_counted(self):
         tautology = parse("|".join(["p"] * 21 + ["~p"]))
         assert ensure_within_bounds(tautology) == ["p"]
@@ -268,17 +280,14 @@ class TestEvaluator:
             assert countermodel(pinned) == {"a": False, "b": False}
         assert calls.call_count == 5
 
-    def test_a_column_table_wider_than_ten_bits_is_built_once_per_query(self):
+    def test_a_column_table_is_built_once_per_width_and_kept(self):
         # 21 atoms are two blocks of 20, and the pinned goal four: each block is 20 bits wide.
         atoms21 = parse("|".join(["a0", "~a0"] + [f"a{i}" for i in range(1, 21)]))
         pinned = parse(self.PINNED)
-        for query, expected in (
-            (lambda: valid(atoms21, max_atoms=21), True),
-            (lambda: countermodel(pinned), {"a": False, "b": False}),
-        ):
-            with mock.patch.object(ifp.semantics, "_columns", wraps=ifp.semantics._columns) as columns:
-                assert query() == expected
-            assert columns.call_args_list == [mock.call(20)]
+        ifp.semantics._columns.cache_clear()
+        assert valid(atoms21, max_atoms=21)
+        assert countermodel(pinned) == {"a": False, "b": False}
+        assert ifp.semantics._columns.cache_info().misses == 1  # one 20-bit table, which the second query reuses
 
     @given(shared_cirquents(), st.randoms(use_true_random=False), st.sampled_from((20, 1, 0)))
     def test_agrees_with_the_reference(self, c, rng, vector_bits):

@@ -118,6 +118,13 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("p|01 q")
 
+    @pytest.mark.parametrize("text, position", [("p|\u0661 q", 2), ("p|1\u0661 q", 3), ("p|\uff11 q", 2)])
+    def test_cluster_ids_are_ascii_digits(self, text, position):
+        # U+0661 is the Arabic-Indic digit one and U+FF11 the fullwidth one: decimal, but not ASCII.
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.message, info.value.position) == (f"unexpected character {text[position]!r}", position)
+
     @pytest.mark.parametrize(
         "text",
         ["", "p q", "(p", "p)", "p|", "p&", "->p", "p->", "p?q", "1", "p|1"],
