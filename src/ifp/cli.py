@@ -24,10 +24,9 @@ from .semantics import (
     MissingAtomError,
     MissingClusterError,
     TooLargeError,
-    _true_under,
-    _within_bounds,
     dnf_text,
     metatrue,
+    true_under,
     valid,
 )
 from .syntax import (
@@ -53,29 +52,22 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run(argv) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except TooLargeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (
         ParseError,
         RuleError,
         InvalidPathError,
         MissingAtomError,
         MissingClusterError,
+        TooLargeError,
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, TooLargeError) else 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -177,8 +169,7 @@ def _cmd_eval(args) -> int:
     if args.metaselection is not None:
         result = metatrue(c, interpretation, parse_metaselection(args.metaselection))
     else:
-        order, _ = _within_bounds(c)  # one walk for the bounds check and the evaluation
-        result = _true_under(order, interpretation)
+        result = true_under(c, interpretation)
     print("true" if result else "false")
     return 0 if result else 1
 

@@ -25,8 +25,8 @@ table is built the first time its width is asked for and kept for the
 process (``_columns``), so every block and every later query shares it;
 widths run from 0 to ``_VECTOR_BITS``, and the 20-bit table holds
 2.8 MB, all 21 tables 5.3 MB.
-Other modules share a walk through ``_within_bounds``, which also checks
-the bounds, and read it with ``_true_under`` and ``_falsifier``.
+The prover alone shares a walk through ``_within_bounds``, which also
+checks the bounds, and reads it with ``_true_under`` and ``_falsifier``.
 
 Brute force needs fixed bounds: at most 20 atoms and 20 multi-member
 clusters, or TooLargeError.  ``valid(c, max_atoms=N)`` is the only
@@ -93,7 +93,12 @@ def true_under(c: Cirquent, interpretation: Mapping[str, bool]) -> bool:
 
 
 def valid(c: Cirquent, *, max_atoms: int = DEFAULT_MAX_ATOMS) -> bool:
-    """True when the cirquent is true under every interpretation of its atoms."""
+    """True when the cirquent is true under every interpretation of its atoms.
+
+    ``max_atoms`` is a nonnegative ``int``, not a ``bool``, else ValueError.
+    """
+    if max_atoms.__class__ is not int or max_atoms < 0:
+        raise ValueError(f"max_atoms must be a nonnegative int, got {max_atoms!r}")
     order, names = _within_bounds(c, max_atoms)
     return not _false_rows(order, names, {}, {})[0]
 

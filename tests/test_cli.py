@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -21,13 +22,15 @@ from conftest import GOAL_TEXT, X_TEXT
 from helpers import (
     ATOMS4,
     all_cirquents,
+    atoms,
     cirquents,
     dnf_reference,
     eval_classical_reference,
     nested_family,
+    rand_cirquent,
     truth_table_reference,
 )
-from ifp import ProofEntry, RuleError, TooLargeError, decide, parse, print_cirquent, print_proof
+from ifp import ProofEntry, RuleError, TooLargeError, decide, parse, print_cirquent, print_proof, true_under
 from ifp.calculus import ShapeMismatchError
 from ifp.cli import main
 from ifp.core import InvalidPathError
@@ -105,6 +108,40 @@ class TestEvalCommand:
         code, _, err = run(["eval", "--model", "p=1"], capsys, monkeypatch, stdin="p&q")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_more_than_twenty_atoms_get_an_answer(self, capsys, monkeypatch):
+        # The atoms are the model's, so only the cluster bound applies, as in true_under.
+        model = ",".join(f"a{i}=0" for i in range(21))
+        assert run(["eval", "--model", model], capsys, monkeypatch, stdin=ATOMS21) == (0, "true\n", "")
+
+    def test_agrees_with_true_under_past_the_atom_bound(self, capsys, monkeypatch):
+        rng = random.Random(35)
+        names = [f"a{i}" for i in range(30)]
+        verdicts = set()
+        for _ in range(30):
+            c = rand_cirquent(rng, 60, names)
+            interpretation = {name: rng.random() < 0.5 for name in names}
+            used = sorted(atoms(c))
+            assert len(used) > 20
+            model = ",".join(f"{name}={int(interpretation[name])}" for name in used)
+            expected = true_under(c, interpretation)
+            code, out, err = run(["eval", "--model", model], capsys, monkeypatch, stdin=print_cirquent(c))
+            assert (code, out, err) == ((0, "true\n", "") if expected else (1, "false\n", ""))
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "&".join(f"(p|{k} q)&(q|{k} p)" for k in range(1, 22)),
+            "&".join(f"(a{4 * k}|{k} a{4 * k + 1})&(a{4 * k + 2}|{k} a{4 * k + 3})" for k in range(1, 22)),
+        ],
+        ids=["2-atoms", "84-atoms"],
+    )
+    def test_twenty_one_multi_member_clusters_exceed_the_bound(self, text, capsys, monkeypatch):
+        model = ",".join(sorted({f"{name}=1" for name in re.findall(r"[a-z]\w*", text)}))
+        code, out, err = run(["eval", "--model", model], capsys, monkeypatch, stdin=text)
+        assert (code, out, err) == (2, "", "error: 21 multi-member clusters exceeds the bound of 20\n")
 
 
 class TestValidCommand:

@@ -1,6 +1,7 @@
 """Tests for evaluation: metatruth, validity, and the classical special case."""
 
 import random
+import re
 from types import MappingProxyType
 from unittest import mock
 
@@ -156,6 +157,11 @@ class TestBounds:
         with pytest.raises(TooLargeError, match="3 atoms exceeds the bound of 2"):
             valid(c, max_atoms=2)
         assert ensure_within_bounds(c, 3) == ["p", "q", "r"]
+
+    @pytest.mark.parametrize("bound", [-1, True, 2.5, "3"], ids=["negative", "bool", "float", "str"])
+    def test_an_atom_bound_that_is_no_nonnegative_int_is_refused(self, bound):
+        with pytest.raises(ValueError, match=f"max_atoms must be a nonnegative int, got {re.escape(repr(bound))}"):
+            valid(parse("p|~p"), max_atoms=bound)
 
 
 class TestClassical:
